@@ -38,6 +38,11 @@ def load_arrangement(path: str) -> Arrangement:
     return arrangement_from_document(doc, origin=path)
 
 
+def _is_int(x) -> bool:
+    """JSON integer: true and false decode to Python bools, which are ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def arrangement_from_document(doc, origin: str = "<input>") -> Arrangement:
     if not isinstance(doc, dict):
         raise InputError(f"{origin}: top level must be an object")
@@ -46,9 +51,9 @@ def arrangement_from_document(doc, origin: str = "<input>") -> Arrangement:
         raise InputError(f"{origin}: missing or malformed 'group' object")
     free_rank = group.get("free_rank")
     torsion = group.get("torsion", [])
-    if not isinstance(free_rank, int) or free_rank < 0:
+    if not _is_int(free_rank) or free_rank < 0:
         raise InputError(f"{origin}: group.free_rank must be a nonnegative integer")
-    if not isinstance(torsion, list) or any(not isinstance(e, int) for e in torsion):
+    if not isinstance(torsion, list) or any(not _is_int(e) for e in torsion):
         raise InputError(f"{origin}: group.torsion must be a list of integers")
     try:
         gamma = FGAbelianGroup(free_rank, tuple(torsion))
@@ -58,7 +63,7 @@ def arrangement_from_document(doc, origin: str = "<input>") -> Arrangement:
     if not isinstance(vectors, list):
         raise InputError(f"{origin}: missing or malformed 'vectors' list")
     for i, vec in enumerate(vectors):
-        if not isinstance(vec, list) or any(not isinstance(x, int) for x in vec):
+        if not isinstance(vec, list) or any(not _is_int(x) for x in vec):
             raise InputError(f"{origin}: vectors[{i}] must be a list of integers")
         if len(vec) != gamma.ngens:
             raise InputError(

@@ -278,10 +278,6 @@ def hnf_solve(h: IntMatrix, vector) -> tuple | None:
     return tuple(coeffs)
 
 
-def lattice_contains(h: IntMatrix, vector) -> bool:
-    return hnf_solve(h, vector) is not None
-
-
 def determinant(m: IntMatrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     if m.rows != m.cols:

@@ -1,4 +1,5 @@
-"""Layer posets over targets of the form (lines)^g x F, g >= 1, F finite.
+"""Layer posets over targets of the form (lines)^g x F, g >= 1, F finite:
+the front end of the layer engine in posets.py.
 
 The real factors only contribute connectivity (a finite group has no
 nonzero map into a real vector group), so a layer needs no real
@@ -13,53 +14,15 @@ served by invariants.leading_part, not by this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from math import gcd, lcm
 
-from . import model
-from .intlinalg import FGAbelianGroup, IntMatrix, hnf_solve, hom_enumerate
+from .intlinalg import hom_enumerate
 from .invariants import IdentityCheckError, g_characteristic
-from .model import Arrangement, CapExceeded, GroupSpec
+from .model import Arrangement, GroupSpec
 from .poly import UniPoly, scale_variable
-from .posets import LayerPoset
+from .posets import LayerPoset, enumerate_layers, partial_subposet
 
-MAX_LAYER_ELEMENTS = 12
 MAX_LAYERS = 50_000
-
-
-@dataclass(frozen=True)
-class LieLayer:
-    """One connected component: (saturated span, hom into F)."""
-
-    span: IntMatrix          # HNF rows in the free quotient
-    chi: tuple               # image of each ambient generator in F (residue tuples)
-    rank: int
-    dim: int                 # g * (ambient free rank - rank)
-    in_partial: bool
-    localization: int
-
-    def component_key(self):
-        return self.chi
-
-    def sort_key(self):
-        return (self.rank, self.span.data, self.chi)
-
-    def key_str(self) -> str:
-        span = ";".join(",".join(str(x) for x in row) for row in self.span.data)
-        chi = ",".join("+".join(str(x) for x in img) or "0" for img in self.chi)
-        return f"[{span}]({chi})"
-
-
-def _lie_leq(big: LieLayer, small: LieLayer) -> bool:
-    if big.chi != small.chi:
-        return False
-    return all(hnf_solve(small.span, row) is not None for row in big.span.data)
-
-
-def _apply_hom(chi, vec, f_torsion) -> tuple:
-    """Image of an ambient element under a hom given on the generators."""
-    return tuple(
-        sum(int(a) * img[t] for a, img in zip(vec, chi)) % f_torsion[t]
-        for t in range(len(f_torsion)))
 
 
 def enumerate_lie_layers(arr: Arrangement, g: int, f_torsion=(),
@@ -68,130 +31,34 @@ def enumerate_lie_layers(arr: Arrangement, g: int, f_torsion=(),
 
     Per subset S the components are the homomorphisms of the quotient by S
     into F, pushed forward to homs on the whole ambient group; the count is
-    checked against multiplicity(S) * #F^(free corank) subset by subset.
+    checked against multiplicity(S) * #F^(free corank) subset by subset,
+    and max_layers caps the sum of those counts.
     """
     if g < 1:
         raise ValueError("g must be >= 1; use leading_part for g = 0")
-    if arr.n > MAX_LAYER_ELEMENTS:
-        raise CapExceeded(
-            f"{arr.n} elements; layer enumeration is capped at {MAX_LAYER_ELEMENTS}")
     spec = GroupSpec(f_torsion=f_torsion, reals=g)
     fs = spec.f_torsion
-    gamma = arr.gamma
-    f = gamma.free_rank
 
-    # size guard before enumerating anything
-    predicted = 0
-    for mask in arr.masks():
-        data = arr.subset_data(mask)
-        predicted += model.multiplicity(data, spec) \
-            * spec.f_order ** (f - data.rank)
-    if predicted > max_layers:
-        raise CapExceeded(
-            f"about {predicted} layer instances exceed the cap {max_layers}")
+    def homs(mask, span, data):
+        return hom_enumerate(arr.subset_matrix(mask), arr.gamma, fs)
 
-    torsion_elems = [i for i in range(arr.n) if arr.torsion_mask() >> i & 1]
-    seen: dict = {}
-    raw: list = []
-    subset_members: dict = {}
+    def describe(span, chi):
+        order = lcm(*(m // gcd(m, *(img[t] for img in chi))
+                      for t, m in enumerate(fs)))
+        return chi, order, ",".join("+".join(str(x) for x in img) or "0"
+                                    for img in chi)
 
-    for mask in arr.masks():
-        data = arr.subset_data(mask)
-        span = arr.saturation_matrix(mask)
-        homs = hom_enumerate(arr.subset_matrix(mask), gamma, fs)
-        expected = model.multiplicity(data, spec) * spec.f_order ** (f - data.rank)
-        if len(homs) != expected:
-            raise IdentityCheckError(
-                f"subset {mask:b}: {len(homs)} components, expected {expected}")
-        members = []
-        for chi in homs:
-            key = (span.data, chi)
-            idx = seen.get(key)
-            if idx is None:
-                idx = len(raw)
-                seen[key] = idx
-                raw.append((span, chi, data.rank))
-            members.append(idx)
-        subset_members[mask] = members
-
-    layers = []
-    for span, chi, rank in raw:
-        loc = 0
-        for i, vec in enumerate(arr.elements):
-            if hnf_solve(span, vec[:f]) is not None and \
-                    not any(_apply_hom(chi, vec, fs)):
-                loc |= 1 << i
-        partial = all(any(_apply_hom(chi, arr.elements[i], fs))
-                      for i in torsion_elems)
-        layers.append(LieLayer(span, chi, rank, g * (f - rank), partial, loc))
-
-    perm = sorted(range(len(layers)), key=lambda i: layers[i].sort_key())
-    inv = {old: new for new, old in enumerate(perm)}
-    layers = [layers[i] for i in perm]
-    subset_components = {mask: tuple(sorted(inv[i] for i in members))
-                         for mask, members in subset_members.items()}
-    poset = LayerPoset(arr, layers, subset_components, _lie_leq)
-    poset.f_torsion = fs
-    poset.g = g
-    return poset
+    return enumerate_layers(arr, spec, homs, lambda x, y: y.chi, describe,
+                            max_layers)
 
 
 def scc(poset: LayerPoset) -> tuple:
     """Minimal elements whose localization contains no torsion element.
 
-    The cardinality is checked against the inclusion-exclusion count: the
-    number of torsion characters killing no torsion element, times
-    #F^(free rank).
+    partial_subposet checks their number against the direct count: the
+    torsion homs into F killing no torsion element, times #F^(free rank).
     """
-    arr = poset.arr
-    chosen = tuple(i for i in poset.minimal if poset.layers[i].in_partial)
-    fs = poset.f_torsion
-    expected = _surviving_torsion_hom_count(arr, fs) \
-        * _order(fs) ** arr.gamma.free_rank
-    if len(chosen) != expected:
-        raise IdentityCheckError(
-            f"{len(chosen)} surviving components, expected {expected}")
-    return chosen
-
-
-def _order(fs) -> int:
-    n = 1
-    for x in fs:
-        n *= x
-    return n
-
-
-def partial_subposet(poset: LayerPoset) -> tuple:
-    """All layers lying over a surviving component (upward closed, checked)."""
-    chosen = tuple(i for i, lay in enumerate(poset.layers) if lay.in_partial)
-    inside = set(chosen)
-    for j in range(poset.n):
-        if j not in inside and poset.strict_downs[j] & inside:
-            raise IdentityCheckError("partial subposet is not upward closed")
-    return chosen
-
-
-def _surviving_torsion_hom_count(arr: Arrangement, fs) -> int:
-    """Homs of the ambient torsion into F that kill no torsion element of
-    the arrangement, by direct enumeration."""
-    gamma = arr.gamma
-    f = gamma.free_rank
-    tor = FGAbelianGroup(0, gamma.torsion)
-    homs = hom_enumerate(IntMatrix.from_rows([], tor.ngens), tor, fs)
-    torsion_vecs = [arr.elements[i][f:] for i in range(arr.n)
-                    if arr.torsion_mask() >> i & 1]
-    count = 0
-    for h in homs:
-        ok = True
-        for vec in torsion_vecs:
-            img = tuple(sum(int(a) * hi[t] for a, hi in zip(vec, h)) % fs[t]
-                        for t in range(len(fs)))
-            if not any(img):
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    return tuple(i for i in partial_subposet(poset) if poset.layers[i].rank == 0)
 
 
 def partial_characteristic(arr: Arrangement, g: int, f_torsion=(),
@@ -264,10 +131,8 @@ def constituent_via_lie(arr: Arrangement, k: int, g: int,
     if total != out:
         raise IdentityCheckError("per-component split does not sum to the whole")
     if check:
-        period = arr.lcm_period()
-        constituent = g_characteristic(
-            arr, GroupSpec.cyclic((k - 1) % period + 1))
-        expected = scale_variable(constituent, k, g)
+        expected = scale_variable(g_characteristic(arr, GroupSpec.cyclic(k)),
+                                  k, g)
         if out != expected:
             raise IdentityCheckError(
                 f"lie-side constituent {out} != rescaled constituent {expected}")

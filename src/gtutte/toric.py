@@ -1,74 +1,27 @@
-"""Layer poset of the circle-target arrangement.
+"""Layer poset of the circle-target arrangement: the front end of the
+layer engine in posets.py.
 
 Every intersection of circle-target kernels is a disjoint union of torsion
 translates of a subtorus, so a layer is pinned down exactly by a canonical
 pair: the saturated subgroup on which its points are constant (an HNF
 lattice in the free quotient, with all ambient torsion implicitly included)
-and the common character value on that subgroup's generators, stored as
-exact rationals mod 1.  Deduplication across defining subsets is equality of
-those keys, and membership of a layer in the k-torsion subposet is a
-divisibility test on the character denominators.
+and the common character value on that subgroup's generators.  The values
+are integer residues mod the lcm period P of the arrangement: every
+per-subset exponent E divides P, so a character into Z/E is scaled by P/E,
+and it is printed as the reduced fraction of P.  Membership of a layer in
+the k-torsion subposet is a divisibility test on the character's order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
+from math import gcd
 
-from . import model
 from .intlinalg import FGAbelianGroup, IntMatrix, hnf_solve, hom_enumerate
 from .invariants import IdentityCheckError, g_characteristic
-from .model import Arrangement, CapExceeded, GroupSpec
-from .posets import LayerPoset
+from .model import Arrangement, GroupSpec
+from .posets import LayerPoset, enumerate_layers, partial_subposet
 
-MAX_LAYER_ELEMENTS = 12
 MAX_LAYERS = 10_000
-
-
-@dataclass(frozen=True)
-class ToricLayer:
-    """One connected component: (saturated span, character) with derived data."""
-
-    span: IntMatrix          # HNF rows in the free quotient
-    chi_free: tuple          # character values on the span rows, Fractions in [0,1)
-    chi_tor: tuple           # character values on the ambient torsion generators
-    rank: int
-    dim: int
-    order: int               # order of the character: lcm of denominators
-    in_partial: bool         # no torsion element of the localization is killed
-    localization: int        # mask of elements whose kernel contains this layer
-
-    def component_key(self):
-        return self.chi_tor
-
-    def sort_key(self):
-        return (self.rank, self.span.data, self.chi_tor, self.chi_free)
-
-    def key_str(self) -> str:
-        span = ";".join(",".join(str(x) for x in row) for row in self.span.data)
-        chi = ",".join(str(v) for v in self.chi_free + self.chi_tor)
-        return f"[{span}]({chi})"
-
-
-def _char_value(chi_free, chi_tor, coeffs, tor_part) -> Fraction:
-    total = sum((c * v for c, v in zip(coeffs, chi_free)), Fraction(0))
-    total += sum((int(a) * v for a, v in zip(tor_part, chi_tor)), Fraction(0))
-    return total % 1
-
-
-def _toric_leq(big: ToricLayer, small: ToricLayer) -> bool:
-    """big <= small in the poset, i.e. big contains small as a subset."""
-    if big.chi_tor != small.chi_tor:
-        return False
-    for row, want in zip(big.span.data, big.chi_free):
-        coeffs = hnf_solve(small.span, row)
-        if coeffs is None:
-            return False
-        got = sum((c * v for c, v in zip(coeffs, small.chi_free)), Fraction(0)) % 1
-        if got != want:
-            return False
-    return True
 
 
 def enumerate_toric_layers(arr: Arrangement, max_layers: int = MAX_LAYERS) -> LayerPoset:
@@ -76,82 +29,46 @@ def enumerate_toric_layers(arr: Arrangement, max_layers: int = MAX_LAYERS) -> La
 
     Per subset, the components are the characters of the finite quotient
     (saturation mod span), produced by homomorphism enumeration into a
-    cyclic group of exponent order; per-subset component counts are checked
-    against the quotient torsion order on the way.
+    cyclic group of exponent order.  max_layers caps the predicted number
+    of layer instances, the sum over subsets of the quotient torsion order.
     """
-    if arr.n > MAX_LAYER_ELEMENTS:
-        raise CapExceeded(
-            f"{arr.n} elements; layer enumeration is capped at {MAX_LAYER_ELEMENTS}")
     gamma = arr.gamma
     f = gamma.free_rank
-    torsion_elems = [i for i in range(arr.n) if arr.torsion_mask() >> i & 1]
+    coefficients: dict = {}  # (span X, span Y) -> span X rows over span Y
 
-    seen: dict = {}
-    keys: list = []
-    raw: list = []  # (span, chi_free, chi_tor, rank) per new key
-    subset_members: dict = {}
-
-    for mask in arr.masks():
-        data = arr.subset_data(mask)
-        span = arr.saturation_matrix(mask)
-        r = span.rows
+    def characters(mask, span, data):
         exponent = data.torsion_factors[-1] if data.torsion_factors else 1
         gens = []
         for vec in arr.mask_elements(mask):
             coeffs = hnf_solve(span, vec[:f])
             if coeffs is None:
                 raise IdentityCheckError("element escaped its own saturation")
-            gens.append(tuple(coeffs) + tuple(vec[f:]))
-        gens_m = IntMatrix.from_rows(gens, r + len(gamma.torsion))
-        homs = hom_enumerate(gens_m, FGAbelianGroup(r, gamma.torsion), (exponent,))
+            gens.append(coeffs + vec[f:])
+        gens_m = IntMatrix.from_rows(gens, span.rows + len(gamma.torsion))
+        homs = hom_enumerate(gens_m, FGAbelianGroup(span.rows, gamma.torsion),
+                             (exponent,))
+        scale = arr.lcm_period() // exponent
+        return [tuple(img[0] * scale for img in h) for h in homs]
 
-        expected = 1
-        for d in data.torsion_factors:
-            expected *= d
-        if len(homs) != expected:
-            raise IdentityCheckError(
-                f"subset {mask:b}: {len(homs)} components, expected {expected}")
+    def restrict(x, y):
+        pair = (x.span.data, y.span.data)
+        rows = coefficients.get(pair)
+        if rows is None:
+            rows = coefficients[pair] = [hnf_solve(y.span, row)
+                                         for row in x.span.data]
+        period = arr.lcm_period()
+        free = y.chi[:y.rank]
+        return tuple(sum(c * v for c, v in zip(row, free)) % period
+                     for row in rows) + y.chi[y.rank:]
 
-        members = []
-        for h in homs:
-            chi = tuple(Fraction(img[0], exponent) for img in h)
-            key = (span.data, chi)
-            idx = seen.get(key)
-            if idx is None:
-                idx = len(keys)
-                seen[key] = idx
-                keys.append(key)
-                raw.append((span, chi[:r], chi[r:], data.rank))
-                if len(keys) > max_layers:
-                    raise CapExceeded(f"more than {max_layers} layers")
-            members.append(idx)
-        subset_members[mask] = members
+    def describe(span, chi):
+        period = arr.lcm_period()
+        text = ",".join(f"{v // gcd(v, period)}/{period // gcd(v, period)}"
+                        if v else "0" for v in chi)
+        return chi[span.rows:], period // gcd(period, *chi), text
 
-    layers = []
-    for span, chi_free, chi_tor, rank in raw:
-        order = 1
-        for v in chi_free + chi_tor:
-            order = lcm(order, v.denominator)
-        loc = 0
-        for i, vec in enumerate(arr.elements):
-            coeffs = hnf_solve(span, vec[:f])
-            if coeffs is not None and \
-                    _char_value(chi_free, chi_tor, coeffs, vec[f:]) == 0:
-                loc |= 1 << i
-        partial = all(
-            sum((int(arr.elements[i][f + j]) * v for j, v in enumerate(chi_tor)),
-                Fraction(0)) % 1 != 0
-            for i in torsion_elems)
-        layers.append(ToricLayer(span, chi_free, chi_tor, rank, f - rank,
-                                 order, partial, loc))
-
-    # canonical order, then remap the per-subset membership lists
-    perm = sorted(range(len(layers)), key=lambda i: layers[i].sort_key())
-    inv = {old: new for new, old in enumerate(perm)}
-    layers = [layers[i] for i in perm]
-    subset_components = {mask: tuple(sorted(inv[i] for i in members))
-                         for mask, members in subset_members.items()}
-    return LayerPoset(arr, layers, subset_components, _toric_leq)
+    return enumerate_layers(arr, GroupSpec.circle(), characters, restrict,
+                            describe, max_layers)
 
 
 def k_total_subposet(poset: LayerPoset, k: int) -> tuple:
@@ -169,45 +86,6 @@ def k_total_subposet(poset: LayerPoset, k: int) -> tuple:
     return chosen
 
 
-def partial_subposet(poset: LayerPoset) -> tuple:
-    """Layers whose component kills no torsion element of the arrangement.
-
-    Checked: the selection is upward closed, and the number of its minimal
-    elements matches the inclusion-exclusion count of surviving components.
-    """
-    chosen = tuple(i for i, lay in enumerate(poset.layers) if lay.in_partial)
-    inside = set(chosen)
-    for j in range(poset.n):
-        if j not in inside and poset.strict_downs[j] & inside:
-            raise IdentityCheckError("partial subposet is not upward closed")
-    arr = poset.arr
-    minimal_count = sum(1 for i in chosen if poset.layers[i].rank == 0)
-    expected = _surviving_component_count(arr)
-    if minimal_count != expected:
-        raise IdentityCheckError(
-            f"{minimal_count} surviving components, expected {expected}")
-    return chosen
-
-
-def _surviving_component_count(arr: Arrangement) -> int:
-    """Count characters of the ambient torsion that kill no torsion element,
-    by direct enumeration of the torsion character group."""
-    gamma = arr.gamma
-    f = gamma.free_rank
-    exponent = gamma.exponent()
-    tor = FGAbelianGroup(0, gamma.torsion)
-    chars = hom_enumerate(IntMatrix.from_rows([], tor.ngens), tor, (exponent,))
-    torsion_vecs = [arr.elements[i][f:] for i in range(arr.n)
-                    if arr.torsion_mask() >> i & 1]
-    count = 0
-    for h in chars:
-        vals = [img[0] for img in h]
-        if all(sum(a * v for a, v in zip(vec, vals)) % exponent
-               for vec in torsion_vecs):
-            count += 1
-    return count
-
-
 def k_partial_characteristic(arr: Arrangement, k: int,
                              poset: LayerPoset | None = None,
                              check: bool = True):
@@ -223,7 +101,7 @@ def k_partial_characteristic(arr: Arrangement, k: int,
                if poset.layers[i].in_partial]
     out = poset.characteristic(indices)
     if check:
-        expected = g_characteristic(arr, GroupSpec.cyclic(_residue(arr, k)))
+        expected = g_characteristic(arr, GroupSpec.cyclic(k))
         if out != expected:
             raise IdentityCheckError(
                 f"k-partial polynomial {out} != constituent {expected} (k={k})")
@@ -244,16 +122,11 @@ def k_total_characteristic(arr: Arrangement, k: int,
     out = poset.characteristic(indices)
     if check:
         stripped = arr.without_torsion()
-        expected = g_characteristic(stripped, GroupSpec.cyclic(_residue(stripped, k)))
+        expected = g_characteristic(stripped, GroupSpec.cyclic(k))
         if out != expected:
             raise IdentityCheckError(
                 f"k-total polynomial {out} != stripped constituent {expected} (k={k})")
     return out
-
-
-def _residue(arr: Arrangement, k: int) -> int:
-    period = arr.lcm_period()
-    return (k - 1) % period + 1
 
 
 def total_characteristic(arr: Arrangement, poset: LayerPoset | None = None,

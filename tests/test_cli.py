@@ -85,6 +85,47 @@ def test_toric_layers_default_and_partial(example_file, capsys):
     assert json.loads(out)["polynomial"] == [4, -5, 1]
 
 
+def _record_rows(payload):
+    return [(r["id"], r["key"], r["covers"], r["mobius"], r["component"],
+             r["dim"], r["rank"]) for r in payload["layers"]]
+
+
+def test_toric_layers_golden_records(example_file, capsys):
+    # ids, keys (reduced fractions of the character) and covers, pinned
+    code, out, _ = run(capsys, "toric-layers", example_file, "--k", "2",
+                       "--partial")
+    assert code == 0
+    assert _record_rows(json.loads(out)) == [
+        (0, "[]()", [], 1, 0, 2, 0),
+        (1, "[0,1](0)", [0], -1, 0, 1, 1),
+        (3, "[0,1](1/2)", [0], -1, 0, 1, 1),
+        (5, "[1,-1](0)", [0], -1, 0, 1, 1),
+        (6, "[1,0;0,1](0,0)", [1, 5], 1, 0, 0, 2),
+        (8, "[1,0;0,1](1/2,1/2)", [3, 5], 1, 0, 0, 2),
+    ]
+
+
+def test_lie_layers_golden_records(example_file, capsys):
+    code, out, _ = run(capsys, "lie-layers", example_file, "--g", "1",
+                       "--torsion", "4")
+    assert code == 0
+    rows = _record_rows(json.loads(out))
+    # the 16 homs into Z/4 are the components, numbered in lexicographic order
+    minimal = [(i, f"[]({i // 4},{i % 4})", [], 1, i, 2, 0) for i in range(16)]
+    lines = [(16 + i, f"[0,1]({i // 4},{i % 4})", [i], -1, i, 1, 1)
+             for i in range(16)]
+    assert rows == minimal + lines + [
+        (32, "[1,-1](0,0)", [0], -1, 0, 1, 1),
+        (33, "[1,-1](1,1)", [5], -1, 5, 1, 1),
+        (34, "[1,-1](2,2)", [10], -1, 10, 1, 1),
+        (35, "[1,-1](3,3)", [15], -1, 15, 1, 1),
+        (36, "[1,0;0,1](0,0)", [16, 32], 1, 0, 0, 2),
+        (37, "[1,0;0,1](1,1)", [21, 33], 1, 5, 0, 2),
+        (38, "[1,0;0,1](2,2)", [26, 34], 1, 10, 0, 2),
+        (39, "[1,0;0,1](3,3)", [31, 35], 1, 15, 0, 2),
+    ]
+
+
 def test_lie_layers_partial(example_file, capsys):
     code, out, _ = run(capsys, "lie-layers", example_file, "--g", "1",
                        "--partial")
@@ -159,6 +200,19 @@ def test_schema_errors(tmp_path, capsys):
                                "vectors": []}))
     code, _, err = run(capsys, "info", str(bad))
     assert code == 2 and "torsion" in err
+
+    # JSON true/false decode to Python bools, which are ints: still refused
+    for doc, message in (
+            ({"group": {"free_rank": True, "torsion": []}, "vectors": []},
+             "group.free_rank must be a nonnegative integer"),
+            ({"group": {"free_rank": 1, "torsion": [True]}, "vectors": []},
+             "group.torsion must be a list of integers"),
+            ({"group": {"free_rank": 1, "torsion": []},
+              "vectors": [[True], [False]]},
+             "vectors[0] must be a list of integers")):
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "info", str(bad))
+        assert code == 2 and message in err and out == ""
 
 
 def test_out_of_range_torsion_entry_warns(tmp_path, capsys):

@@ -40,6 +40,9 @@ def test_order_four_finite_part(example):
     assert len(poset.minimal) == 16
     assert shape_counts(poset) == {DIAMOND: 4, CHAIN: 12}
     assert total_characteristic(example, 1, (4,), poset).coeffs == (4, -20, 16)
+    # order of the hom into Z/4: 1 for zero, 2 for the 3 of order 2, else 4
+    orders = [lay.order for lay in poset.layers if lay.rank == 0]
+    assert sorted(orders) == [1] + [2] * 3 + [4] * 12
 
 
 def test_partial_equals_total_without_torsion_elements(example):

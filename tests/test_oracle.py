@@ -2,10 +2,13 @@ import pytest
 
 from gtutte import Arrangement, FGAbelianGroup, chromatic_quasi
 from gtutte import model
+from gtutte.lie import enumerate_lie_layers
 from gtutte.model import CapExceeded
 from gtutte.oracle import (battery_instances, brute_complement_count,
                            brute_hom_count, brute_mobius, randomized_battery,
-                           run_identity_suite, shrink_failing)
+                           reference_strict_downs, run_identity_suite,
+                           shrink_failing)
+from gtutte.toric import enumerate_toric_layers
 
 
 def test_brute_complement_example(example):
@@ -70,6 +73,16 @@ def test_identity_suite_on_fixtures(example, mixed_torsion, torsion_only):
     for arr in (example, mixed_torsion, torsion_only):
         entries = run_identity_suite(arr, "fixture")
         assert entries and all(e.passed for e in entries)
+
+
+def test_layer_order_matches_pairwise_containment(example, mixed_torsion,
+                                                 torsion_only):
+    for arr in [example, mixed_torsion, torsion_only] + battery_instances(0, 40):
+        posets = [enumerate_toric_layers(arr)] + [
+            enumerate_lie_layers(arr, 1, fs)
+            for fs in ((), (2,), (4,), (2, 2), (6,))]
+        for poset in posets:
+            assert poset.strict_downs == reference_strict_downs(poset), arr
 
 
 def test_battery_counts_and_determinism():
