@@ -362,8 +362,12 @@ def presentation_matrix(generators: IntMatrix, ambient: FGAbelianGroup) -> IntMa
 
 
 def cokernel(generators: IntMatrix, ambient: FGAbelianGroup) -> FGAbelianGroup:
-    """Invariant-factor presentation of ambient/<generator rows>."""
-    rel = presentation_matrix(generators, ambient)
+    """Invariant-factor presentation of ambient/<generator rows>.
+
+    The relations are first reduced to their HNF, at most one row per
+    column, so the SNF transforms stay small on tall or large-entry input.
+    """
+    rel = hermite_normal_form(presentation_matrix(generators, ambient))
     dec = smith_normal_form(rel)
     nonzero = dec.invariant_factors
     return FGAbelianGroup(ambient.ngens - len(nonzero),

@@ -1,7 +1,8 @@
 """Closed-form invariants computed by exact subset sums.
 
-The bivariate subset sum over all 2^n element subsets, with weights given by
-the homomorphism-count multiplicity, specializes to everything else here:
+The bivariate subset sum over all 2^n element subsets, taken class by class
+over the subset histogram with weights given by the homomorphism-count
+multiplicity, specializes to everything else here:
 the classical Tutte polynomial (real target), the arithmetic Tutte
 polynomial (circle target), the characteristic polynomial of the target
 group, and the chromatic quasi-polynomial (cyclic targets, one constituent
@@ -15,7 +16,7 @@ live in the oracle module and stay an independent cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd
 
 from . import model
 from .model import Arrangement, GroupSpec
@@ -31,14 +32,15 @@ class IdentityCheckError(AssertionError):
 
 
 def g_tutte(arr: Arrangement, spec: GroupSpec) -> BiPoly:
-    """Subset sum of m(S) * (x-1)^(rank(A)-rank(S)) * (y-1)^(#S-rank(S))."""
+    """Subset sum of m(S) * (x-1)^(rank(A)-rank(S)) * (y-1)^(#S-rank(S)),
+    taken over the classes of the subset histogram."""
     r_full = arr.rank
+    weights: dict = {}  # (rank(A)-rank(S), #S-rank(S)) -> summed m(S)
+    for key, count in arr.histogram().items():
+        ab = (r_full - key.rank, key.size - key.rank)
+        weights[ab] = weights.get(ab, 0) + count * model.multiplicity(key, spec)
     terms: dict = {}
-    for mask in arr.masks():
-        data = arr.subset_data(mask)
-        m = model.multiplicity(data, spec)
-        a = r_full - data.rank
-        b = mask.bit_count() - data.rank
+    for (a, b), m in weights.items():
         for i in range(a + 1):
             ci = m * comb(a, i) * (-1) ** (a - i)
             for j in range(b + 1):
@@ -89,12 +91,13 @@ def chromatic_quasi(arr: Arrangement) -> QuasiPolynomial:
 
     The k-th constituent is the characteristic polynomial for the cyclic
     target of order k; it only depends on gcds of k with the quotient
-    torsion factors, all of which divide the lcm period, so it is well
-    defined on residues.
+    torsion factors, all of which divide the lcm period, so it is that of
+    the target of order gcd(k, period) and is computed once per divisor.
     """
     period = arr.lcm_period()
-    constituents = tuple(
-        g_characteristic(arr, GroupSpec.cyclic(k)) for k in range(1, period + 1))
+    by_divisor = {d: g_characteristic(arr, GroupSpec.cyclic(d))
+                  for d in _divisors(period)}
+    constituents = tuple(by_divisor[gcd(k, period)] for k in range(1, period + 1))
     return QuasiPolynomial(period, constituents)
 
 

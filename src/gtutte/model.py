@@ -6,19 +6,23 @@ element is an integer coordinate vector (free coordinates first, then one
 residue per torsion factor).  Duplicates are legal and order-stable: the
 element list is a multiset.
 
-Every invariant in this package is a sum over element subsets, weighted by
-two numbers computed here once per subset and memoized: the rank of the
-spanned subgroup and the invariant factors of the torsion of the quotient.
+Every subset-sum invariant in this package depends on a subset S only
+through rank S, #S and the invariant factors of the torsion of gamma/<S>.
+`Arrangement.histogram` counts the subsets in each of these classes in one
+pass over the distinct spanned lattices; the per-subset data behind it is
+also available mask by mask, for layer enumeration and the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from typing import NamedTuple
 
-from .intlinalg import FGAbelianGroup, IntMatrix, cokernel, saturation
+from .intlinalg import (FGAbelianGroup, IntMatrix, cokernel, hermite_normal_form,
+                        presentation_matrix, saturation)
 
-MAX_ELEMENTS = 24  # every invariant sweeps all 2^n subsets
+MAX_ELEMENTS = 24  # the subset histogram may meet up to 2^n distinct lattices
 
 
 class CapExceeded(ValueError):
@@ -98,7 +102,15 @@ class SubsetData:
     torsion_factors: tuple
 
 
-def multiplicity(data: SubsetData, spec: GroupSpec) -> int:
+class SubsetClass(NamedTuple):
+    """Histogram key: rank of <S>, #S and torsion factors of gamma/<S>."""
+
+    rank: int
+    size: int
+    torsion_factors: tuple
+
+
+def multiplicity(data: SubsetData | SubsetClass, spec: GroupSpec) -> int:
     """Number of homomorphisms from the quotient torsion into the target.
 
     Each torsion factor d contributes d per circle factor and gcd(d, f) per
@@ -136,6 +148,7 @@ class Arrangement:
         self.name = name
         self._subset_cache: dict[int, SubsetData] = {}
         self._saturation_cache: dict[int, IntMatrix] = {}
+        self._histogram: dict[SubsetClass, int] | None = None
         self._lcm_period: int | None = None
 
     @property
@@ -173,10 +186,56 @@ class Arrangement:
             self._saturation_cache[mask] = m
         return m
 
+    def histogram(self) -> dict:
+        """{SubsetClass(rank, #S, torsion factors): number of subsets S}.
+
+        The elements are folded in one at a time over states (lattice, #S),
+        where the lattice is the canonical HNF of <S> plus the ambient
+        torsion relations; each state skips or adds the element, and equal
+        states merge their counts.  A child lattice is computed once per
+        (lattice, element vector) and a quotient once per distinct final
+        lattice, so the cost is 2^n steps only when every lattice differs.
+        """
+        if self._histogram is None:
+            gamma = self.gamma
+            start = hermite_normal_form(
+                presentation_matrix(IntMatrix.from_rows([], gamma.ngens), gamma))
+            lattices = [start]
+            ids = {start.data: 0}
+            child: dict = {}   # (lattice id, vector) -> lattice id
+            states = {(0, 0): 1}  # (lattice id, #S) -> number of subsets
+            for vec in self.elements:
+                folded = dict(states)
+                for (lat, size), count in states.items():
+                    c = child.get((lat, vec))
+                    if c is None:
+                        parent = lattices[lat]
+                        h = hermite_normal_form(IntMatrix(
+                            parent.rows + 1, parent.cols, parent.data + (vec,)))
+                        c = ids.get(h.data)
+                        if c is None:
+                            c = ids[h.data] = len(lattices)
+                            lattices.append(h)
+                        child[lat, vec] = c
+                    key = (c, size + 1)
+                    folded[key] = folded.get(key, 0) + count
+                states = folded
+            quotients: dict = {}
+            hist: dict = {}
+            for (lat, size), count in states.items():
+                quot = quotients.get(lat)
+                if quot is None:
+                    quot = quotients[lat] = cokernel(lattices[lat], gamma)
+                key = SubsetClass(gamma.free_rank - quot.free_rank, size,
+                                  quot.torsion)
+                hist[key] = hist.get(key, 0) + count
+            self._histogram = hist
+        return self._histogram
+
     @property
     def rank(self) -> int:
         """Rank of the subgroup spanned by all elements."""
-        return self.subset_data(self.full_mask).rank
+        return max(key.rank for key in self.histogram())
 
     def torsion_mask(self) -> int:
         """Mask of the elements whose free coordinates all vanish."""
@@ -190,12 +249,9 @@ class Arrangement:
     def lcm_period(self) -> int:
         """lcm over all subsets of the largest quotient torsion factor."""
         if self._lcm_period is None:
-            period = 1
-            for mask in self.masks():
-                factors = self.subset_data(mask).torsion_factors
-                if factors:
-                    period = lcm(period, factors[-1])
-            self._lcm_period = period
+            self._lcm_period = lcm(*(key.torsion_factors[-1]
+                                     for key in self.histogram()
+                                     if key.torsion_factors))
         return self._lcm_period
 
     def without_torsion(self) -> "Arrangement":

@@ -1,10 +1,11 @@
 """Independent brute-force ground truth for every identity in the package.
 
 Everything here is deliberately naive: full enumerations of homomorphism
-groups, elementwise complement counting, the textbook Möbius recursion and
-pairwise containment tests between layers.  The only code shared with the
-symbolic path is the Arrangement data type and the exact lattice solver,
-so agreement between the two sides is meaningful differential evidence.
+groups, elementwise complement counting, the plain sum over all 2^n element
+subsets, the textbook Möbius recursion and pairwise containment tests
+between layers.  The only code shared with the symbolic path is the
+Arrangement data type and the exact lattice solver, so agreement between
+the two sides is meaningful differential evidence.
 """
 
 from __future__ import annotations
@@ -12,14 +13,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from math import gcd
+from math import comb, gcd
 
 from . import model
 from .intlinalg import FGAbelianGroup, hnf_solve
 from .invariants import (beta_coefficients, chromatic_quasi, g_characteristic)
 from .lie import enumerate_lie_layers, key_lie_sums, partial_characteristic
 from .model import Arrangement, CapExceeded, GroupSpec
-from .poly import UniPoly, scale_variable
+from .poly import BiPoly, UniPoly, scale_variable
 from .toric import enumerate_toric_layers
 
 ENUM_CAP = 10_000_000
@@ -77,6 +78,24 @@ def brute_hom_count(source: FGAbelianGroup, target_torsion,
         if ok:
             count += 1
     return count
+
+
+def reference_g_tutte(arr: Arrangement, spec: GroupSpec) -> BiPoly:
+    """The G-Tutte subset sum taken mask by mask over all 2^n subsets,
+    with per-subset data and no histogram."""
+    r_full = arr.subset_data(arr.full_mask).rank
+    terms: dict = {}
+    for mask in arr.masks():
+        data = arr.subset_data(mask)
+        m = model.multiplicity(data, spec)
+        a = r_full - data.rank
+        b = mask.bit_count() - data.rank
+        for i in range(a + 1):
+            ci = m * comb(a, i) * (-1) ** (a - i)
+            for j in range(b + 1):
+                key = (i, j)
+                terms[key] = terms.get(key, 0) + ci * comb(b, j) * (-1) ** (b - j)
+    return BiPoly(terms)
 
 
 def brute_mobius(leq) -> list:

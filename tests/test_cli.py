@@ -1,8 +1,14 @@
 import json
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
+import gtutte
 from gtutte import cli
+from gtutte.oracle import brute_complement_count
 
 
 @pytest.fixture
@@ -234,3 +240,32 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "--count", "1", "--qmax", "3")
     assert code == 1
     assert json.loads(out)["passed"] is False
+
+
+def test_large_entries_finish_within_budget(tmp_path):
+    # tall relation matrices with entries in [-1000, 1000] used to blow up
+    # the SNF transforms: both commands ran past 30 s on this input
+    rng = random.Random(2)
+    doc = {"group": {"free_rank": 3, "torsion": []},
+           "vectors": [[rng.randint(-1000, 1000) for _ in range(3)]
+                       for _ in range(7)]}
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(gtutte.__file__)))
+    budget_s = 10
+
+    def gtutte_cli(*argv):
+        return subprocess.run([sys.executable, "-m", "gtutte.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=budget_s)
+
+    char = gtutte_cli("char", "--torsion", "4", str(path))
+    assert char.returncode == 0, char.stderr
+    coeffs = json.loads(char.stdout)["coefficients"]
+    arr = cli.load_arrangement(str(path))
+    assert sum(c * 4**i for i, c in enumerate(coeffs)) == \
+        brute_complement_count(arr, 4)
+    layers = gtutte_cli("toric-layers", str(path))
+    assert layers.returncode == 2
+    assert "exceed the cap 10000" in layers.stderr

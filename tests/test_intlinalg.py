@@ -214,3 +214,30 @@ def test_group_validation():
         FGAbelianGroup(0, (2, 3))  # not a chain; chains only here
     assert FGAbelianGroup(0, (2, 4)).exponent() == 4
     assert FGAbelianGroup(1).exponent() == 1
+
+
+def test_cokernel_matches_sympy_smith_form():
+    # sympy's Smith normal form is an independent oracle for the invariant
+    # factors; tall large-entry inputs used to blow up the SNF transforms
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    rng = random.Random(11)
+    ambients = [FGAbelianGroup(3), FGAbelianGroup(2), FGAbelianGroup(1, (4,)),
+                FGAbelianGroup(2, (2, 6))]
+    for trial in range(120):
+        gamma = rng.choice(ambients)
+        # odd trials are tall (more generators than columns), entries to 1000
+        bound, n = (1000, rng.randint(gamma.ngens + 1, 7)) if trial % 2 \
+            else (6, rng.randint(0, 5))
+        gens = IntMatrix.from_rows(
+            [[rng.randint(-bound, bound) for _ in range(gamma.ngens)]
+             for _ in range(n)], gamma.ngens)
+        rel = presentation_matrix(gens, gamma)
+        if rel.rows:
+            d = sympy_snf(Matrix(rel.data), domain=ZZ)
+            nonzero = [abs(int(d[i, i])) for i in range(min(d.shape)) if d[i, i]]
+        else:
+            nonzero = []
+        quot = cokernel(gens, gamma)
+        assert quot.free_rank == gamma.ngens - len(nonzero), gens
+        assert quot.torsion == tuple(x for x in nonzero if x > 1), gens

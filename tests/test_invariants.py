@@ -67,6 +67,20 @@ def test_chromatic_quasi_example(example):
     assert minimal_period(qp) == 4
 
 
+def test_constituents_computed_once_per_divisor(monkeypatch):
+    from gtutte import invariants
+    arr = Arrangement(FGAbelianGroup(1), [[12], [4], [3]])
+    direct = [g_characteristic(arr, GroupSpec.cyclic(k)) for k in range(1, 13)]
+    calls = []
+    real = invariants.g_characteristic
+    monkeypatch.setattr(invariants, "g_characteristic",
+                        lambda a, spec: calls.append(spec) or real(a, spec))
+    qp = chromatic_quasi(arr)
+    assert qp.period == 12
+    assert list(qp.constituents) == direct
+    assert sorted(spec.f_order for spec in calls) == [1, 2, 3, 4, 6, 12]
+
+
 def test_chromatic_quasi_empty_arrangement():
     arr = Arrangement(FGAbelianGroup(3), [])
     qp = chromatic_quasi(arr)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -24,6 +25,22 @@ def test_duplicates_are_kept_in_order():
 def test_element_cap():
     with pytest.raises(CapExceeded):
         Arrangement(FGAbelianGroup(1), [[1]] * (MAX_ELEMENTS + 1))
+
+
+def test_element_cap_is_reachable():
+    # the histogram sweep costs one step per distinct (lattice, #S) state;
+    # 2^24 subsets of this input meet about a thousand distinct lattices
+    from gtutte import g_tutte
+    rng = random.Random(24)
+    arr = Arrangement(FGAbelianGroup(3), [[rng.randint(-4, 4) for _ in range(3)]
+                                          for _ in range(MAX_ELEMENTS)])
+    budget_s = 3.0
+    t0 = time.perf_counter()
+    g_tutte(arr, GroupSpec.circle())
+    elapsed = time.perf_counter() - t0
+    assert sum(arr.histogram().values()) == 2 ** MAX_ELEMENTS
+    assert arr.rank == 3
+    assert elapsed < budget_s, f"{elapsed:.2f}s > {budget_s}s"
 
 
 def test_subset_data_example(example):

@@ -1,13 +1,15 @@
+import random
+
 import pytest
 
-from gtutte import Arrangement, FGAbelianGroup, chromatic_quasi
+from gtutte import Arrangement, FGAbelianGroup, GroupSpec, chromatic_quasi, g_tutte
 from gtutte import model
 from gtutte.lie import enumerate_lie_layers
 from gtutte.model import CapExceeded
 from gtutte.oracle import (battery_instances, brute_complement_count,
                            brute_hom_count, brute_mobius, randomized_battery,
-                           reference_strict_downs, run_identity_suite,
-                           shrink_failing)
+                           reference_g_tutte, reference_strict_downs,
+                           run_identity_suite, shrink_failing)
 from gtutte.toric import enumerate_toric_layers
 
 
@@ -83,6 +85,41 @@ def test_layer_order_matches_pairwise_containment(example, mixed_torsion,
             for fs in ((), (2,), (4,), (2, 2), (6,))]
         for poset in posets:
             assert poset.strict_downs == reference_strict_downs(poset), arr
+
+
+def _histogram_cases(example, mixed_torsion, torsion_only):
+    """Fixtures, battery instances, the empty arrangement and seeded inputs
+    with duplicate and zero elements in four ambients."""
+    rng = random.Random(7)
+    cases = [example, mixed_torsion, torsion_only] + battery_instances(0, 40)
+    for gamma in (FGAbelianGroup(3), FGAbelianGroup(2, (2, 6)),
+                  FGAbelianGroup(1, (4,)), FGAbelianGroup(0, (2, 4))):
+        cases.append(Arrangement(gamma, []))
+        f = gamma.free_rank
+        for n in (3, 6):
+            vecs = [[rng.randint(-3, 3) for _ in range(f)]
+                    + [rng.randrange(e) for e in gamma.torsion] for _ in range(n)]
+            vecs += [vecs[0], [0] * gamma.ngens]
+            cases.append(Arrangement(gamma, vecs))
+    return cases
+
+
+def test_histogram_matches_per_mask_tally(example, mixed_torsion, torsion_only):
+    for arr in _histogram_cases(example, mixed_torsion, torsion_only):
+        tally: dict = {}
+        for mask in arr.masks():
+            data = arr.subset_data(mask)
+            key = (data.rank, mask.bit_count(), data.torsion_factors)
+            tally[key] = tally.get(key, 0) + 1
+        assert arr.histogram() == tally, arr
+
+
+def test_g_tutte_matches_plain_subset_sum(example, mixed_torsion, torsion_only):
+    specs = (GroupSpec.real(), GroupSpec.circle(), GroupSpec.cyclic(6),
+             GroupSpec(f_torsion=(2, 4), circles=1))
+    for arr in _histogram_cases(example, mixed_torsion, torsion_only):
+        for spec in specs:
+            assert g_tutte(arr, spec) == reference_g_tutte(arr, spec), (arr, spec)
 
 
 def test_battery_counts_and_determinism():
