@@ -21,7 +21,7 @@ from . import invariants, lie, oracle, toric
 from .intlinalg import FGAbelianGroup
 from .model import Arrangement, GroupSpec
 from .poly import UniPoly
-from .posets import component_shapes, export_hasse
+from .posets import component_shapes, export_hasse, hasse_records
 
 
 class InputError(ValueError):
@@ -221,11 +221,12 @@ def cmd_toric_layers(args) -> int:
         p = toric.partial_characteristic(arr, poset)
     else:
         p = toric.total_characteristic(arr, poset)
+    pairs = poset.covers(indices)
     payload = {
         "layer_count": len(indices),
-        "cover_count": len(poset.covers(indices)),
+        "cover_count": len(pairs),
         "polynomial": p.serialize(),
-        "layers": json.loads(export_hasse(poset, indices, "records")),
+        "layers": hasse_records(poset, indices, pairs),
     }
     _emit(payload)
     if args.dot:
@@ -254,7 +255,7 @@ def cmd_lie_layers(args) -> int:
         "component_shapes": [
             {"layers": s[0], "ranks": list(s[1]), "dims": list(s[2]),
              "covers": s[3], "count": c} for s, c in shapes],
-        "layers": json.loads(export_hasse(poset, indices, "records")),
+        "layers": hasse_records(poset, indices),
     }
     _emit(payload)
     if args.dot:

@@ -387,13 +387,14 @@ def saturation(generators: IntMatrix, ambient: FGAbelianGroup) -> IntMatrix:
         raise DimensionMismatch(
             f"generators have {generators.cols} coordinates, ambient needs {n}")
     f = ambient.free_rank
-    free_rows = [row[:f] for row in generators.data]
-    B = IntMatrix.from_rows(free_rows, f)
-    _, D, _, Vinv = _snf_worker(B)
-    rank = sum(1 for i in range(min(B.rows, B.cols)) if D[i][i])
-    # V^-1 rows form a basis of Z^f; the first `rank` of them span the
+    # reduced to HNF first, as in cokernel, so the transforms stay small;
+    # the HNF rows are independent, so their number is the rank
+    B = hermite_normal_form(
+        IntMatrix.from_rows([row[:f] for row in generators.data], f))
+    _, _, _, Vinv = _snf_worker(B)
+    # V^-1 rows form a basis of Z^f; the first rank-many of them span the
     # rational row space of B, hence their Z-span is the saturation.
-    return hermite_normal_form(IntMatrix.from_rows(Vinv[:rank], f))
+    return hermite_normal_form(IntMatrix.from_rows(Vinv[:B.rows], f))
 
 
 def hom_count(source: FGAbelianGroup, target_torsion) -> int:

@@ -30,17 +30,18 @@ def enumerate_lie_layers(arr: Arrangement, g: int, f_torsion=(),
     """Enumerate the layers of the (lines)^g x F arrangement.
 
     Per subset S the components are the homomorphisms of the quotient by S
-    into F, pushed forward to homs on the whole ambient group; the count is
-    checked against multiplicity(S) * #F^(free corank) subset by subset,
-    and max_layers caps the sum of those counts.
+    into F, pushed forward to homs on the whole ambient group, enumerated
+    once per distinct lattice <S> + torsion; the count is checked against
+    multiplicity(S) * #F^(free corank) lattice by lattice, and max_layers
+    caps the sum of those counts over all subsets.
     """
     if g < 1:
         raise ValueError("g must be >= 1; use leading_part for g = 0")
     spec = GroupSpec(f_torsion=f_torsion, reals=g)
     fs = spec.f_torsion
 
-    def homs(mask, span, data):
-        return hom_enumerate(arr.subset_matrix(mask), arr.gamma, fs)
+    def homs(lattice, span, quotient):
+        return hom_enumerate(lattice, arr.gamma, fs)
 
     def describe(span, chi):
         order = lcm(*(m // gcd(m, *(img[t] for img in chi))

@@ -9,8 +9,10 @@ element list is a multiset.
 Every subset-sum invariant in this package depends on a subset S only
 through rank S, #S and the invariant factors of the torsion of gamma/<S>.
 `Arrangement.histogram` counts the subsets in each of these classes in one
-pass over the distinct spanned lattices; the per-subset data behind it is
-also available mask by mask, for layer enumeration and the oracle.
+pass over the distinct spanned lattices, and `Arrangement.mask_lattices`
+names the lattice of every subset for layer enumeration; both read one
+`LatticeTable`.  The per-subset data is also available mask by mask, for
+the oracle.
 """
 
 from __future__ import annotations
@@ -125,6 +127,53 @@ def multiplicity(data: SubsetData | SubsetClass, spec: GroupSpec) -> int:
     return n
 
 
+class LatticeTable:
+    """The distinct lattices <S> + ambient torsion relations of one ambient.
+
+    Lattices are canonical HNF matrices, numbered in order of discovery;
+    id 0 holds the torsion relations alone.  `child` maps (lattice id,
+    vector) to the id of the lattice that the vector joins, and each
+    lattice's quotient and saturated span are computed at most once.
+    """
+
+    def __init__(self, gamma: FGAbelianGroup):
+        self.gamma = gamma
+        start = hermite_normal_form(
+            presentation_matrix(IntMatrix.from_rows([], gamma.ngens), gamma))
+        self.lattices = [start]
+        self._ids = {start.data: 0}
+        self.child: dict = {}   # (lattice id, vector) -> lattice id
+        self._quotients: dict = {}
+        self._spans: dict = {}
+
+    def add(self, lat: int, vec: tuple) -> int:
+        """Id of lattice `lat` joined by `vec`, recorded in `child`."""
+        parent = self.lattices[lat]
+        h = hermite_normal_form(
+            IntMatrix(parent.rows + 1, parent.cols, parent.data + (vec,)))
+        c = self._ids.get(h.data)
+        if c is None:
+            c = self._ids[h.data] = len(self.lattices)
+            self.lattices.append(h)
+        self.child[lat, vec] = c
+        return c
+
+    def quotient(self, lat: int) -> FGAbelianGroup:
+        """gamma modulo the lattice (memoized)."""
+        quot = self._quotients.get(lat)
+        if quot is None:
+            quot = self._quotients[lat] = cokernel(self.lattices[lat], self.gamma)
+        return quot
+
+    def span(self, lat: int) -> IntMatrix:
+        """HNF basis of the lattice's saturated span, in the free quotient
+        (memoized)."""
+        span = self._spans.get(lat)
+        if span is None:
+            span = self._spans[lat] = saturation(self.lattices[lat], self.gamma)
+        return span
+
+
 class Arrangement:
     """Immutable (group, element multiset) pair with memoized subset data."""
 
@@ -147,7 +196,8 @@ class Arrangement:
         self.elements = tuple(reduced)
         self.name = name
         self._subset_cache: dict[int, SubsetData] = {}
-        self._saturation_cache: dict[int, IntMatrix] = {}
+        self._lattice_table: LatticeTable | None = None
+        self._mask_lattices: list | None = None
         self._histogram: dict[SubsetClass, int] | None = None
         self._lcm_period: int | None = None
 
@@ -178,13 +228,32 @@ class Arrangement:
             self._subset_cache[mask] = data
         return data
 
-    def saturation_matrix(self, mask: int) -> IntMatrix:
-        """HNF basis of the saturated span of the subset, in the free quotient."""
-        m = self._saturation_cache.get(mask)
-        if m is None:
-            m = saturation(self.subset_matrix(mask), self.gamma)
-            self._saturation_cache[mask] = m
-        return m
+    def lattice_table(self) -> LatticeTable:
+        """The lattice table shared by `histogram` and `mask_lattices`."""
+        if self._lattice_table is None:
+            self._lattice_table = LatticeTable(self.gamma)
+        return self._lattice_table
+
+    def mask_lattices(self) -> list:
+        """Lattice-table id of <S> + torsion relations, indexed by mask.
+
+        A mask's id is the child of (the id of the mask without its highest
+        element, that element).  These are the (lattice, element) pairs of
+        the histogram fold, so the two share every HNF step.
+        """
+        if self._mask_lattices is None:
+            table = self.lattice_table()
+            child = table.child
+            ids = [0]
+            for i, vec in enumerate(self.elements):
+                for rest in range(1 << i):
+                    lat = ids[rest]
+                    c = child.get((lat, vec))
+                    if c is None:
+                        c = table.add(lat, vec)
+                    ids.append(c)
+            self._mask_lattices = ids
+        return self._mask_lattices
 
     def histogram(self) -> dict:
         """{SubsetClass(rank, #S, torsion factors): number of subsets S}.
@@ -198,34 +267,21 @@ class Arrangement:
         """
         if self._histogram is None:
             gamma = self.gamma
-            start = hermite_normal_form(
-                presentation_matrix(IntMatrix.from_rows([], gamma.ngens), gamma))
-            lattices = [start]
-            ids = {start.data: 0}
-            child: dict = {}   # (lattice id, vector) -> lattice id
+            table = self.lattice_table()
+            child = table.child
             states = {(0, 0): 1}  # (lattice id, #S) -> number of subsets
             for vec in self.elements:
                 folded = dict(states)
                 for (lat, size), count in states.items():
                     c = child.get((lat, vec))
                     if c is None:
-                        parent = lattices[lat]
-                        h = hermite_normal_form(IntMatrix(
-                            parent.rows + 1, parent.cols, parent.data + (vec,)))
-                        c = ids.get(h.data)
-                        if c is None:
-                            c = ids[h.data] = len(lattices)
-                            lattices.append(h)
-                        child[lat, vec] = c
+                        c = table.add(lat, vec)
                     key = (c, size + 1)
                     folded[key] = folded.get(key, 0) + count
                 states = folded
-            quotients: dict = {}
             hist: dict = {}
             for (lat, size), count in states.items():
-                quot = quotients.get(lat)
-                if quot is None:
-                    quot = quotients[lat] = cokernel(lattices[lat], gamma)
+                quot = table.quotient(lat)
                 key = SubsetClass(gamma.free_rank - quot.free_rank, size,
                                   quot.torsion)
                 hist[key] = hist.get(key, 0) + count

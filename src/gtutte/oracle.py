@@ -2,10 +2,11 @@
 
 Everything here is deliberately naive: full enumerations of homomorphism
 groups, elementwise complement counting, the plain sum over all 2^n element
-subsets, the textbook Möbius recursion and pairwise containment tests
-between layers.  The only code shared with the symbolic path is the
-Arrangement data type and the exact lattice solver, so agreement between
-the two sides is meaningful differential evidence.
+subsets, the textbook Möbius recursion, pairwise containment tests
+between layers and per-subset layer components.  The only code shared with
+the symbolic path is the Arrangement data type and the exact integer
+linear algebra, so agreement between the two sides is meaningful
+differential evidence.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from . import model
-from .intlinalg import FGAbelianGroup, hnf_solve
+from .intlinalg import (FGAbelianGroup, IntMatrix, hnf_solve, hom_enumerate,
+                        saturation)
 from .invariants import (beta_coefficients, chromatic_quasi, g_characteristic)
 from .lie import enumerate_lie_layers, key_lie_sums, partial_characteristic
 from .model import Arrangement, CapExceeded, GroupSpec
@@ -147,6 +149,46 @@ def reference_strict_downs(poset) -> tuple:
     return tuple(frozenset(i for i, big in enumerate(poset.layers)
                            if i != j and contains(big, small))
                  for j, small in enumerate(poset.layers))
+
+
+def reference_subset_components(poset) -> tuple:
+    """(subset_components, localizations) of a layer poset rebuilt mask by
+    mask, from each subset's own elements and per-subset data.
+
+    A subset's span is the saturation of its own rows.  Circle target: its
+    components are the characters of the saturation modulo the subset, into
+    the cyclic group of the quotient exponent, scaled to residues mod the
+    lcm of all the exponents.  Line targets: the homs of the quotient by
+    the subset into F.  A layer's localization is the union of the subsets
+    it is a component of; a component missing from the poset is index -1.
+    """
+    arr, spec = poset.arr, poset.spec
+    gamma = arr.gamma
+    f = gamma.free_rank
+    index = {(lay.span.data, lay.chi): i for i, lay in enumerate(poset.layers)}
+    exponents = [(arr.subset_data(mask).torsion_factors or (1,))[-1]
+                 for mask in arr.masks()]
+    period = lcm(*exponents)
+    components = {}
+    localizations = [0] * poset.n
+    for mask in arr.masks():
+        span = saturation(arr.subset_matrix(mask), gamma)
+        if spec.circles:
+            gens = [hnf_solve(span, vec[:f]) + vec[f:]
+                    for vec in arr.mask_elements(mask)]
+            homs = hom_enumerate(
+                IntMatrix.from_rows(gens, span.rows + len(gamma.torsion)),
+                FGAbelianGroup(span.rows, gamma.torsion), (exponents[mask],))
+            scale = period // exponents[mask]
+            chis = [tuple(img[0] * scale for img in h) for h in homs]
+        else:
+            chis = hom_enumerate(arr.subset_matrix(mask), gamma, spec.f_torsion)
+        found = [index.get((span.data, chi), -1) for chi in chis]
+        for i in found:
+            if i >= 0:
+                localizations[i] |= mask
+        components[mask] = tuple(sorted(found))
+    return components, tuple(localizations)
 
 
 def poset_leq_matrix(poset) -> list:

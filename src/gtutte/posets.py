@@ -6,10 +6,11 @@ span of the elements whose kernels contain it (an HNF lattice in the free
 quotient) and an integer character `chi` in the front end's coordinates
 (toric.py: residues mod the lcm period on the span rows and the torsion
 generators; lie.py: the image of every ambient generator in F).
-`enumerate_layers` runs every element subset through the front end's
-component enumeration, deduplicates on (span, chi) and records each
-layer's localization, the set of elements whose kernel contains it: the
-union of the subsets it is a component of.
+`enumerate_layers` runs every distinct spanned lattice through the front
+end's component enumeration, once for all the subsets that span it,
+deduplicates on (span, chi) and records each layer's localization, the
+set of elements whose kernel contains it: the union of the subsets it is a
+component of.
 
 The order is reverse inclusion.  X contains Y exactly when loc(X) lies in
 loc(Y), so that span(X) lies in span(Y), and Y's character restricted to
@@ -54,13 +55,16 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec, homs, restrict,
                      describe, max_layers: int) -> "LayerPoset":
     """Enumerate all layers over all element subsets and build the poset.
 
-    The front end supplies homs(mask, span, data), the components of one
-    subset as characters; restrict(x, y), y's character restricted to the
-    span of x, for layers with loc(x) inside loc(y); and describe(span, chi),
-    which gives (component, order, printed chi).  The predicted number of
+    A subset's components depend on it only through its lattice <S> plus
+    the ambient torsion, so the work runs once per distinct lattice of
+    `arr.mask_lattices()`.  The front end supplies homs(lattice, span,
+    quotient), the components of every subset spanning the lattice, as
+    characters; restrict(x, y), y's character restricted to the span of x,
+    for layers with loc(x) inside loc(y); and describe(span, chi), which
+    gives (component, order, printed chi).  The predicted number of
     instances, the sum over subsets S of
     multiplicity(S) * #F^(free rank - rank S), is checked against
-    max_layers before any homomorphism is enumerated, and each subset's
+    max_layers before any homomorphism is enumerated, and each lattice's
     component count is checked against its term on the way.  The poset
     keeps the target as its `spec`.
     """
@@ -68,35 +72,48 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec, homs, restrict,
         raise CapExceeded(
             f"{arr.n} elements; layer enumeration is capped at {MAX_LAYER_ELEMENTS}")
     f = arr.gamma.free_rank
+    table = arr.lattice_table()
+    mask_lattices = arr.mask_lattices()
+    masks_of: dict = {}  # lattice id -> the masks spanning it
+    for mask, lat in enumerate(mask_lattices):
+        masks_of.setdefault(lat, []).append(mask)
 
-    def expected(data):
-        return model.multiplicity(data, spec) * spec.f_order ** (f - data.rank)
-
-    predicted = sum(expected(arr.subset_data(mask)) for mask in arr.masks())
+    expected = {}
+    for lat, masks in masks_of.items():
+        quot = table.quotient(lat)
+        # the subset data that every mask of the lattice shares
+        data = model.SubsetData(masks[0], f - quot.free_rank, quot.torsion)
+        expected[lat] = (model.multiplicity(data, spec)
+                         * spec.f_order ** quot.free_rank)
+    predicted = sum(expected[lat] * len(masks) for lat, masks in masks_of.items())
     if predicted > max_layers:
         raise CapExceeded(
             f"about {predicted} layer instances exceed the cap {max_layers}")
 
     seen: dict = {}
     raw: list = []  # [span, chi, rank, localization] per distinct layer
-    subset_members: dict = {}
-    for mask in arr.masks():
-        data = arr.subset_data(mask)
-        span = arr.saturation_matrix(mask)
-        chis = homs(mask, span, data)
-        if len(chis) != expected(data):
-            raise IdentityCheckError(f"subset {mask:b}: {len(chis)} components, "
-                                     f"expected {expected(data)}")
+    lattice_members: dict = {}
+    for lat, masks in masks_of.items():
+        quot = table.quotient(lat)
+        span = table.span(lat)
+        chis = homs(table.lattices[lat], span, quot)
+        if len(chis) != expected[lat]:
+            raise IdentityCheckError(
+                f"subset {masks[0]:b}: {len(chis)} components, "
+                f"expected {expected[lat]}")
+        loc = 0
+        for mask in masks:
+            loc |= mask
         members = []
         for chi in chis:
             key = (span.data, chi)
             idx = seen.get(key)
             if idx is None:
                 idx = seen[key] = len(raw)
-                raw.append([span, chi, data.rank, 0])
-            raw[idx][3] |= mask
+                raw.append([span, chi, f - quot.free_rank, 0])
+            raw[idx][3] |= loc
             members.append(idx)
-        subset_members[mask] = members
+        lattice_members[lat] = members
 
     tmask = arr.torsion_mask()
     layers = []
@@ -107,13 +124,16 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec, homs, restrict,
                             not loc & tmask, loc, component, order,
                             f"[{rows}]({chi_text})"))
 
-    # canonical order, then remap the per-subset membership lists
+    # canonical order, then remap the per-lattice membership lists; every
+    # mask shares its lattice's component tuple
     perm = sorted(range(len(layers)), key=lambda i: (
         layers[i].rank, layers[i].span.data, layers[i].component, layers[i].chi))
     inv = {old: new for new, old in enumerate(perm)}
     layers = [layers[i] for i in perm]
-    subset_components = {mask: tuple(sorted(inv[i] for i in members))
-                         for mask, members in subset_members.items()}
+    components = {lat: tuple(sorted(inv[i] for i in members))
+                  for lat, members in lattice_members.items()}
+    subset_components = {mask: components[lat]
+                         for mask, lat in enumerate(mask_lattices)}
 
     def leq(x, y):
         """x <= y in the poset: x contains y."""
@@ -316,6 +336,28 @@ def component_shapes(poset: LayerPoset, indices=None) -> list:
     return sorted(shapes.items())
 
 
+def hasse_records(poset: LayerPoset, indices=None, pairs=None) -> list:
+    """One record per selected layer (id, key, dim, rank, mobius,
+    component, covers), from the induced cover pairs if already known."""
+    if indices is None:
+        indices = poset.all_indices()
+    indices = sorted(set(indices))
+    if pairs is None:
+        pairs = poset.covers(indices)
+    covered: dict = {j: [] for j in indices}
+    for i, j in pairs:
+        covered[j].append(i)
+    return [{
+        "id": i,
+        "key": poset.layers[i].key,
+        "dim": poset.layers[i].dim,
+        "rank": poset.layers[i].rank,
+        "mobius": poset.mobius[i],
+        "component": poset.component_of[i],
+        "covers": sorted(covered[i]),
+    } for i in indices]
+
+
 def export_hasse(poset: LayerPoset, indices=None, fmt: str = "dot") -> str:
     """Render the (induced) Hasse diagram; formats: dot, records."""
     if indices is None:
@@ -333,17 +375,6 @@ def export_hasse(poset: LayerPoset, indices=None, fmt: str = "dot") -> str:
         lines.append("}")
         return "\n".join(lines) + "\n"
     if fmt == "records":
-        covered: dict = {j: [] for j in indices}
-        for i, j in pairs:
-            covered[j].append(i)
-        records = [{
-            "id": i,
-            "key": poset.layers[i].key,
-            "dim": poset.layers[i].dim,
-            "rank": poset.layers[i].rank,
-            "mobius": poset.mobius[i],
-            "component": poset.component_of[i],
-            "covers": sorted(covered[i]),
-        } for i in indices]
-        return json.dumps(records, indent=1, sort_keys=True) + "\n"
+        return json.dumps(hasse_records(poset, indices, pairs), indent=1,
+                          sort_keys=True) + "\n"
     raise ValueError(f"unknown export format: {fmt!r}")

@@ -27,23 +27,24 @@ MAX_LAYERS = 10_000
 def enumerate_toric_layers(arr: Arrangement, max_layers: int = MAX_LAYERS) -> LayerPoset:
     """Enumerate all layers over all element subsets and build the poset.
 
-    Per subset, the components are the characters of the finite quotient
-    (saturation mod span), produced by homomorphism enumeration into a
-    cyclic group of exponent order.  max_layers caps the predicted number
-    of layer instances, the sum over subsets of the quotient torsion order.
+    Per spanned lattice, the components are the characters of the finite
+    quotient (saturation mod lattice), produced by homomorphism enumeration
+    into a cyclic group of exponent order.  max_layers caps the predicted
+    number of layer instances, the sum over subsets of the quotient torsion
+    order.
     """
     gamma = arr.gamma
     f = gamma.free_rank
     coefficients: dict = {}  # (span X, span Y) -> span X rows over span Y
 
-    def characters(mask, span, data):
-        exponent = data.torsion_factors[-1] if data.torsion_factors else 1
+    def characters(lattice, span, quotient):
+        exponent = quotient.exponent()
         gens = []
-        for vec in arr.mask_elements(mask):
-            coeffs = hnf_solve(span, vec[:f])
+        for row in lattice.data:
+            coeffs = hnf_solve(span, row[:f])
             if coeffs is None:
-                raise IdentityCheckError("element escaped its own saturation")
-            gens.append(coeffs + vec[f:])
+                raise IdentityCheckError("lattice row escaped its own saturation")
+            gens.append(coeffs + row[f:])
         gens_m = IntMatrix.from_rows(gens, span.rows + len(gamma.torsion))
         homs = hom_enumerate(gens_m, FGAbelianGroup(span.rows, gamma.torsion),
                              (exponent,))

@@ -244,7 +244,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 
 def test_large_entries_finish_within_budget(tmp_path):
     # tall relation matrices with entries in [-1000, 1000] used to blow up
-    # the SNF transforms: both commands ran past 30 s on this input
+    # the SNF transforms: each command ran past 30 s on this input
     rng = random.Random(2)
     doc = {"group": {"free_rank": 3, "torsion": []},
            "vectors": [[rng.randint(-1000, 1000) for _ in range(3)]
@@ -269,3 +269,5 @@ def test_large_entries_finish_within_budget(tmp_path):
     layers = gtutte_cli("toric-layers", str(path))
     assert layers.returncode == 2
     assert "exceed the cap 10000" in layers.stderr
+    lines = gtutte_cli("lie-layers", "--g", "1", "--torsion", "2", str(path))
+    assert lines.returncode == 0, lines.stderr

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -127,27 +128,45 @@ def test_saturation_examples():
 
 
 def test_saturation_contains_rows_and_gives_free_quotient():
-    rng = random.Random(11)
-    for _ in range(100):
-        free = rng.randint(1, 3)
-        tors = tuple(sorted(rng.choice([(), (2,), (3,), (2, 4)])))
-        gamma = FGAbelianGroup(free, tors)
-        n = rng.randint(0, 3)
-        gens = IntMatrix.from_rows(
-            [[rng.randint(-4, 4) for _ in range(free)]
-             + [rng.randint(0, e - 1) for e in tors] for _ in range(n)],
-            gamma.ngens)
+    # the three defining properties: holds every row, has the rows' rank
+    # and leaves a free quotient group (the lattice plus all torsion)
+    def check(gens, gamma):
+        free, tors = gamma.free_rank, gamma.torsion
         sat = saturation(gens, gamma)
         for row in gens.data:
-            assert hnf_solve(sat, row[:free]) is not None
-        # the full subgroup (lattice + all torsion) has free quotient
+            assert hnf_solve(sat, row[:free]) is not None, gens
+        rows_quot = cokernel(IntMatrix.from_rows(
+            [row[:free] for row in gens.data], free), FGAbelianGroup(free))
+        assert sat.rows == free - rows_quot.free_rank, gens
         lifted = [list(r) + [0] * len(tors) for r in sat.data]
         for i in range(len(tors)):
             unit = [0] * gamma.ngens
             unit[free + i] = 1
             lifted.append(unit)
         quot = cokernel(IntMatrix.from_rows(lifted, gamma.ngens), gamma)
-        assert quot.torsion == ()
+        assert quot.torsion == (), gens
+
+    rng = random.Random(11)
+    for _ in range(100):
+        free = rng.randint(1, 3)
+        tors = tuple(sorted(rng.choice([(), (2,), (3,), (2, 4)])))
+        gamma = FGAbelianGroup(free, tors)
+        n = rng.randint(0, 3)
+        check(IntMatrix.from_rows(
+            [[rng.randint(-4, 4) for _ in range(free)]
+             + [rng.randint(0, e - 1) for e in tors] for _ in range(n)],
+            gamma.ngens), gamma)
+    # tall rows with entries to 1000 used to make the SNF transforms grow
+    # without bound
+    rng = random.Random(5)
+    start = time.perf_counter()
+    for _ in range(60):
+        free = rng.randint(2, 4)
+        gamma = FGAbelianGroup(free, rng.choice([(), (6,)]))
+        check(IntMatrix.from_rows(
+            [[rng.randint(-1000, 1000) for _ in range(gamma.ngens)]
+             for _ in range(rng.randint(free + 1, 7))], gamma.ngens), gamma)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_hom_count_examples():

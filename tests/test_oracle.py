@@ -9,7 +9,8 @@ from gtutte.model import CapExceeded
 from gtutte.oracle import (battery_instances, brute_complement_count,
                            brute_hom_count, brute_mobius, randomized_battery,
                            reference_g_tutte, reference_strict_downs,
-                           run_identity_suite, shrink_failing)
+                           reference_subset_components, run_identity_suite,
+                           shrink_failing)
 from gtutte.toric import enumerate_toric_layers
 
 
@@ -77,14 +78,30 @@ def test_identity_suite_on_fixtures(example, mixed_torsion, torsion_only):
         assert entries and all(e.passed for e in entries)
 
 
+def _layer_posets(example, mixed_torsion, torsion_only):
+    """The toric poset and five line-target posets of the fixtures and of
+    40 battery instances."""
+    for arr in [example, mixed_torsion, torsion_only] + battery_instances(0, 40):
+        yield enumerate_toric_layers(arr)
+        for fs in ((), (2,), (4,), (2, 2), (6,)):
+            yield enumerate_lie_layers(arr, 1, fs)
+
+
 def test_layer_order_matches_pairwise_containment(example, mixed_torsion,
                                                  torsion_only):
-    for arr in [example, mixed_torsion, torsion_only] + battery_instances(0, 40):
-        posets = [enumerate_toric_layers(arr)] + [
-            enumerate_lie_layers(arr, 1, fs)
-            for fs in ((), (2,), (4,), (2, 2), (6,))]
-        for poset in posets:
-            assert poset.strict_downs == reference_strict_downs(poset), arr
+    for poset in _layer_posets(example, mixed_torsion, torsion_only):
+        assert poset.strict_downs == reference_strict_downs(poset), poset.arr
+
+
+def test_layer_components_match_per_mask_reference(example, mixed_torsion,
+                                                   torsion_only):
+    # the engine enumerates once per distinct spanned lattice; the
+    # reference enumerates every subset on its own elements
+    for poset in _layer_posets(example, mixed_torsion, torsion_only):
+        components, localizations = reference_subset_components(poset)
+        assert poset.subset_components == components, poset.arr
+        assert tuple(lay.localization for lay in poset.layers) == \
+            localizations, poset.arr
 
 
 def _histogram_cases(example, mixed_torsion, torsion_only):
