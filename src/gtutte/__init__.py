@@ -10,21 +10,21 @@ brute-force oracles for everything.
 """
 
 from .intlinalg import (FGAbelianGroup, IntMatrix, SmithDecomposition,
-                        cokernel, hermite_normal_form, hom_count,
-                        hom_enumerate, saturation, smith_normal_form)
+                        cokernel, hermite_normal_form, hom_enumerate,
+                        saturation, smith_normal_form)
 from .invariants import (QuasiPolynomial, arithmetic_tutte, beta_coefficients,
                          chen_wang_compare, chromatic_quasi, first_constituent,
                          g_characteristic, g_tutte, leading_part,
                          minimal_period, reciprocity_eval,
                          toric_characteristic)
-from .model import Arrangement, GroupSpec, SubsetData, multiplicity
-from .poly import BiPoly, UniPoly, eval_uni, scale_variable, substitute_xy
+from .model import Arrangement, GroupSpec, SubsetData, hom_count, multiplicity
+from .poly import BiPoly, UniPoly, scale_variable, substitute_xy
 
 __all__ = [
     "Arrangement", "BiPoly", "FGAbelianGroup", "GroupSpec", "IntMatrix",
     "QuasiPolynomial", "SmithDecomposition", "SubsetData", "UniPoly",
     "arithmetic_tutte", "beta_coefficients", "chen_wang_compare",
-    "chromatic_quasi", "cokernel", "eval_uni", "first_constituent",
+    "chromatic_quasi", "cokernel", "first_constituent",
     "g_characteristic", "g_tutte", "hermite_normal_form", "hom_count",
     "hom_enumerate", "leading_part", "minimal_period", "multiplicity",
     "reciprocity_eval", "saturation", "scale_variable", "smith_normal_form",

@@ -231,7 +231,7 @@ def cmd_toric_layers(args) -> int:
     _emit(payload)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(export_hasse(poset, indices, "dot"))
+            fh.write(export_hasse(poset, indices))
     print(f"{len(indices)} layers selected of {poset.n}; {poly_str(p)}",
           file=sys.stderr)
     return 0
@@ -260,7 +260,7 @@ def cmd_lie_layers(args) -> int:
     _emit(payload)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(export_hasse(poset, indices, "dot"))
+            fh.write(export_hasse(poset, indices))
     print(f"{len(indices)} layers; {poly_str(p)}; component shapes "
           + ", ".join(f"{c} x ({s[0]} layers, {s[3]} covers)"
                       for s, c in shapes),

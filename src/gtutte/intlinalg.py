@@ -71,13 +71,6 @@ class IntMatrix:
     def identity(n: int) -> "IntMatrix":
         return IntMatrix(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
-    @staticmethod
-    def zero(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix(rows, cols, tuple((0,) * cols for _ in range(rows)))
-
-    def row(self, i: int) -> tuple:
-        return self.data[i]
-
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise DimensionMismatch("inner dimensions differ")
@@ -108,11 +101,6 @@ class SmithDecomposition:
     def invariant_factors(self) -> tuple:
         """Nonzero diagonal entries; unit factors are the leading 1s."""
         return tuple(d for d in self.D.diagonal() if d != 0)
-
-    @property
-    def torsion_factors(self) -> tuple:
-        """Invariant factors > 1 (the ones that present actual torsion)."""
-        return tuple(d for d in self.D.diagonal() if d > 1)
 
 
 def _snf_worker(m: IntMatrix):
@@ -395,17 +383,6 @@ def saturation(generators: IntMatrix, ambient: FGAbelianGroup) -> IntMatrix:
     # V^-1 rows form a basis of Z^f; the first rank-many of them span the
     # rational row space of B, hence their Z-span is the saturation.
     return hermite_normal_form(IntMatrix.from_rows(Vinv[:B.rows], f))
-
-
-def hom_count(source: FGAbelianGroup, target_torsion) -> int:
-    """#Hom(source, + Z/f_j) for a finite source: prod gcd(d_i, f_j)."""
-    if not source.is_finite:
-        raise ValueError("hom_count needs a finite source group")
-    n = 1
-    for d in source.torsion:
-        for f in target_torsion:
-            n *= gcd(d, int(f))
-    return n
 
 
 def _annihilator_values(d: int, f: int) -> range:

@@ -17,10 +17,10 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .intlinalg import hom_enumerate
-from .invariants import IdentityCheckError, g_characteristic
+from .invariants import g_characteristic
 from .model import Arrangement, GroupSpec
 from .poly import UniPoly, scale_variable
-from .posets import LayerPoset, enumerate_layers, partial_subposet
+from .posets import LayerPoset, checked, enumerate_layers, partial_subposet
 
 MAX_LAYERS = 50_000
 
@@ -40,7 +40,7 @@ def enumerate_lie_layers(arr: Arrangement, g: int, f_torsion=(),
     spec = GroupSpec(f_torsion=f_torsion, reals=g)
     fs = spec.f_torsion
 
-    def homs(lattice, span, quotient):
+    def homs(lattice, span):
         return hom_enumerate(lattice, arr.gamma, fs)
 
     def describe(span, chi):
@@ -63,41 +63,28 @@ def scc(poset: LayerPoset) -> tuple:
 
 
 def partial_characteristic(arr: Arrangement, g: int, f_torsion=(),
-                           poset: LayerPoset | None = None,
-                           check: bool = True) -> UniPoly:
-    """Möbius-weighted dimension sum over the partial poset.
-
-    Equals the target-group characteristic polynomial evaluated at
-    #F * t^g; the identity is verified unless check is disabled.
-    """
+                           poset: LayerPoset | None = None) -> UniPoly:
+    """Möbius-weighted dimension sum over the partial poset; equals the
+    target-group characteristic polynomial evaluated at #F * t^g."""
     spec = GroupSpec(f_torsion=f_torsion, reals=g)
     if poset is None:
         poset = enumerate_lie_layers(arr, g, spec.f_torsion)
-    out = poset.characteristic(partial_subposet(poset))
-    if check:
-        expected = scale_variable(g_characteristic(arr, spec), spec.f_order, g)
-        if out != expected:
-            raise IdentityCheckError(
-                f"partial polynomial {out} != rescaled characteristic {expected}")
-    return out
+    return checked(poset.characteristic(partial_subposet(poset)),
+                   scale_variable(g_characteristic(arr, spec), spec.f_order, g),
+                   "partial polynomial vs rescaled characteristic")
 
 
 def total_characteristic(arr: Arrangement, g: int, f_torsion=(),
-                         poset: LayerPoset | None = None,
-                         check: bool = True) -> UniPoly:
+                         poset: LayerPoset | None = None) -> UniPoly:
     """Möbius-weighted dimension sum over the whole poset; equals the
     rescaled characteristic polynomial of the torsion-stripped arrangement."""
     spec = GroupSpec(f_torsion=f_torsion, reals=g)
     if poset is None:
         poset = enumerate_lie_layers(arr, g, spec.f_torsion)
-    out = poset.characteristic()
-    if check:
-        expected = scale_variable(
-            g_characteristic(arr.without_torsion(), spec), spec.f_order, g)
-        if out != expected:
-            raise IdentityCheckError(
-                f"total polynomial {out} != rescaled characteristic {expected}")
-    return out
+    return checked(poset.characteristic(),
+                   scale_variable(g_characteristic(arr.without_torsion(), spec),
+                                  spec.f_order, g),
+                   "total polynomial vs rescaled stripped characteristic")
 
 
 def key_lie_sums(poset: LayerPoset) -> list:
@@ -106,9 +93,7 @@ def key_lie_sums(poset: LayerPoset) -> list:
     return poset.alternating_subset_sums()
 
 
-def constituent_via_lie(arr: Arrangement, k: int, g: int,
-                        poset: LayerPoset | None = None,
-                        check: bool = True):
+def constituent_via_lie(arr: Arrangement, k: int, g: int):
     """The k-th constituent recovered from the (lines)^g x Z/k layer poset.
 
     Returns (polynomial, per-component split): the polynomial is the partial
@@ -119,22 +104,11 @@ def constituent_via_lie(arr: Arrangement, k: int, g: int,
         raise ValueError("k must be positive")
     if g < 1:
         raise ValueError("g must be >= 1")
-    if poset is None:
-        poset = enumerate_lie_layers(arr, g, (k,) if k > 1 else ())
+    poset = enumerate_lie_layers(arr, g, (k,) if k > 1 else ())
     out = poset.characteristic(partial_subposet(poset))
-    splits = []
-    for root in scc(poset):
-        members = [i for i in range(poset.n) if poset.component_of[i] == root]
-        splits.append(poset.characteristic(members))
-    total = UniPoly()
-    for s in splits:
-        total = total + s
-    if total != out:
-        raise IdentityCheckError("per-component split does not sum to the whole")
-    if check:
-        expected = scale_variable(g_characteristic(arr, GroupSpec.cyclic(k)),
-                                  k, g)
-        if out != expected:
-            raise IdentityCheckError(
-                f"lie-side constituent {out} != rescaled constituent {expected}")
-    return out, splits
+    splits = [poset.characteristic([i for i in range(poset.n)
+                                    if poset.component_of[i] == root])
+              for root in scc(poset)]
+    checked(sum(splits, UniPoly()), out, "per-component split vs whole")
+    expected = scale_variable(g_characteristic(arr, GroupSpec.cyclic(k)), k, g)
+    return checked(out, expected, "lie-side vs rescaled constituent"), splits

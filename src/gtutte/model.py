@@ -61,6 +61,9 @@ class GroupSpec:
     reals: int = 0
 
     def __post_init__(self):
+        for f in self.f_torsion:
+            if int(f) < 1:
+                raise ValueError(f"finite factor {f} must be positive")
         object.__setattr__(self, "f_torsion", _invariant_chain(self.f_torsion))
         if self.circles < 0 or self.reals < 0:
             raise ValueError("factor counts must be nonnegative")
@@ -125,6 +128,14 @@ def multiplicity(data: SubsetData | SubsetClass, spec: GroupSpec) -> int:
         for f in spec.f_torsion:
             n *= gcd(d, f)
     return n
+
+
+def hom_count(source: FGAbelianGroup, target_torsion) -> int:
+    """#Hom(source, + Z/f_j) for a finite source: prod gcd(d_i, f_j)."""
+    if not source.is_finite:
+        raise ValueError("hom_count needs a finite source group")
+    return multiplicity(SubsetClass(0, 0, source.torsion),
+                        GroupSpec(f_torsion=target_torsion))
 
 
 class LatticeTable:
@@ -311,10 +322,16 @@ class Arrangement:
         return self._lcm_period
 
     def without_torsion(self) -> "Arrangement":
-        """The arrangement with all torsion elements dropped."""
+        """The arrangement with all torsion elements dropped; itself when it
+        has none.  The copy shares the lattice table, which depends only on
+        the ambient group."""
         tmask = self.torsion_mask()
+        if not tmask:
+            return self
         kept = [v for i, v in enumerate(self.elements) if not tmask >> i & 1]
-        return Arrangement(self.gamma, kept, name=self.name)
+        stripped = Arrangement(self.gamma, kept, name=self.name)
+        stripped._lattice_table = self.lattice_table()
+        return stripped
 
     def __repr__(self):
         return (f"Arrangement(Z^{self.gamma.free_rank}"

@@ -20,9 +20,10 @@ from . import model
 from .intlinalg import (FGAbelianGroup, IntMatrix, hnf_solve, hom_enumerate,
                         saturation)
 from .invariants import (beta_coefficients, chromatic_quasi, g_characteristic)
-from .lie import enumerate_lie_layers, key_lie_sums, partial_characteristic
+from .lie import enumerate_lie_layers, key_lie_sums
 from .model import Arrangement, CapExceeded, GroupSpec
 from .poly import BiPoly, UniPoly, scale_variable
+from .posets import partial_subposet
 from .toric import enumerate_toric_layers
 
 ENUM_CAP = 10_000_000
@@ -379,8 +380,7 @@ def _run_identity_suite(arr, label, qmax, entries):
     for fs in ((), (2,), (3,)):
         spec = GroupSpec(f_torsion=fs, reals=1)
         lie_poset = enumerate_lie_layers(arr, 1, fs)
-        computed = partial_characteristic(arr, 1, fs, poset=lie_poset,
-                                          check=False)
+        computed = lie_poset.characteristic(partial_subposet(lie_poset))
         expected = scale_variable(g_characteristic(arr, spec),
                                   spec.f_order, 1)
         _check(entries, label, "partial_vs_rescaled", f"F={fs}",

@@ -7,8 +7,6 @@ Python ints throughout; evaluation also accepts Fractions.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 class UniPoly:
     """Univariate polynomial, coefficients ascending, no trailing zeros."""
@@ -107,13 +105,6 @@ def scale_variable(p: UniPoly, c: int, g: int) -> UniPoly:
         out[g * i] += a * ck
         ck *= c
     return UniPoly(out)
-
-
-def eval_uni(p: UniPoly, value):
-    """Exact value of p at an integer or rational point."""
-    if isinstance(value, Fraction):
-        return p(value)
-    return p(int(value))
 
 
 class BiPoly:

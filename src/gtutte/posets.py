@@ -22,7 +22,6 @@ a single bottom-up sweep computes every Möbius value mu(component(C), C).
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -57,11 +56,11 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec, homs, restrict,
 
     A subset's components depend on it only through its lattice <S> plus
     the ambient torsion, so the work runs once per distinct lattice of
-    `arr.mask_lattices()`.  The front end supplies homs(lattice, span,
-    quotient), the components of every subset spanning the lattice, as
-    characters; restrict(x, y), y's character restricted to the span of x,
-    for layers with loc(x) inside loc(y); and describe(span, chi), which
-    gives (component, order, printed chi).  The predicted number of
+    `arr.mask_lattices()`.  The front end supplies homs(lattice, span),
+    the components of every subset spanning the lattice, as characters;
+    restrict(x, y), y's character restricted to the span of x, for layers
+    with loc(x) inside loc(y); and describe(span, chi), which gives
+    (component, order, printed chi).  The predicted number of
     instances, the sum over subsets S of
     multiplicity(S) * #F^(free rank - rank S), is checked against
     max_layers before any homomorphism is enumerated, and each lattice's
@@ -96,7 +95,7 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec, homs, restrict,
     for lat, masks in masks_of.items():
         quot = table.quotient(lat)
         span = table.span(lat)
-        chis = homs(table.lattices[lat], span, quot)
+        chis = homs(table.lattices[lat], span)
         if len(chis) != expected[lat]:
             raise IdentityCheckError(
                 f"subset {masks[0]:b}: {len(chis)} components, "
@@ -250,6 +249,13 @@ class LayerPoset:
         return out
 
 
+def checked(value: UniPoly, expected: UniPoly, what: str) -> UniPoly:
+    """`value`, once it equals the independently computed `expected`."""
+    if value != expected:
+        raise IdentityCheckError(f"{what}: {value} != {expected}")
+    return value
+
+
 def partial_subposet(poset: LayerPoset) -> tuple:
     """Layers whose component kills no torsion element of the arrangement.
 
@@ -358,23 +364,17 @@ def hasse_records(poset: LayerPoset, indices=None, pairs=None) -> list:
     } for i in indices]
 
 
-def export_hasse(poset: LayerPoset, indices=None, fmt: str = "dot") -> str:
-    """Render the (induced) Hasse diagram; formats: dot, records."""
+def export_hasse(poset: LayerPoset, indices=None) -> str:
+    """Render the (induced) Hasse diagram as DOT."""
     if indices is None:
         indices = poset.all_indices()
     indices = sorted(set(indices))
-    pairs = poset.covers(indices)
-    if fmt == "dot":
-        lines = ["digraph layers {", "  rankdir=BT;"]
-        for i in indices:
-            lay = poset.layers[i]
-            label = f"dim={lay.dim} mu={poset.mobius[i]} {lay.key}"
-            lines.append(f'  L{i} [label="{label}"];')
-        for i, j in pairs:
-            lines.append(f"  L{i} -> L{j};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-    if fmt == "records":
-        return json.dumps(hasse_records(poset, indices, pairs), indent=1,
-                          sort_keys=True) + "\n"
-    raise ValueError(f"unknown export format: {fmt!r}")
+    lines = ["digraph layers {", "  rankdir=BT;"]
+    for i in indices:
+        lay = poset.layers[i]
+        label = f"dim={lay.dim} mu={poset.mobius[i]} {lay.key}"
+        lines.append(f'  L{i} [label="{label}"];')
+    for i, j in poset.covers(indices):
+        lines.append(f"  L{i} -> L{j};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"

@@ -7,9 +7,10 @@ pair: the saturated subgroup on which its points are constant (an HNF
 lattice in the free quotient, with all ambient torsion implicitly included)
 and the common character value on that subgroup's generators.  The values
 are integer residues mod the lcm period P of the arrangement: every
-per-subset exponent E divides P, so a character into Z/E is scaled by P/E,
-and it is printed as the reduced fraction of P.  Membership of a layer in
-the k-torsion subposet is a divisibility test on the character's order.
+per-subset exponent divides P, so the characters are enumerated straight
+into Z/P, and each is printed as the reduced fraction of P.  Membership of
+a layer in the k-torsion subposet is a divisibility test on the
+character's order.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from math import gcd
 from .intlinalg import FGAbelianGroup, IntMatrix, hnf_solve, hom_enumerate
 from .invariants import IdentityCheckError, g_characteristic
 from .model import Arrangement, GroupSpec
-from .posets import LayerPoset, enumerate_layers, partial_subposet
+from .posets import LayerPoset, checked, enumerate_layers, partial_subposet
 
 MAX_LAYERS = 10_000
 
@@ -29,16 +30,14 @@ def enumerate_toric_layers(arr: Arrangement, max_layers: int = MAX_LAYERS) -> La
 
     Per spanned lattice, the components are the characters of the finite
     quotient (saturation mod lattice), produced by homomorphism enumeration
-    into a cyclic group of exponent order.  max_layers caps the predicted
-    number of layer instances, the sum over subsets of the quotient torsion
-    order.
+    into Z/P, P the lcm period.  max_layers caps the predicted number of
+    layer instances, the sum over subsets of the quotient torsion order.
     """
     gamma = arr.gamma
     f = gamma.free_rank
     coefficients: dict = {}  # (span X, span Y) -> span X rows over span Y
 
-    def characters(lattice, span, quotient):
-        exponent = quotient.exponent()
+    def characters(lattice, span):
         gens = []
         for row in lattice.data:
             coeffs = hnf_solve(span, row[:f])
@@ -47,9 +46,8 @@ def enumerate_toric_layers(arr: Arrangement, max_layers: int = MAX_LAYERS) -> La
             gens.append(coeffs + row[f:])
         gens_m = IntMatrix.from_rows(gens, span.rows + len(gamma.torsion))
         homs = hom_enumerate(gens_m, FGAbelianGroup(span.rows, gamma.torsion),
-                             (exponent,))
-        scale = arr.lcm_period() // exponent
-        return [tuple(img[0] * scale for img in h) for h in homs]
+                             (arr.lcm_period(),))
+        return [tuple(img[0] for img in h) for h in homs]
 
     def restrict(x, y):
         pair = (x.span.data, y.span.data)
@@ -87,8 +85,7 @@ def k_total_subposet(poset: LayerPoset, k: int) -> tuple:
     return chosen
 
 
-def k_partial_characteristic(arr: Arrangement, k: int,
-                             poset: LayerPoset | None = None,
+def k_partial_characteristic(arr: Arrangement, k: int, poset: LayerPoset,
                              check: bool = True):
     """Möbius-weighted dimension sum over the k-torsion partial subposet.
 
@@ -96,65 +93,33 @@ def k_partial_characteristic(arr: Arrangement, k: int,
     identity is verified against the independent subset-sum computation
     unless check is disabled.
     """
-    if poset is None:
-        poset = enumerate_toric_layers(arr)
-    indices = [i for i in k_total_subposet(poset, k)
-               if poset.layers[i].in_partial]
-    out = poset.characteristic(indices)
-    if check:
-        expected = g_characteristic(arr, GroupSpec.cyclic(k))
-        if out != expected:
-            raise IdentityCheckError(
-                f"k-partial polynomial {out} != constituent {expected} (k={k})")
-    return out
+    out = poset.characteristic([i for i in k_total_subposet(poset, k)
+                                if poset.layers[i].in_partial])
+    if not check:
+        return out
+    return checked(out, g_characteristic(arr, GroupSpec.cyclic(k)),
+                   f"k-partial polynomial vs constituent (k={k})")
 
 
-def k_total_characteristic(arr: Arrangement, k: int,
-                           poset: LayerPoset | None = None,
-                           check: bool = True):
-    """Möbius-weighted dimension sum over the k-torsion subposet.
-
-    Equals the k-th constituent of the arrangement with its torsion elements
-    removed; verified unless check is disabled.
-    """
-    if poset is None:
-        poset = enumerate_toric_layers(arr)
-    indices = k_total_subposet(poset, k)
-    out = poset.characteristic(indices)
-    if check:
-        stripped = arr.without_torsion()
-        expected = g_characteristic(stripped, GroupSpec.cyclic(k))
-        if out != expected:
-            raise IdentityCheckError(
-                f"k-total polynomial {out} != stripped constituent {expected} (k={k})")
-    return out
+def k_total_characteristic(arr: Arrangement, k: int, poset: LayerPoset):
+    """Möbius-weighted dimension sum over the k-torsion subposet; equals the
+    k-th constituent of the arrangement with its torsion elements removed."""
+    return checked(poset.characteristic(k_total_subposet(poset, k)),
+                   g_characteristic(arr.without_torsion(), GroupSpec.cyclic(k)),
+                   f"k-total polynomial vs stripped constituent (k={k})")
 
 
-def total_characteristic(arr: Arrangement, poset: LayerPoset | None = None,
-                         check: bool = True):
+def total_characteristic(arr: Arrangement, poset: LayerPoset):
     """Full Möbius-weighted dimension sum; equals the circle-target
     characteristic polynomial of the torsion-stripped arrangement."""
-    if poset is None:
-        poset = enumerate_toric_layers(arr)
-    out = poset.characteristic()
-    if check:
-        expected = g_characteristic(arr.without_torsion(), GroupSpec.circle())
-        if out != expected:
-            raise IdentityCheckError(
-                f"total polynomial {out} != circle characteristic {expected}")
-    return out
+    return checked(poset.characteristic(),
+                   g_characteristic(arr.without_torsion(), GroupSpec.circle()),
+                   "total polynomial vs stripped circle characteristic")
 
 
-def partial_characteristic(arr: Arrangement, poset: LayerPoset | None = None,
-                           check: bool = True):
+def partial_characteristic(arr: Arrangement, poset: LayerPoset):
     """Möbius-weighted dimension sum over the partial subposet; equals the
     circle-target characteristic polynomial of the full arrangement."""
-    if poset is None:
-        poset = enumerate_toric_layers(arr)
-    out = poset.characteristic(partial_subposet(poset))
-    if check:
-        expected = g_characteristic(arr, GroupSpec.circle())
-        if out != expected:
-            raise IdentityCheckError(
-                f"partial polynomial {out} != circle characteristic {expected}")
-    return out
+    return checked(poset.characteristic(partial_subposet(poset)),
+                   g_characteristic(arr, GroupSpec.circle()),
+                   "partial polynomial vs circle characteristic")

@@ -271,3 +271,15 @@ def test_large_entries_finish_within_budget(tmp_path):
     assert "exceed the cap 10000" in layers.stderr
     lines = gtutte_cli("lie-layers", "--g", "1", "--torsion", "2", str(path))
     assert lines.returncode == 0, lines.stderr
+
+
+def test_nonpositive_finite_factors_are_refused(example_file, capsys):
+    for argv in (("char", example_file, "--torsion", "0"),
+                 ("char", example_file, "--torsion", "-4"),
+                 ("lie-layers", example_file, "--g", "1", "--torsion", "0")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert argv[-1] in err
+    code, out, _ = run(capsys, "char", example_file, "--torsion", "1")
+    assert code == 0
+    assert json.loads(out)["coefficients"] == [1, -2, 1]

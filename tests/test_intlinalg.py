@@ -5,9 +5,10 @@ import pytest
 
 from gtutte.intlinalg import (DimensionMismatch, FGAbelianGroup, IntMatrix,
                               cokernel, determinant, hermite_normal_form,
-                              hnf_solve, hom_count, hom_enumerate,
+                              hnf_solve, hom_enumerate,
                               presentation_matrix, saturation,
                               smith_normal_form, xgcd)
+from gtutte.model import hom_count
 
 Z2 = FGAbelianGroup(2)
 

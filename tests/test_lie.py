@@ -3,13 +3,15 @@ from math import gcd
 import pytest
 
 from gtutte import (Arrangement, FGAbelianGroup, GroupSpec, chromatic_quasi,
-                    g_characteristic, leading_part, scale_variable)
+                    g_characteristic, leading_part, lie, scale_variable)
+from gtutte.invariants import IdentityCheckError
 from gtutte.lie import (constituent_via_lie, enumerate_lie_layers,
                         key_lie_sums, partial_characteristic, partial_subposet,
                         scc, total_characteristic)
 from gtutte.model import CapExceeded
 from gtutte.oracle import (battery_instances, brute_complement_count,
                            brute_mobius, poset_leq_matrix)
+from gtutte.poly import UniPoly
 from gtutte.posets import component_shapes
 
 
@@ -183,3 +185,27 @@ def test_first_constituent_matches_trivial_finite_part(example):
     # the k=1 constituent is the line-target partial polynomial
     from gtutte import first_constituent
     assert partial_characteristic(example, 1, ()) == first_constituent(example)
+
+
+@pytest.mark.parametrize("call", [
+    lambda arr: partial_characteristic(arr, 1, (2,)),
+    lambda arr: partial_characteristic(arr, 1, (2,),
+                                       enumerate_lie_layers(arr, 1, (2,))),
+    lambda arr: total_characteristic(arr, 1, (2,)),
+    lambda arr: total_characteristic(arr, 1, (2,),
+                                     enumerate_lie_layers(arr, 1, (2,))),
+    lambda arr: constituent_via_lie(arr, 2, 1),
+], ids=["partial", "partial-poset", "total", "total-poset", "constituent"])
+def test_identity_check_failure_raises(example, monkeypatch, call):
+    # a wrong independent polynomial must make every wrapper raise
+    monkeypatch.setattr(lie, "g_characteristic",
+                        lambda arr, spec: UniPoly([7]))
+    with pytest.raises(IdentityCheckError):
+        call(example)
+
+
+def test_constituent_via_lie_split_check_raises(example, monkeypatch):
+    # dropping every surviving component breaks the split-sums-to-whole check
+    monkeypatch.setattr(lie, "scc", lambda poset: ())
+    with pytest.raises(IdentityCheckError, match="split"):
+        constituent_via_lie(example, 2, 1)

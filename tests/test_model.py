@@ -5,7 +5,7 @@ import pytest
 
 from gtutte import Arrangement, FGAbelianGroup, GroupSpec, multiplicity
 from gtutte.model import CapExceeded, MAX_ELEMENTS
-from gtutte.oracle import brute_hom_count
+from gtutte.oracle import battery_instances, brute_hom_count
 
 
 def test_element_validation_and_reduction():
@@ -138,3 +138,29 @@ def test_without_torsion():
     stripped = arr.without_torsion()
     assert stripped.elements == ((1, 0),)
     assert stripped.gamma == arr.gamma
+
+
+def test_group_spec_rejects_nonpositive_factors():
+    for factors in ((0,), (-4,), (2, 0), (3, -1)):
+        bad = next(f for f in factors if f < 1)
+        with pytest.raises(ValueError, match=str(bad)):
+            GroupSpec(f_torsion=factors)
+    assert GroupSpec(f_torsion=(1,)) == GroupSpec.trivial()
+
+
+def test_without_torsion_of_free_arrangement_is_itself(example):
+    assert example.without_torsion() is example
+
+
+def test_without_torsion_shares_the_lattice_table(mixed_torsion):
+    for arr in [mixed_torsion] + list(battery_instances(0, 40)):
+        stripped = arr.without_torsion()
+        tmask = arr.torsion_mask()
+        kept = [v for i, v in enumerate(arr.elements) if not tmask >> i & 1]
+        assert stripped.elements == tuple(kept)
+        fresh = Arrangement(arr.gamma, kept)
+        assert stripped.histogram() == fresh.histogram()
+
+        def lattices(a):
+            return [a.lattice_table().lattices[i] for i in a.mask_lattices()]
+        assert lattices(stripped) == lattices(fresh)

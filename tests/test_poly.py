@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from gtutte.poly import BiPoly, UniPoly, eval_uni, scale_variable, substitute_xy
+from gtutte.poly import BiPoly, UniPoly, scale_variable, substitute_xy
 
 
 def rand_uni(rng, deg=4, span=6):
@@ -53,10 +53,10 @@ def test_ring_axioms_random():
 
 def test_eval_uni():
     f = UniPoly([1, -2, 1])
-    assert eval_uni(f, 5) == 16
-    assert eval_uni(UniPoly([7, 3]), 0) == 7
-    assert eval_uni(UniPoly(), 123) == 0
-    assert eval_uni(f, Fraction(1, 2)) == Fraction(1, 4)
+    assert f(5) == 16
+    assert UniPoly([7, 3])(0) == 7
+    assert UniPoly()(123) == 0
+    assert f(Fraction(1, 2)) == Fraction(1, 4)
 
 
 def test_substitute_xy():

@@ -1,11 +1,11 @@
-import json
-
 import pytest
 
-from gtutte import Arrangement, FGAbelianGroup, GroupSpec, chromatic_quasi
+from gtutte import Arrangement, FGAbelianGroup, GroupSpec, chromatic_quasi, toric
+from gtutte.invariants import IdentityCheckError
 from gtutte.model import CapExceeded, multiplicity
 from gtutte.oracle import brute_mobius, poset_leq_matrix
-from gtutte.posets import export_hasse
+from gtutte.poly import UniPoly
+from gtutte.posets import export_hasse, hasse_records
 from gtutte.toric import (enumerate_toric_layers, k_partial_characteristic,
                           k_total_characteristic, k_total_subposet,
                           partial_subposet, total_characteristic,
@@ -168,29 +168,27 @@ def test_layer_cap():
 def test_export_formats(example, example_poset):
     sub2 = [i for i in k_total_subposet(example_poset, 2)
             if example_poset.layers[i].in_partial]
-    dot = export_hasse(example_poset, sub2, "dot")
+    dot = export_hasse(example_poset, sub2)
     assert dot.count("[label=") == 6
     assert dot.count("->") == 7
-    records = json.loads(export_hasse(example_poset, sub2, "records"))
+    records = hasse_records(example_poset, sub2)
     assert len(records) == 6
     assert {r["dim"] for r in records} == {0, 1, 2}
-    empty = export_hasse(example_poset, [], "dot")
+    empty = export_hasse(example_poset, [])
     assert "label" not in empty and "->" not in empty
-    with pytest.raises(ValueError):
-        export_hasse(example_poset, fmt="svg")
 
 
 def test_export_diamond(example):
     poset = enumerate_toric_layers(example)
     sub1 = [i for i in k_total_subposet(poset, 1)]
-    dot = export_hasse(poset, sub1, "dot")
+    dot = export_hasse(poset, sub1)
     assert dot.count("[label=") == 4
     assert dot.count("->") == 4
 
 
 def test_dot_output_is_stable(example):
-    a = export_hasse(enumerate_toric_layers(example), fmt="dot")
-    b = export_hasse(enumerate_toric_layers(example), fmt="dot")
+    a = export_hasse(enumerate_toric_layers(example))
+    b = export_hasse(enumerate_toric_layers(example))
     assert a == b
 
 
@@ -221,3 +219,26 @@ def test_poset_side_beta_monotonicity(example, example_poset):
 def test_mobius_all_recompute(example_poset):
     from gtutte.posets import mobius_all
     assert mobius_all(example_poset) is example_poset
+
+
+@pytest.mark.parametrize("wrapper, args", [
+    (k_partial_characteristic, (2,)),
+    (k_total_characteristic, (2,)),
+    (total_characteristic, ()),
+    (partial_characteristic, ()),
+])
+def test_identity_check_failure_raises(example, example_poset, monkeypatch,
+                                       wrapper, args):
+    # a wrong independent polynomial must make every wrapper raise
+    monkeypatch.setattr(toric, "g_characteristic",
+                        lambda arr, spec: UniPoly([7]))
+    with pytest.raises(IdentityCheckError):
+        wrapper(example, *args, example_poset)
+
+
+def test_k_partial_unchecked_skips_identity(example, example_poset,
+                                            monkeypatch):
+    monkeypatch.setattr(toric, "g_characteristic",
+                        lambda arr, spec: UniPoly([7]))
+    got = k_partial_characteristic(example, 2, example_poset, check=False)
+    assert got.coeffs == (2, -3, 1)
