@@ -191,11 +191,10 @@ def cmd_constituent(args) -> int:
     arr = load_arrangement(args.file)
     if args.k < 1:
         raise InputError("K must be positive")
-    qp = invariants.chromatic_quasi(arr)
-    c = qp.constituent(args.k)
+    c = invariants.constituent(arr, args.k)
     _emit({"k": args.k, "coefficients": c.serialize()})
     print(poly_str(c), file=sys.stderr)
-    if args.k % qp.period == 0:
+    if args.k % arr.lcm_period() == 0:
         # the last constituent should be the toric characteristic polynomial
         try:
             invariants.toric_characteristic(arr)

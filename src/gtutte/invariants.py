@@ -31,6 +31,13 @@ class IdentityCheckError(AssertionError):
     """A built-in cross-check identity failed (this signals a bug)."""
 
 
+def checked(value: UniPoly, expected: UniPoly, what: str) -> UniPoly:
+    """`value`, once it equals the independently computed `expected`."""
+    if value != expected:
+        raise IdentityCheckError(f"{what}: {value} != {expected}")
+    return value
+
+
 def g_tutte(arr: Arrangement, spec: GroupSpec) -> BiPoly:
     """Subset sum of m(S) * (x-1)^(rank(A)-rank(S)) * (y-1)^(#S-rank(S)),
     taken over the classes of the subset histogram."""
@@ -101,6 +108,14 @@ def chromatic_quasi(arr: Arrangement) -> QuasiPolynomial:
     return QuasiPolynomial(period, constituents)
 
 
+def constituent(arr: Arrangement, k: int) -> UniPoly:
+    """The k-th constituent alone, as `chromatic_quasi(arr).constituent(k)`
+    gives it, without building the other residues."""
+    if k < 1:
+        raise ValueError("residue representative must be positive")
+    return g_characteristic(arr, GroupSpec.cyclic(gcd(k, arr.lcm_period())))
+
+
 def first_constituent(arr: Arrangement) -> UniPoly:
     """Constituent 1: zero when a torsion element is present, else the
     characteristic polynomial of the real-target arrangement."""
@@ -119,15 +134,9 @@ def toric_characteristic(arr: Arrangement) -> UniPoly:
     zero = (0,) * arr.gamma.ngens
     if zero in arr.elements:
         raise HypothesisError("the zero element is not allowed here")
-    last = g_characteristic(arr, GroupSpec.cyclic(arr.lcm_period()))
-    r_full = arr.rank
-    sign = -1 if r_full % 2 else 1
-    via_arith = UniPoly.monomial(arr.gamma.free_rank - r_full, sign) \
-        * substitute_xy(arithmetic_tutte(arr))
-    if last != via_arith:
-        raise IdentityCheckError(
-            f"last constituent {last} != arithmetic Tutte specialization {via_arith}")
-    return last
+    return checked(g_characteristic(arr, GroupSpec.cyclic(arr.lcm_period())),
+                   g_characteristic(arr, GroupSpec.circle()),
+                   "last constituent vs arithmetic Tutte specialization")
 
 
 def beta_coefficients(arr: Arrangement, q: int,
@@ -139,9 +148,7 @@ def beta_coefficients(arr: Arrangement, q: int,
     """
     if q < 1:
         raise ValueError("q must be positive")
-    if qp is None:
-        qp = chromatic_quasi(arr)
-    c = qp.constituent(q)
+    c = constituent(arr, q) if qp is None else qp.constituent(q)
     r = arr.gamma.free_rank
     betas = []
     for j in range(r + 1):
@@ -157,9 +164,8 @@ def chen_wang_compare(arr: Arrangement, a: int, b: int) -> list:
     """Coefficientwise comparison beta_j(a) <= beta_j(b) for a | b."""
     if a < 1 or b < 1 or b % a:
         raise ValueError("need positive a dividing b")
-    qp = chromatic_quasi(arr)
-    beta_a = beta_coefficients(arr, a, qp)
-    beta_b = beta_coefficients(arr, b, qp)
+    beta_a = beta_coefficients(arr, a)
+    beta_b = beta_coefficients(arr, b)
     return [{"j": j, "beta_a": x, "beta_b": y, "ok": x <= y}
             for j, (x, y) in enumerate(zip(beta_a, beta_b))]
 
@@ -170,9 +176,8 @@ def reciprocity_eval(arr: Arrangement, k: int, q: int,
     since it equals sum_j beta_j(k) * q^j."""
     if q < 1:
         raise ValueError("q must be positive")
-    if qp is None:
-        qp = chromatic_quasi(arr)
-    val = (-1) ** arr.gamma.free_rank * qp.constituent(k)(-q)
+    c = constituent(arr, k) if qp is None else qp.constituent(k)
+    val = (-1) ** arr.gamma.free_rank * c(-q)
     if val < 0:
         raise IdentityCheckError(
             f"reciprocity value {val} < 0 at k={k}, q={q} on {arr.describe()}")

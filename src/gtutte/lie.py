@@ -17,10 +17,10 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .intlinalg import hom_enumerate
-from .invariants import g_characteristic
+from .invariants import checked, g_characteristic
 from .model import Arrangement, GroupSpec
 from .poly import UniPoly, scale_variable
-from .posets import LayerPoset, checked, enumerate_layers, partial_subposet
+from .posets import LayerPoset, enumerate_layers, partial_subposet
 
 MAX_LAYERS = 50_000
 
@@ -105,10 +105,12 @@ def constituent_via_lie(arr: Arrangement, k: int, g: int):
     if g < 1:
         raise ValueError("g must be >= 1")
     poset = enumerate_lie_layers(arr, g, (k,) if k > 1 else ())
-    out = poset.characteristic(partial_subposet(poset))
+    roots = scc(poset)  # checks the partial subposet: the in_partial layers
+    out = poset.characteristic([i for i, lay in enumerate(poset.layers)
+                                if lay.in_partial])
     splits = [poset.characteristic([i for i in range(poset.n)
                                     if poset.component_of[i] == root])
-              for root in scc(poset)]
+              for root in roots]
     checked(sum(splits, UniPoly()), out, "per-component split vs whole")
     expected = scale_variable(g_characteristic(arr, GroupSpec.cyclic(k)), k, g)
     return checked(out, expected, "lie-side vs rescaled constituent"), splits

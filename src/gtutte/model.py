@@ -7,12 +7,12 @@ residue per torsion factor).  Duplicates are legal and order-stable: the
 element list is a multiset.
 
 Every subset-sum invariant in this package depends on a subset S only
-through rank S, #S and the invariant factors of the torsion of gamma/<S>.
-`Arrangement.histogram` counts the subsets in each of these classes in one
-pass over the distinct spanned lattices, and `Arrangement.mask_lattices`
-names the lattice of every subset for layer enumeration; both read one
-`LatticeTable`.  The per-subset data is also available mask by mask, for
-the oracle.
+through the lattice <S> it spans.  `Arrangement.lattice_states` counts the
+subsets by (lattice, #S) in one pass over the distinct spanned lattices of
+a `LatticeTable`; `Arrangement.histogram` reduces those states to classes
+(rank S, #S, invariant factors of the torsion of gamma/<S>), and layer
+enumeration reads them directly.  The per-subset data is also available
+mask by mask, for the oracle.
 """
 
 from __future__ import annotations
@@ -208,7 +208,7 @@ class Arrangement:
         self.name = name
         self._subset_cache: dict[int, SubsetData] = {}
         self._lattice_table: LatticeTable | None = None
-        self._mask_lattices: list | None = None
+        self._lattice_states: dict | None = None
         self._histogram: dict[SubsetClass, int] | None = None
         self._lcm_period: int | None = None
 
@@ -240,47 +240,25 @@ class Arrangement:
         return data
 
     def lattice_table(self) -> LatticeTable:
-        """The lattice table shared by `histogram` and `mask_lattices`."""
+        """The lattice table that `lattice_states` numbers lattices in."""
         if self._lattice_table is None:
             self._lattice_table = LatticeTable(self.gamma)
         return self._lattice_table
 
-    def mask_lattices(self) -> list:
-        """Lattice-table id of <S> + torsion relations, indexed by mask.
-
-        A mask's id is the child of (the id of the mask without its highest
-        element, that element).  These are the (lattice, element) pairs of
-        the histogram fold, so the two share every HNF step.
-        """
-        if self._mask_lattices is None:
-            table = self.lattice_table()
-            child = table.child
-            ids = [0]
-            for i, vec in enumerate(self.elements):
-                for rest in range(1 << i):
-                    lat = ids[rest]
-                    c = child.get((lat, vec))
-                    if c is None:
-                        c = table.add(lat, vec)
-                    ids.append(c)
-            self._mask_lattices = ids
-        return self._mask_lattices
-
-    def histogram(self) -> dict:
-        """{SubsetClass(rank, #S, torsion factors): number of subsets S}.
+    def lattice_states(self) -> dict:
+        """{(lattice id, #S): number of subsets S}, ids in `lattice_table`.
 
         The elements are folded in one at a time over states (lattice, #S),
         where the lattice is the canonical HNF of <S> plus the ambient
         torsion relations; each state skips or adds the element, and equal
         states merge their counts.  A child lattice is computed once per
-        (lattice, element vector) and a quotient once per distinct final
-        lattice, so the cost is 2^n steps only when every lattice differs.
+        (lattice, element vector), so the cost is 2^n steps only when every
+        lattice differs.
         """
-        if self._histogram is None:
-            gamma = self.gamma
+        if self._lattice_states is None:
             table = self.lattice_table()
             child = table.child
-            states = {(0, 0): 1}  # (lattice id, #S) -> number of subsets
+            states = {(0, 0): 1}
             for vec in self.elements:
                 folded = dict(states)
                 for (lat, size), count in states.items():
@@ -290,10 +268,29 @@ class Arrangement:
                     key = (c, size + 1)
                     folded[key] = folded.get(key, 0) + count
                 states = folded
+            self._lattice_states = states
+        return self._lattice_states
+
+    def subset_lattice(self, mask: int) -> int:
+        """Lattice id of the masked subset, read off `child` along its
+        elements: the fold of `lattice_states` has joined every prefix."""
+        self.lattice_states()
+        child = self.lattice_table().child
+        lat = 0
+        for vec in self.mask_elements(mask):
+            lat = child[lat, vec]
+        return lat
+
+    def histogram(self) -> dict:
+        """{SubsetClass(rank, #S, torsion factors): number of subsets S},
+        reduced from `lattice_states` with one quotient per distinct
+        lattice."""
+        if self._histogram is None:
+            table = self.lattice_table()
             hist: dict = {}
-            for (lat, size), count in states.items():
+            for (lat, size), count in self.lattice_states().items():
                 quot = table.quotient(lat)
-                key = SubsetClass(gamma.free_rank - quot.free_rank, size,
+                key = SubsetClass(self.gamma.free_rank - quot.free_rank, size,
                                   quot.torsion)
                 hist[key] = hist.get(key, 0) + count
             self._histogram = hist

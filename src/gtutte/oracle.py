@@ -361,6 +361,7 @@ def _run_identity_suite(arr, label, qmax, entries):
                qp.constituent(k).coeffs, computed.coeffs)
 
     # per-subset component counts in the k-torsion subposet, all k <= 2*period
+    specs = [GroupSpec.cyclic(k) for k in range(1, 2 * period + 1)]
     for mask in arr.masks():
         orders: dict = {}
         for idx in toric_poset.subset_components[mask]:
@@ -368,9 +369,9 @@ def _run_identity_suite(arr, label, qmax, entries):
             orders[o] = orders.get(o, 0) + 1
         data = arr.subset_data(mask)
         bad = []
-        for k in range(1, 2 * period + 1):
+        for k, spec in enumerate(specs, start=1):
             got = sum(c for o, c in orders.items() if k % o == 0)
-            want = model.multiplicity(data, GroupSpec.cyclic(k))
+            want = model.multiplicity(data, spec)
             if got != want:
                 bad.append((k, want, got))
         _check(entries, label, "k_component_count",

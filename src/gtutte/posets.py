@@ -6,11 +6,12 @@ span of the elements whose kernels contain it (an HNF lattice in the free
 quotient) and an integer character `chi` in the front end's coordinates
 (toric.py: residues mod the lcm period on the span rows and the torsion
 generators; lie.py: the image of every ambient generator in F).
-`enumerate_layers` runs every distinct spanned lattice through the front
-end's component enumeration, once for all the subsets that span it,
-deduplicates on (span, chi) and records each layer's localization, the
+`enumerate_layers` runs every lattice of the (lattice, #S) states through
+the front end's component enumeration, once for all the subsets that span
+it, deduplicates on (span, chi) and records each layer's localization, the
 set of elements whose kernel contains it: the union of the subsets it is a
-component of.
+component of.  Subsets are visited one by one only if `subset_components`
+is read.
 
 The order is reverse inclusion.  X contains Y exactly when loc(X) lies in
 loc(Y), so that span(X) lies in span(Y), and Y's character restricted to
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import model
 from .intlinalg import FGAbelianGroup, IntMatrix, hom_enumerate
@@ -56,7 +58,7 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec, homs, restrict,
 
     A subset's components depend on it only through its lattice <S> plus
     the ambient torsion, so the work runs once per distinct lattice of
-    `arr.mask_lattices()`.  The front end supplies homs(lattice, span),
+    `arr.lattice_states()`.  The front end supplies homs(lattice, span),
     the components of every subset spanning the lattice, as characters;
     restrict(x, y), y's character restricted to the span of x, for layers
     with loc(x) inside loc(y); and describe(span, chi), which gives
@@ -72,73 +74,62 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec, homs, restrict,
             f"{arr.n} elements; layer enumeration is capped at {MAX_LAYER_ELEMENTS}")
     f = arr.gamma.free_rank
     table = arr.lattice_table()
-    mask_lattices = arr.mask_lattices()
-    masks_of: dict = {}  # lattice id -> the masks spanning it
-    for mask, lat in enumerate(mask_lattices):
-        masks_of.setdefault(lat, []).append(mask)
-
-    expected = {}
-    for lat, masks in masks_of.items():
-        quot = table.quotient(lat)
-        # the subset data that every mask of the lattice shares
-        data = model.SubsetData(masks[0], f - quot.free_rank, quot.torsion)
-        expected[lat] = (model.multiplicity(data, spec)
-                         * spec.f_order ** quot.free_rank)
-    predicted = sum(expected[lat] * len(masks) for lat, masks in masks_of.items())
+    expected: dict = {}  # lattice id -> components of each subset spanning it
+    predicted = 0
+    for (lat, _), count in arr.lattice_states().items():
+        if lat not in expected:
+            quot = table.quotient(lat)
+            cls = model.SubsetClass(f - quot.free_rank, 0, quot.torsion)
+            expected[lat] = (model.multiplicity(cls, spec)
+                             * spec.f_order ** quot.free_rank)
+        predicted += expected[lat] * count
     if predicted > max_layers:
         raise CapExceeded(
             f"about {predicted} layer instances exceed the cap {max_layers}")
 
-    seen: dict = {}
-    raw: list = []  # [span, chi, rank, localization] per distinct layer
-    lattice_members: dict = {}
-    for lat, masks in masks_of.items():
-        quot = table.quotient(lat)
+    # each lattice's localization, the union of the subsets spanning it:
+    # the fold of lattice_states replayed on lattice ids alone.  A lattice
+    # updated at element i contains it, so it is its own child there.
+    child = table.child
+    locs = {0: 0}
+    for i, vec in enumerate(arr.elements):
+        for lat in list(locs):
+            c = child[lat, vec]
+            locs[c] = locs.get(c, 0) | locs[lat] | 1 << i
+
+    raw: dict = {}  # (span rows, chi) -> [span, chi, rank, localization]
+    lattice_keys: dict = {}  # lattice id -> its components' (span rows, chi)
+    for lat in expected:
         span = table.span(lat)
+        rank = f - table.quotient(lat).free_rank
         chis = homs(table.lattices[lat], span)
         if len(chis) != expected[lat]:
             raise IdentityCheckError(
-                f"subset {masks[0]:b}: {len(chis)} components, "
-                f"expected {expected[lat]}")
-        loc = 0
-        for mask in masks:
-            loc |= mask
-        members = []
+                f"{arr.describe()}: lattice {list(table.lattices[lat].data)} "
+                f"has {len(chis)} components, expected {expected[lat]}")
         for chi in chis:
-            key = (span.data, chi)
-            idx = seen.get(key)
-            if idx is None:
-                idx = seen[key] = len(raw)
-                raw.append([span, chi, f - quot.free_rank, 0])
-            raw[idx][3] |= loc
-            members.append(idx)
-        lattice_members[lat] = members
+            entry = raw.setdefault((span.data, chi), [span, chi, rank, 0])
+            entry[3] |= locs[lat]
+        lattice_keys[lat] = [(span.data, chi) for chi in chis]
 
     tmask = arr.torsion_mask()
     layers = []
-    for span, chi, rank, loc in raw:
+    for span, chi, rank, loc in raw.values():
         component, order, chi_text = describe(span, chi)
         rows = ";".join(",".join(str(x) for x in row) for row in span.data)
         layers.append(Layer(span, chi, rank, spec.dim * (f - rank),
                             not loc & tmask, loc, component, order,
                             f"[{rows}]({chi_text})"))
-
-    # canonical order, then remap the per-lattice membership lists; every
-    # mask shares its lattice's component tuple
-    perm = sorted(range(len(layers)), key=lambda i: (
-        layers[i].rank, layers[i].span.data, layers[i].component, layers[i].chi))
-    inv = {old: new for new, old in enumerate(perm)}
-    layers = [layers[i] for i in perm]
-    components = {lat: tuple(sorted(inv[i] for i in members))
-                  for lat, members in lattice_members.items()}
-    subset_components = {mask: components[lat]
-                         for mask, lat in enumerate(mask_lattices)}
+    layers.sort(key=lambda lay: (lay.rank, lay.span.data, lay.component, lay.chi))
+    index = {(lay.span.data, lay.chi): i for i, lay in enumerate(layers)}
+    components = {lat: tuple(sorted(index[key] for key in keys))
+                  for lat, keys in lattice_keys.items()}
 
     def leq(x, y):
         """x <= y in the poset: x contains y."""
         return not x.localization & ~y.localization and restrict(x, y) == x.chi
 
-    poset = LayerPoset(arr, layers, subset_components, leq)
+    poset = LayerPoset(arr, layers, components, leq)
     poset.spec = spec
     return poset
 
@@ -146,22 +137,17 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec, homs, restrict,
 class LayerPoset:
     """Finite poset of layers with per-layer combinatorial data.
 
-    layers[i] is a Layer; leq_fn(x, y) says whether x contains y.  The
-    poset adds the order (strict_downs), Möbius values, the component map
-    and the subset-to-components incidence.
+    layers[i] is a Layer; lattice_components maps each lattice id of the
+    arrangement's states to its subsets' sorted component indices; and
+    leq_fn(x, y) says whether x contains y.  The poset adds the order
+    (strict_downs), Möbius values and the component map.
     """
 
-    def __init__(self, arr, layers, subset_components, leq_fn):
+    def __init__(self, arr, layers, lattice_components, leq_fn):
         self.arr = arr
         self.layers = tuple(layers)
         n = len(self.layers)
-        self.subset_components = dict(subset_components)
-
-        incidence = [[] for _ in range(n)]
-        for mask in sorted(self.subset_components):
-            for idx in self.subset_components[mask]:
-                incidence[idx].append(mask)
-        self.incidence = tuple(tuple(ms) for ms in incidence)
+        self.lattice_components = dict(lattice_components)
 
         groups: dict = {}
         for i, lay in enumerate(self.layers):
@@ -194,6 +180,13 @@ class LayerPoset:
                 mobius[j] = -sum(mobius[i] for i in downs[j])
         self.mobius = tuple(mobius)
         self._check_sign_alternation()
+
+    @cached_property
+    def subset_components(self) -> dict:
+        """{mask: sorted component indices of the subset}, built on first
+        read from each mask's lattice."""
+        return {mask: self.lattice_components[self.arr.subset_lattice(mask)]
+                for mask in self.arr.masks()}
 
     def _check_sign_alternation(self):
         for i, lay in enumerate(self.layers):
@@ -240,20 +233,16 @@ class LayerPoset:
     def alternating_subset_sums(self) -> list:
         """Per layer: sum over the defining subsets S of (-1)^#S, with the
         Möbius value (inside the partial poset) or 0 (outside) it must equal."""
+        totals = [0] * self.n
+        for (lat, size), count in self.arr.lattice_states().items():
+            for i in self.lattice_components[lat]:
+                totals[i] += (-1) ** size * count
         out = []
         for i, lay in enumerate(self.layers):
-            total = sum((-1) ** mask.bit_count() for mask in self.incidence[i])
             want = self.mobius[i] if lay.in_partial else 0
-            out.append({"layer": i, "sum": total, "expected": want,
-                        "ok": total == want})
+            out.append({"layer": i, "sum": totals[i], "expected": want,
+                        "ok": totals[i] == want})
         return out
-
-
-def checked(value: UniPoly, expected: UniPoly, what: str) -> UniPoly:
-    """`value`, once it equals the independently computed `expected`."""
-    if value != expected:
-        raise IdentityCheckError(f"{what}: {value} != {expected}")
-    return value
 
 
 def partial_subposet(poset: LayerPoset) -> tuple:

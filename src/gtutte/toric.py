@@ -18,9 +18,9 @@ from __future__ import annotations
 from math import gcd
 
 from .intlinalg import FGAbelianGroup, IntMatrix, hnf_solve, hom_enumerate
-from .invariants import IdentityCheckError, g_characteristic
+from .invariants import IdentityCheckError, checked, g_characteristic
 from .model import Arrangement, GroupSpec
-from .posets import LayerPoset, checked, enumerate_layers, partial_subposet
+from .posets import LayerPoset, enumerate_layers, partial_subposet
 
 MAX_LAYERS = 10_000
 

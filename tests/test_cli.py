@@ -273,6 +273,35 @@ def test_large_entries_finish_within_budget(tmp_path):
     assert lines.returncode == 0, lines.stderr
 
 
+def test_single_constituent_commands_skip_the_period(tmp_path):
+    # the lcm period of this input has 160 digits: the commands that read
+    # one or two constituents must not build one per residue
+    rng = random.Random(0)
+    doc = {"group": {"free_rank": 3, "torsion": []},
+           "vectors": [[rng.randint(-1000, 1000) for _ in range(3)]
+                       for _ in range(6)]}
+    path = str(tmp_path / "huge_period.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    arr = cli.load_arrangement(path)
+    assert len(str(arr.lcm_period())) == 160
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(gtutte.__file__)))
+    for argv in (["constituent", path, "2"], ["constituent", path, "3"],
+                 ["constituent", path, "4"], ["beta", path, "--q", "3"],
+                 ["reciprocity", path, "--k", "2", "--q", "3"],
+                 ["compare", path, "--a", "2", "--b", "4"]):
+        proc = subprocess.run([sys.executable, "-m", "gtutte.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=10)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        if argv[0] == "constituent":
+            k = int(argv[2])
+            coeffs = json.loads(proc.stdout)["coefficients"]
+            assert sum(c * k**i for i, c in enumerate(coeffs)) == \
+                brute_complement_count(arr, k)
+
+
 def test_nonpositive_finite_factors_are_refused(example_file, capsys):
     for argv in (("char", example_file, "--torsion", "0"),
                  ("char", example_file, "--torsion", "-4"),

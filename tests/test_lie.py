@@ -3,7 +3,7 @@ from math import gcd
 import pytest
 
 from gtutte import (Arrangement, FGAbelianGroup, GroupSpec, chromatic_quasi,
-                    g_characteristic, leading_part, lie, scale_variable)
+                    g_characteristic, leading_part, lie, posets, scale_variable)
 from gtutte.invariants import IdentityCheckError
 from gtutte.lie import (constituent_via_lie, enumerate_lie_layers,
                         key_lie_sums, partial_characteristic, partial_subposet,
@@ -113,10 +113,16 @@ def test_key_lie_sums_minimal_layers(mixed_torsion):
             assert rows[i]["sum"] == 0
 
 
-def test_constituent_via_lie_example(example):
+def test_constituent_via_lie_example(example, monkeypatch):
     qp = chromatic_quasi(example)
+    calls = []
+    count = posets._surviving_component_count
+    monkeypatch.setattr(posets, "_surviving_component_count",
+                        lambda arr, spec: calls.append(spec) or count(arr, spec))
     for k, g in [(1, 1), (2, 1), (4, 1), (2, 2), (3, 2)]:
+        calls.clear()
         poly, splits = constituent_via_lie(example, k, g)
+        assert len(calls) == 1  # the partial subposet is checked once
         assert poly == scale_variable(qp.constituent(k), k, g)
         assert len(splits) == leading_part(
             example, GroupSpec(f_torsion=(k,) if k > 1 else ()))

@@ -162,5 +162,6 @@ def test_without_torsion_shares_the_lattice_table(mixed_torsion):
         assert stripped.histogram() == fresh.histogram()
 
         def lattices(a):
-            return [a.lattice_table().lattices[i] for i in a.mask_lattices()]
+            return [a.lattice_table().lattices[a.subset_lattice(mask)]
+                    for mask in a.masks()]
         assert lattices(stripped) == lattices(fresh)

@@ -11,6 +11,7 @@ from gtutte.oracle import (battery_instances, brute_complement_count,
                            reference_g_tutte, reference_strict_downs,
                            reference_subset_components, run_identity_suite,
                            shrink_failing)
+from gtutte.posets import hasse_records
 from gtutte.toric import enumerate_toric_layers
 
 
@@ -102,6 +103,30 @@ def test_layer_components_match_per_mask_reference(example, mixed_torsion,
         assert poset.subset_components == components, poset.arr
         assert tuple(lay.localization for lay in poset.layers) == \
             localizations, poset.arr
+        # the per-lattice alternating sums against the per-mask ones
+        sums = [0] * poset.n
+        for mask, found in components.items():
+            for i in found:
+                sums[i] += (-1) ** mask.bit_count()
+        assert [row["sum"] for row in poset.alternating_subset_sums()] == \
+            sums, poset.arr
+
+
+def test_layer_engine_reads_no_subset_alone(example, monkeypatch):
+    # the engine works from the (lattice, #S) states; only the per-subset
+    # view of a poset walks masks, so all else runs with those paths broken
+    def refuse(*args):
+        raise AssertionError("per-subset path taken")
+
+    monkeypatch.setattr(Arrangement, "subset_data", refuse)
+    monkeypatch.setattr(Arrangement, "subset_lattice", refuse)
+    for poset in (enumerate_toric_layers(example),
+                  enumerate_lie_layers(example, 1, (2,))):
+        assert poset.characteristic()
+        assert all(row["ok"] for row in poset.alternating_subset_sums())
+        assert [r["id"] for r in hasse_records(poset)] == list(range(poset.n))
+        with pytest.raises(AssertionError, match="per-subset"):
+            poset.subset_components
 
 
 def _histogram_cases(example, mixed_torsion, torsion_only):
