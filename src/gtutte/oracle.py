@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from itertools import product
 from math import comb, gcd, lcm
+from operator import mul
 
 from . import model
 from .intlinalg import (FGAbelianGroup, IntMatrix, hnf_solve, hom_enumerate,
@@ -48,14 +49,13 @@ def brute_complement_count(arr: Arrangement, q: int, cap: int = ENUM_CAP) -> int
     for e in gamma.torsion:
         g = gcd(e, q)
         ranges.append(range(0, q, q // g))
+    elements = arr.elements
     count = 0
     for phi in product(*ranges):
-        ok = True
-        for vec in arr.elements:
-            if sum(a * x for a, x in zip(vec, phi)) % q == 0:
-                ok = False
+        for vec in elements:
+            if not sum(map(mul, vec, phi)) % q:
                 break
-        if ok:
+        else:
             count += 1
     return count
 
