@@ -9,8 +9,12 @@ floating point and no overflow anywhere.  Two normal forms do all the work:
   reduced into [0, pivot)), whose uniqueness makes it the canonical key for
   sublattices.
 
-Matrices are tiny (a handful of rows/columns), so the classical pivoting
-algorithms are used without any fast-path tricks.
+Matrices are tiny (a handful of rows/columns), and the hot path is the
+lattice fold of `model.LatticeTable`, so two cheap paths exist.
+`hnf_insert` reduces one vector into a canonical HNF on plain row tuples,
+and `hermite_normal_form` is a fold of it.  The SNF loop tracks its
+transforms only for the callers that read them, so `cokernel` pays for the
+diagonal alone.
 """
 
 from __future__ import annotations
@@ -103,47 +107,55 @@ class SmithDecomposition:
         return tuple(d for d in self.D.diagonal() if d != 0)
 
 
-def _snf_worker(m: IntMatrix):
-    """Diagonalize m, tracking U, V and V^-1.  Returns (U, D, V, Vinv) as lists."""
+def _snf_worker(m: IntMatrix, transforms: bool = True):
+    """Diagonalize m.  Returns (U, D, V, Vinv) as lists; the transforms are
+    tracked only when `transforms` is set and are None otherwise."""
     r, c = m.rows, m.cols
     A = [list(row) for row in m.data]
-    U = [[int(i == j) for j in range(r)] for i in range(r)]
-    V = [[int(i == j) for j in range(c)] for i in range(c)]
-    Vinv = [[int(i == j) for j in range(c)] for i in range(c)]
+    U = V = Vinv = None
+    if transforms:
+        U = [[int(i == j) for j in range(r)] for i in range(r)]
+        V = [[int(i == j) for j in range(c)] for i in range(c)]
+        Vinv = [[int(i == j) for j in range(c)] for i in range(c)]
 
     def row_swap(i, j):
         A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
+        if transforms:
+            U[i], U[j] = U[j], U[i]
 
     def row_add(i, j, k):
         # row_i += k * row_j
         Ai, Aj = A[i], A[j]
         for p in range(c):
             Ai[p] += k * Aj[p]
-        Ui, Uj = U[i], U[j]
-        for p in range(r):
-            Ui[p] += k * Uj[p]
+        if transforms:
+            Ui, Uj = U[i], U[j]
+            for p in range(r):
+                Ui[p] += k * Uj[p]
 
     def row_neg(i):
         A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
+        if transforms:
+            U[i] = [-x for x in U[i]]
 
     def col_swap(i, j):
         for row in A:
             row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+        if transforms:
+            for row in V:
+                row[i], row[j] = row[j], row[i]
+            Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def col_add(i, j, k):
         # col_i += k * col_j; inverse transform subtracts on Vinv rows
         for row in A:
             row[i] += k * row[j]
-        for row in V:
-            row[i] += k * row[j]
-        Vi, Vj = Vinv[i], Vinv[j]
-        for p in range(c):
-            Vj[p] -= k * Vi[p]
+        if transforms:
+            for row in V:
+                row[i] += k * row[j]
+            Vi, Vj = Vinv[i], Vinv[j]
+            for p in range(c):
+                Vj[p] -= k * Vi[p]
 
     t = 0
     while t < min(r, c):
@@ -209,41 +221,69 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     )
 
 
+def hnf_insert(rows: tuple, vec) -> tuple:
+    """Canonical HNF rows of the lattice of the canonical HNF `rows` and `vec`.
+
+    `vec` is reduced down the pivot rows: an xgcd step replaces a pivot row
+    only where vec's entry is not a multiple of the pivot, and a nonzero
+    remainder with no pivot in its leading column becomes a new row in
+    place.  Entries above the pivots are then reduced into [0, pivot) from
+    the first changed row down.  When vec already lies in the lattice,
+    `rows` itself is returned.
+    """
+    out = list(rows)
+    v = vec
+    first = None  # index of the first changed row
+    i = 0
+    for j in range(len(v)):
+        a = v[j]
+        if i < len(out) and out[i][j]:
+            # row i's pivot is in column j
+            if a:
+                row = out[i]
+                p = row[j]
+                if a % p:
+                    g, x, y = xgcd(p, a)
+                    b, d = a // g, p // g
+                    out[i] = tuple([x * s + y * t for s, t in zip(row, v)])
+                    v = [d * t - b * s for s, t in zip(row, v)]
+                    if first is None:
+                        first = i
+                else:
+                    q = a // p
+                    v = [t - q * s for s, t in zip(row, v)]
+            i += 1
+        elif a:
+            out.insert(i, tuple(v) if a > 0 else tuple([-t for t in v]))
+            if first is None:
+                first = i
+            break
+    if first is None:
+        return rows
+    for k in range(first, len(out)):
+        pivot_row = out[k]
+        j = k
+        while not pivot_row[j]:
+            j += 1
+        p = pivot_row[j]
+        for t in range(k):
+            q = out[t][j] // p  # floor division leaves the entry in [0, p)
+            if q:
+                out[t] = tuple([s - q * u for s, u in zip(out[t], pivot_row)])
+    return tuple(out)
+
+
 def hermite_normal_form(m: IntMatrix) -> IntMatrix:
     """Canonical row-style Hermite normal form of the row lattice.
 
     Pivots are positive, entries above each pivot lie in [0, pivot), and
     all-zero rows are dropped, so equal lattices give byte-equal results.
+    The rows are folded in one at a time with `hnf_insert`.
     """
-    A = [list(row) for row in m.data]
-    nrows = len(A)
-    pr = 0  # next pivot row
-    for j in range(m.cols):
-        # fold all rows >= pr with a nonzero in column j into one
-        piv = None
-        for i in range(pr, nrows):
-            if A[i][j]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        A[pr], A[piv] = A[piv], A[pr]
-        for i in range(pr + 1, nrows):
-            if not A[i][j]:
-                continue
-            a, b = A[pr][j], A[i][j]
-            g, x, y = xgcd(a, b)
-            ra, rb = A[pr], A[i]
-            A[pr] = [x * p + y * q for p, q in zip(ra, rb)]
-            A[i] = [(-(b // g)) * p + (a // g) * q for p, q in zip(ra, rb)]
-        if A[pr][j] < 0:
-            A[pr] = [-x for x in A[pr]]
-        for i in range(pr):
-            q = A[i][j] // A[pr][j]  # floor division leaves A[i][j] in [0, pivot)
-            if q:
-                A[i] = [p - q * s for p, s in zip(A[i], A[pr])]
-        pr += 1
-    return IntMatrix.from_rows([r for r in A[:pr]], m.cols)
+    rows = ()
+    for vec in m.data:
+        rows = hnf_insert(rows, vec)
+    return IntMatrix(len(rows), m.cols, rows)
 
 
 def hnf_solve(h: IntMatrix, vector) -> tuple | None:
@@ -353,13 +393,13 @@ def cokernel(generators: IntMatrix, ambient: FGAbelianGroup) -> FGAbelianGroup:
     """Invariant-factor presentation of ambient/<generator rows>.
 
     The relations are first reduced to their HNF, at most one row per
-    column, so the SNF transforms stay small on tall or large-entry input.
+    column, and only the SNF diagonal is computed.
     """
     rel = hermite_normal_form(presentation_matrix(generators, ambient))
-    dec = smith_normal_form(rel)
-    nonzero = dec.invariant_factors
-    return FGAbelianGroup(ambient.ngens - len(nonzero),
-                          tuple(d for d in nonzero if d > 1))
+    _, D, _, _ = _snf_worker(rel, transforms=False)
+    # the HNF rows are independent, so each gives one nonzero diagonal entry
+    return FGAbelianGroup(ambient.ngens - rel.rows,
+                          tuple(D[i][i] for i in range(rel.rows) if D[i][i] > 1))
 
 
 def saturation(generators: IntMatrix, ambient: FGAbelianGroup) -> IntMatrix:
@@ -401,6 +441,9 @@ def hom_images(relations: IntMatrix, target_torsion) -> list:
     if any(f < 1 for f in fs):
         raise ValueError("target factors must be positive")
     n = relations.cols
+    # reduced to HNF first, as in cokernel, so the transforms stay small
+    # on tall or large-entry input; the row lattice, hence the homs, is kept
+    relations = hermite_normal_form(relations)
     m = relations.rows
     _, D, V, _ = _snf_worker(relations)
     # x solves R x = 0 iff x = V y with d_i y_i = 0 per coordinate

@@ -22,7 +22,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .intlinalg import (FGAbelianGroup, IntMatrix, cokernel, hermite_normal_form,
-                        presentation_matrix, saturation)
+                        hnf_insert, presentation_matrix, saturation)
 
 MAX_ELEMENTS = 24  # the subset histogram may meet up to 2^n distinct lattices
 
@@ -143,7 +143,9 @@ class LatticeTable:
 
     Lattices are canonical HNF matrices, numbered in order of discovery;
     id 0 holds the torsion relations alone.  `child` maps (lattice id,
-    vector) to the id of the lattice that the vector joins, and each
+    vector) to the id of the lattice that the vector joins: `add` reduces
+    the vector into the parent's HNF rows with `hnf_insert` and looks the
+    resulting rows up, so a matrix is built only for a new lattice.  Each
     lattice's quotient and saturated span are computed at most once.
     """
 
@@ -151,6 +153,7 @@ class LatticeTable:
         self.gamma = gamma
         start = hermite_normal_form(
             presentation_matrix(IntMatrix.from_rows([], gamma.ngens), gamma))
+        self._free = FGAbelianGroup(gamma.ngens)
         self.lattices = [start]
         self._ids = {start.data: 0}
         self.child: dict = {}   # (lattice id, vector) -> lattice id
@@ -159,21 +162,21 @@ class LatticeTable:
 
     def add(self, lat: int, vec: tuple) -> int:
         """Id of lattice `lat` joined by `vec`, recorded in `child`."""
-        parent = self.lattices[lat]
-        h = hermite_normal_form(
-            IntMatrix(parent.rows + 1, parent.cols, parent.data + (vec,)))
-        c = self._ids.get(h.data)
+        rows = hnf_insert(self.lattices[lat].data, vec)
+        c = self._ids.get(rows)
         if c is None:
-            c = self._ids[h.data] = len(self.lattices)
-            self.lattices.append(h)
+            c = self._ids[rows] = len(self.lattices)
+            self.lattices.append(IntMatrix(len(rows), self.gamma.ngens, rows))
         self.child[lat, vec] = c
         return c
 
     def quotient(self, lat: int) -> FGAbelianGroup:
-        """gamma modulo the lattice (memoized)."""
+        """gamma modulo the lattice (memoized).  The lattice holds the
+        torsion relations already, so it presents the quotient of the free
+        group on gamma's generators."""
         quot = self._quotients.get(lat)
         if quot is None:
-            quot = self._quotients[lat] = cokernel(self.lattices[lat], self.gamma)
+            quot = self._quotients[lat] = cokernel(self.lattices[lat], self._free)
         return quot
 
     def span(self, lat: int) -> IntMatrix:

@@ -5,10 +5,11 @@ import pytest
 
 from gtutte.intlinalg import (DimensionMismatch, FGAbelianGroup, IntMatrix,
                               cokernel, determinant, hermite_normal_form,
-                              hnf_solve, hom_enumerate,
+                              hnf_insert, hnf_solve, hom_enumerate,
                               presentation_matrix, saturation,
                               smith_normal_form, xgcd)
 from gtutte.model import hom_count
+from gtutte.oracle import battery_instances
 
 Z2 = FGAbelianGroup(2)
 
@@ -97,10 +98,76 @@ def test_hnf_idempotent_and_row_space_preserving():
         assert hermite_normal_form(h).data == h.data
         for row in m.data:
             assert hnf_solve(h, row) is not None
-        for row in h.data:
-            # each HNF row lies in the lattice of the original rows
-            h2 = hermite_normal_form(m)
-            assert hnf_solve(h2, row) is not None
+        # each HNF row lies in the lattice of the original rows: stacking
+        # them onto m leaves the (canonical) HNF of m unchanged
+        stacked = IntMatrix.from_rows(list(m.data) + list(h.data), c)
+        assert hermite_normal_form(stacked).data == h.data
+
+
+def _random_unimodular_rows(rng, data, steps, bound):
+    """The rows after `steps` random swaps, negations and row additions."""
+    out = [list(r) for r in data]
+    for _ in range(steps):
+        if len(out) < 2:
+            if out and rng.random() < 0.5:
+                out[0] = [-x for x in out[0]]
+            continue
+        i, j = rng.sample(range(len(out)), 2)
+        op = rng.randrange(3)
+        if op == 0:
+            out[i], out[j] = out[j], out[i]
+        elif op == 1:
+            out[i] = [-x for x in out[i]]
+        else:
+            k = rng.randint(-bound, bound)
+            out[i] = [a + k * b for a, b in zip(out[i], out[j])]
+    return out
+
+
+def _assert_canonical_hnf(h):
+    # echelon form, positive pivots, entries above each pivot in [0, pivot)
+    last = -1
+    for k, row in enumerate(h.data):
+        assert any(row), h
+        j = next(j for j, x in enumerate(row) if x)
+        assert j > last and row[j] > 0, h
+        last = j
+        for above in h.data[:k]:
+            assert 0 <= above[j] < row[j], h
+
+
+def test_hnf_canonical_under_unimodular_row_operations():
+    # the HNF is a function of the lattice alone: a unimodular transform of
+    # the rows (square, tall, rank-deficient, large entries) gives the same
+    # rows, whatever the order in which the fold meets them
+    rng = random.Random(17)
+    for trial in range(300):
+        c = rng.randint(1, 5)
+        tall, large = trial % 3 == 1, trial % 3 == 2
+        r = rng.randint(c + 1, c + 4) if tall else rng.randint(0, c)
+        bound = 1000 if large else 6
+        base = [[rng.randint(-bound, bound) for _ in range(c)]
+                for _ in range(r)]
+        if r > 1 and rng.random() < 0.3:
+            # a dependent row, so that rank < row count
+            base[-1] = [2 * a - 3 * b for a, b in zip(base[0], base[1])]
+        m = IntMatrix.from_rows(base, c)
+        h = hermite_normal_form(m)
+        _assert_canonical_hnf(h)
+        moved = _random_unimodular_rows(rng, base, rng.randint(1, 12), 3)
+        assert hermite_normal_form(IntMatrix.from_rows(moved, c)).data \
+            == h.data, base
+        # inserting one vector agrees with the HNF of all the rows
+        v = tuple(rng.randint(-bound, bound) for _ in range(c))
+        inserted = hnf_insert(h.data, v)
+        assert inserted == hermite_normal_form(
+            IntMatrix.from_rows(moved + [list(v)], c)).data, (base, v)
+        _assert_canonical_hnf(IntMatrix(len(inserted), c, inserted))
+        # a vector of the lattice changes nothing: the rows come back as is
+        coeffs = [rng.randint(-3, 3) for _ in h.data]
+        member = tuple(sum(k * row[j] for k, row in zip(coeffs, h.data))
+                       for j in range(c))
+        assert hnf_insert(h.data, member) is h.data
 
 
 def test_cokernel_examples():
@@ -211,6 +278,27 @@ def test_hom_enumerate_relations_map_to_zero():
                 assert not any(img)
 
 
+def test_hom_enumerate_large_entry_relations():
+    # tall large-entry relations used to reach the SNF unreduced; the
+    # transforms then grew so fast that one of these inputs ran for over
+    # nine minutes
+    rng = random.Random(22)
+    gamma = FGAbelianGroup(3)
+    start = time.perf_counter()
+    for _ in range(40):
+        gens = IntMatrix.from_rows(
+            [[rng.randint(-1000, 1000) for _ in range(3)] for _ in range(4)], 3)
+        target = rng.choice([(2,), (3,), (4,), (2, 6), (12,)])
+        homs = hom_enumerate(gens, gamma, target)
+        assert len(homs) == hom_count(cokernel(gens, gamma), target), gens
+        for h in homs:
+            for rel in gens.data:
+                img = [sum(a * h[i][t] for i, a in enumerate(rel)) % target[t]
+                       for t in range(len(target))]
+                assert not any(img), (gens, h)
+    assert time.perf_counter() - start < 2.0
+
+
 def test_hom_count_matches_enumeration_small_groups():
     sources = [(), (2,), (3,), (4,), (6,), (2, 2), (2, 4), (3, 3)]
     targets = [(2,), (3,), (4,), (6,), (2, 2), (8,), (2, 4)]
@@ -261,3 +349,20 @@ def test_cokernel_matches_sympy_smith_form():
         quot = cokernel(gens, gamma)
         assert quot.free_rank == gamma.ngens - len(nonzero), gens
         assert quot.torsion == tuple(x for x in nonzero if x > 1), gens
+
+
+def test_cokernel_diagonal_matches_tracked_smith_form(example, mixed_torsion):
+    # cokernel diagonalizes without transforms; smith_normal_form tracks
+    # them.  Both must give the same invariant factors on every lattice the
+    # subset fold meets, and so must the lattice table's own quotient.
+    for arr in battery_instances(0, 40) + [example, mixed_torsion]:
+        gamma = arr.gamma
+        arr.lattice_states()
+        table = arr.lattice_table()
+        for lat, lattice in enumerate(table.lattices):
+            factors = smith_normal_form(
+                presentation_matrix(lattice, gamma)).invariant_factors
+            expected = FGAbelianGroup(gamma.ngens - len(factors),
+                                      tuple(d for d in factors if d > 1))
+            assert cokernel(lattice, gamma) == expected, (arr, lattice)
+            assert table.quotient(lat) == expected, (arr, lattice)
