@@ -246,7 +246,8 @@ def cmd_lie_layers(args) -> int:
     else:
         indices = list(poset.all_indices())
         p = lie.total_characteristic(arr, args.g, fs, poset)
-    shapes = component_shapes(poset, indices)
+    pairs = poset.covers(indices)
+    shapes = component_shapes(poset, indices, pairs)
     payload = {
         "layer_count": len(indices),
         "minimal_count": sum(1 for i in indices if poset.layers[i].rank == 0),
@@ -254,7 +255,7 @@ def cmd_lie_layers(args) -> int:
         "component_shapes": [
             {"layers": s[0], "ranks": list(s[1]), "dims": list(s[2]),
              "covers": s[3], "count": c} for s, c in shapes],
-        "layers": hasse_records(poset, indices),
+        "layers": hasse_records(poset, indices, pairs),
     }
     _emit(payload)
     if args.dot:

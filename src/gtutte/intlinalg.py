@@ -10,17 +10,19 @@ floating point and no overflow anywhere.  Two normal forms do all the work:
   sublattices.
 
 Matrices are tiny (a handful of rows/columns), and the hot path is the
-lattice fold of `model.LatticeTable`, so two cheap paths exist.
-`hnf_insert` reduces one vector into a canonical HNF on plain row tuples,
-and `hermite_normal_form` is a fold of it.  The SNF loop tracks its
-transforms only for the callers that read them, so `cokernel` pays for the
-diagonal alone.
+lattice fold of `model.LatticeTable`, so two cheap paths on plain row
+tuples exist.  `hnf_insert` reduces one vector into a canonical HNF, and
+`hermite_normal_form` is a fold of it that returns a canonical HNF as it
+is.  `hnf_invariant_factors` reads the invariant factors of a quotient
+straight off the canonical HNF of its relations, with no transforms, so
+`cokernel` builds no SNF; the SNF with transforms serves the callers that
+read them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 
 
@@ -107,55 +109,47 @@ class SmithDecomposition:
         return tuple(d for d in self.D.diagonal() if d != 0)
 
 
-def _snf_worker(m: IntMatrix, transforms: bool = True):
-    """Diagonalize m.  Returns (U, D, V, Vinv) as lists; the transforms are
-    tracked only when `transforms` is set and are None otherwise."""
+def _snf_worker(m: IntMatrix):
+    """Diagonalize m, tracking U, V and V^-1.  Returns (U, D, V, Vinv) as lists."""
     r, c = m.rows, m.cols
     A = [list(row) for row in m.data]
-    U = V = Vinv = None
-    if transforms:
-        U = [[int(i == j) for j in range(r)] for i in range(r)]
-        V = [[int(i == j) for j in range(c)] for i in range(c)]
-        Vinv = [[int(i == j) for j in range(c)] for i in range(c)]
+    U = [[int(i == j) for j in range(r)] for i in range(r)]
+    V = [[int(i == j) for j in range(c)] for i in range(c)]
+    Vinv = [[int(i == j) for j in range(c)] for i in range(c)]
 
     def row_swap(i, j):
         A[i], A[j] = A[j], A[i]
-        if transforms:
-            U[i], U[j] = U[j], U[i]
+        U[i], U[j] = U[j], U[i]
 
     def row_add(i, j, k):
         # row_i += k * row_j
         Ai, Aj = A[i], A[j]
         for p in range(c):
             Ai[p] += k * Aj[p]
-        if transforms:
-            Ui, Uj = U[i], U[j]
-            for p in range(r):
-                Ui[p] += k * Uj[p]
+        Ui, Uj = U[i], U[j]
+        for p in range(r):
+            Ui[p] += k * Uj[p]
 
     def row_neg(i):
         A[i] = [-x for x in A[i]]
-        if transforms:
-            U[i] = [-x for x in U[i]]
+        U[i] = [-x for x in U[i]]
 
     def col_swap(i, j):
         for row in A:
             row[i], row[j] = row[j], row[i]
-        if transforms:
-            for row in V:
-                row[i], row[j] = row[j], row[i]
-            Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
+        for row in V:
+            row[i], row[j] = row[j], row[i]
+        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def col_add(i, j, k):
         # col_i += k * col_j; inverse transform subtracts on Vinv rows
         for row in A:
             row[i] += k * row[j]
-        if transforms:
-            for row in V:
-                row[i] += k * row[j]
-            Vi, Vj = Vinv[i], Vinv[j]
-            for p in range(c):
-                Vj[p] -= k * Vi[p]
+        for row in V:
+            row[i] += k * row[j]
+        Vi, Vj = Vinv[i], Vinv[j]
+        for p in range(c):
+            Vj[p] -= k * Vi[p]
 
     t = 0
     while t < min(r, c):
@@ -278,12 +272,106 @@ def hermite_normal_form(m: IntMatrix) -> IntMatrix:
 
     Pivots are positive, entries above each pivot lie in [0, pivot), and
     all-zero rows are dropped, so equal lattices give byte-equal results.
-    The rows are folded in one at a time with `hnf_insert`.
+    The rows are folded in one at a time with `hnf_insert`; rows that are
+    a canonical HNF already come back as they are.
     """
+    if _is_canonical_hnf(m.data):
+        return m
     rows = ()
     for vec in m.data:
         rows = hnf_insert(rows, vec)
     return IntMatrix(len(rows), m.cols, rows)
+
+
+def _is_canonical_hnf(rows) -> bool:
+    """Whether `rows` are a canonical HNF: nonzero rows whose positive pivots
+    move right, with the entries above each pivot in [0, pivot)."""
+    last = -1
+    for k, row in enumerate(rows):
+        j = last + 1
+        if any(row[:j]):
+            return False
+        while j < len(row) and not row[j]:
+            j += 1
+        if j == len(row) or row[j] < 0:
+            return False
+        p = row[j]
+        for above in rows[:k]:
+            if not 0 <= above[j] < p:
+                return False
+        last = j
+    return True
+
+
+def hnf_invariant_factors(rows: tuple) -> tuple:
+    """Invariant factors > 1 of Z^c / <rows>, for canonical HNF `rows`.
+
+    A unit pivot is alone in its column (the entries above it lie in
+    [0, 1)), so column operations clear the rest of its row and it splits
+    off a trivial factor: those rows are dropped first.  One row left gives
+    the gcd of its entries.  Two rows, or a full-rank 3x3 (upper
+    triangular) block, give their determinantal divisors D1 = gcd of the
+    entries, D2 = gcd of the 2x2 minors and D3 = the product of the pivots,
+    and the invariant factors D1, D2/D1, D3/D2.  Any other shape is
+    diagonalized by elimination, without transforms.
+    """
+    kept = []
+    j = 0
+    for row in rows:
+        while not row[j]:  # the pivots move right
+            j += 1
+        if row[j] != 1:
+            kept.append(row)
+    rows = kept
+    if len(rows) <= 1:
+        d = gcd(*rows[0]) if rows else 1
+        return (d,) if d > 1 else ()
+    c = len(rows[0])
+    if len(rows) == 2 or len(rows) == c == 3:
+        d1 = gcd(*(x for row in rows for x in row))
+        d2 = gcd(*(r[i] * s[j] - r[j] * s[i] for r, s in combinations(rows, 2)
+                   for i, j in combinations(range(c), 2)))
+        factors = [d1, d2 // d1]
+        if len(rows) == 3:
+            factors.append(rows[0][0] * rows[1][1] * rows[2][2] // d2)
+        return tuple(d for d in factors if d > 1)
+    A = [list(row) for row in rows]
+    factors = []
+    while A:
+        # the entry of least magnitude is the pivot; the rows are
+        # independent, so there is one until every row is used up
+        p = 0
+        for i, row in enumerate(A):
+            for j, x in enumerate(row):
+                if x and (not p or abs(x) < p):
+                    p, pi, pj = abs(x), i, j
+        prow = A[pi]
+        a = prow[pj]
+        clear = True
+        for i, row in enumerate(A):
+            if i != pi and row[pj]:
+                q = row[pj] // a
+                A[i] = row = [s - q * t for s, t in zip(row, prow)]
+                clear = clear and not row[pj]
+        for j, x in enumerate(prow):
+            if j != pj and x:
+                q = x // a
+                for row in A:
+                    row[j] -= q * row[pj]
+                clear = clear and not prow[j]
+        if not clear:
+            continue  # a nonzero remainder is a smaller pivot
+        # divisibility fix-up: the pivot must divide the rest, else the
+        # row holding an offender is added to the pivot row
+        offender = next((row for row in A if any(x % a for x in row)), None)
+        if offender is not None:
+            A[pi] = [s + t for s, t in zip(prow, offender)]
+            continue
+        factors.append(p)
+        del A[pi]
+        for row in A:
+            del row[pj]
+    return tuple(d for d in factors if d > 1)
 
 
 def hnf_solve(h: IntMatrix, vector) -> tuple | None:
@@ -375,11 +463,14 @@ class FGAbelianGroup:
 
 def presentation_matrix(generators: IntMatrix, ambient: FGAbelianGroup) -> IntMatrix:
     """Relation matrix presenting ambient/<rows>: the generator rows stacked
-    over the ambient torsion relations diag(0,...,0,e_1,...,e_s)."""
+    over the ambient torsion relations diag(0,...,0,e_1,...,e_s), or the
+    generators themselves when the ambient is free."""
     n = ambient.ngens
     if generators.cols != n:
         raise DimensionMismatch(
             f"generators have {generators.cols} coordinates, ambient needs {n}")
+    if not ambient.torsion:
+        return generators
     rows = [list(r) for r in generators.data]
     f = ambient.free_rank
     for i, e in enumerate(ambient.torsion):
@@ -393,13 +484,10 @@ def cokernel(generators: IntMatrix, ambient: FGAbelianGroup) -> FGAbelianGroup:
     """Invariant-factor presentation of ambient/<generator rows>.
 
     The relations are first reduced to their HNF, at most one row per
-    column, and only the SNF diagonal is computed.
+    column, whose invariant factors `hnf_invariant_factors` reads.
     """
     rel = hermite_normal_form(presentation_matrix(generators, ambient))
-    _, D, _, _ = _snf_worker(rel, transforms=False)
-    # the HNF rows are independent, so each gives one nonzero diagonal entry
-    return FGAbelianGroup(ambient.ngens - rel.rows,
-                          tuple(D[i][i] for i in range(rel.rows) if D[i][i] > 1))
+    return FGAbelianGroup(ambient.ngens - rel.rows, hnf_invariant_factors(rel.data))
 
 
 def saturation(generators: IntMatrix, ambient: FGAbelianGroup) -> IntMatrix:

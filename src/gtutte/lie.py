@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .intlinalg import hom_enumerate
+from .intlinalg import FGAbelianGroup, hom_enumerate
 from .invariants import checked, g_characteristic
 from .model import Arrangement, GroupSpec
 from .poly import UniPoly, scale_variable
@@ -39,9 +39,12 @@ def enumerate_lie_layers(arr: Arrangement, g: int, f_torsion=(),
         raise ValueError("g must be >= 1; use leading_part for g = 0")
     spec = GroupSpec(f_torsion=f_torsion, reals=g)
     fs = spec.f_torsion
+    # the lattice holds the torsion relations, so it presents its quotient
+    # of the free group on gamma's generators
+    free = FGAbelianGroup(arr.gamma.ngens)
 
     def homs(lattice, span):
-        return hom_enumerate(lattice, arr.gamma, fs)
+        return hom_enumerate(lattice, free, fs)
 
     def describe(span, chi):
         order = lcm(*(m // gcd(m, *(img[t] for img in chi))

@@ -146,7 +146,9 @@ class LatticeTable:
     vector) to the id of the lattice that the vector joins: `add` reduces
     the vector into the parent's HNF rows with `hnf_insert` and looks the
     resulting rows up, so a matrix is built only for a new lattice.  Each
-    lattice's quotient and saturated span are computed at most once.
+    lattice's quotient and saturated span are computed at most once; the
+    quotient's invariant factors are read straight off the canonical HNF
+    rows, with no re-reduction and no SNF.
     """
 
     def __init__(self, gamma: FGAbelianGroup):
@@ -172,8 +174,8 @@ class LatticeTable:
 
     def quotient(self, lat: int) -> FGAbelianGroup:
         """gamma modulo the lattice (memoized).  The lattice holds the
-        torsion relations already, so it presents the quotient of the free
-        group on gamma's generators."""
+        torsion relations already, so its canonical HNF rows present the
+        quotient of the free group on gamma's generators as they are."""
         quot = self._quotients.get(lat)
         if quot is None:
             quot = self._quotients[lat] = cokernel(self.lattices[lat], self._free)

@@ -24,6 +24,7 @@ a single bottom-up sweep computes every Möbius value mu(component(C), C).
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -305,19 +306,24 @@ def mobius_all(poset: LayerPoset) -> LayerPoset:
     return poset
 
 
-def component_shapes(poset: LayerPoset, indices=None) -> list:
+def component_shapes(poset: LayerPoset, indices=None, pairs=None) -> list:
     """Group components by the shape of their induced subposet.
 
     The shape signature is (layer count, sorted rank multiset, sorted dim
     multiset, cover count): coarse, but it separates the small diagrams that
-    occur at desk scale (chains, diamonds, ...).  Returns (shape, count)
+    occur at desk scale (chains, diamonds, ...).  The cover pairs are those
+    induced on the whole selection, if already known: no pair crosses two
+    components, since strict_downs stays inside one.  Returns (shape, count)
     pairs with a deterministic order.
     """
     if indices is None:
         indices = poset.all_indices()
+    if pairs is None:
+        pairs = poset.covers(indices)
     members: dict = {}
     for i in indices:
         members.setdefault(poset.component_of[i], []).append(i)
+    cover_counts = Counter(poset.component_of[j] for _, j in pairs)
     shapes: dict = {}
     for root in sorted(members):
         idxs = members[root]
@@ -325,7 +331,7 @@ def component_shapes(poset: LayerPoset, indices=None) -> list:
             len(idxs),
             tuple(sorted(poset.layers[i].rank for i in idxs)),
             tuple(sorted(poset.layers[i].dim for i in idxs)),
-            len(poset.covers(idxs)),
+            cover_counts[root],
         )
         shapes[sig] = shapes.get(sig, 0) + 1
     return sorted(shapes.items())

@@ -45,7 +45,9 @@ def enumerate_toric_layers(arr: Arrangement, max_layers: int = MAX_LAYERS) -> La
                 raise IdentityCheckError("lattice row escaped its own saturation")
             gens.append(coeffs + row[f:])
         gens_m = IntMatrix.from_rows(gens, span.rows + len(gamma.torsion))
-        homs = hom_enumerate(gens_m, FGAbelianGroup(span.rows, gamma.torsion),
+        # the torsion relations are lattice rows already, so gens_m presents
+        # the quotient of the free group on the span and torsion generators
+        homs = hom_enumerate(gens_m, FGAbelianGroup(gens_m.cols),
                              (arr.lcm_period(),))
         return [tuple(img[0] for img in h) for h in homs]
 

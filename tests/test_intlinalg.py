@@ -5,7 +5,8 @@ import pytest
 
 from gtutte.intlinalg import (DimensionMismatch, FGAbelianGroup, IntMatrix,
                               cokernel, determinant, hermite_normal_form,
-                              hnf_insert, hnf_solve, hom_enumerate,
+                              hnf_insert, hnf_invariant_factors, hnf_solve,
+                              hom_enumerate,
                               presentation_matrix, saturation,
                               smith_normal_form, xgcd)
 from gtutte.model import hom_count
@@ -366,3 +367,57 @@ def test_cokernel_diagonal_matches_tracked_smith_form(example, mixed_torsion):
                                       tuple(d for d in factors if d > 1))
             assert cokernel(lattice, gamma) == expected, (arr, lattice)
             assert table.quotient(lat) == expected, (arr, lattice)
+
+
+def _random_canonical_hnf(rng, r, c, bound, unit_share):
+    """Canonical HNF rows with r pivots among c columns: positive pivots, a
+    share of them 1, entries above each pivot in [0, pivot) and entries of
+    the non-pivot columns in [-bound, bound]."""
+    cols = sorted(rng.sample(range(c), r))
+    pivots = {j: 1 if rng.random() < unit_share else rng.randint(2, bound)
+              for j in cols}
+    out = []
+    for j0 in cols:
+        row = [0] * c
+        row[j0] = pivots[j0]
+        for j in range(j0 + 1, c):
+            row[j] = rng.randrange(pivots[j]) if j in pivots \
+                else rng.randint(-bound, bound)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def test_hnf_invariant_factors_matches_smith_forms():
+    # the kernel reads the invariant factors straight off a canonical HNF;
+    # the transform-tracking SNF and sympy's Smith form are its oracles.
+    # Every third input is a full-rank 3x3 HNF without unit pivots, the
+    # shape read off its determinantal divisors; the others have every
+    # shape up to 5x5, from no rows to full rank, with unit pivots (which
+    # split off) and non-pivot columns
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    rng = random.Random(29)
+    for trial in range(900):
+        bound = 1000 if trial % 2 else 6
+        if trial % 3 == 0:
+            rows = _random_canonical_hnf(rng, 3, 3, bound, 0.0)
+            c = 3
+        else:
+            c = rng.randint(1, 5)
+            rows = _random_canonical_hnf(rng, rng.randint(0, c), c, bound, 0.3)
+        m = IntMatrix(len(rows), c, rows)
+        assert hermite_normal_form(m).data == rows  # the input is canonical
+        factors = hnf_invariant_factors(rows)
+        # the tracked SNF's entries explode on some HNFs of four or more
+        # rows with entries near 1000 (one 5x5 ran for over 100 s), so
+        # those are checked against sympy alone
+        if len(rows) <= 3 or bound < 1000:
+            tracked = smith_normal_form(m).invariant_factors
+            assert factors == tuple(d for d in tracked if d > 1), rows
+        if rows:
+            d = sympy_snf(Matrix(rows), domain=ZZ)
+            nonzero = [abs(int(d[i, i])) for i in range(min(d.shape)) if d[i, i]]
+            assert len(nonzero) == len(rows), rows
+            assert factors == tuple(x for x in nonzero if x > 1), rows
+        assert cokernel(m, FGAbelianGroup(c)) == \
+            FGAbelianGroup(c - len(rows), factors), rows
