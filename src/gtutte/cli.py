@@ -221,16 +221,17 @@ def cmd_toric_layers(args) -> int:
     else:
         p = toric.total_characteristic(arr, poset)
     pairs = poset.covers(indices)
+    records = hasse_records(poset, indices, pairs)
     payload = {
         "layer_count": len(indices),
         "cover_count": len(pairs),
         "polynomial": p.serialize(),
-        "layers": hasse_records(poset, indices, pairs),
+        "layers": records,
     }
     _emit(payload)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(export_hasse(poset, indices))
+            fh.write(export_hasse(records))
     print(f"{len(indices)} layers selected of {poset.n}; {poly_str(p)}",
           file=sys.stderr)
     return 0
@@ -248,6 +249,7 @@ def cmd_lie_layers(args) -> int:
         p = lie.total_characteristic(arr, args.g, fs, poset)
     pairs = poset.covers(indices)
     shapes = component_shapes(poset, indices, pairs)
+    records = hasse_records(poset, indices, pairs)
     payload = {
         "layer_count": len(indices),
         "minimal_count": sum(1 for i in indices if poset.layers[i].rank == 0),
@@ -255,12 +257,12 @@ def cmd_lie_layers(args) -> int:
         "component_shapes": [
             {"layers": s[0], "ranks": list(s[1]), "dims": list(s[2]),
              "covers": s[3], "count": c} for s, c in shapes],
-        "layers": hasse_records(poset, indices, pairs),
+        "layers": records,
     }
     _emit(payload)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(export_hasse(poset, indices))
+            fh.write(export_hasse(records))
     print(f"{len(indices)} layers; {poly_str(p)}; component shapes "
           + ", ".join(f"{c} x ({s[0]} layers, {s[3]} covers)"
                       for s, c in shapes),

@@ -3,20 +3,23 @@
 Everything works with arbitrary-precision Python integers; there is no
 floating point and no overflow anywhere.  Two normal forms do all the work:
 
-* Smith normal form with unimodular transforms, which presents quotient
-  groups by invariant factors and solves homomorphism equations.
 * Row-style Hermite normal form (positive pivots, entries above each pivot
   reduced into [0, pivot)), whose uniqueness makes it the canonical key for
-  sublattices.
+  sublattices.  `hnf_insert` reduces one vector into a canonical HNF, and
+  `hermite_normal_form` is a fold of it that returns a canonical HNF as it
+  is.
+* Smith normal form, by one elimination (`_smith`) on a list of rows.
+  A caller that reads a transform borders the block with identity rows or
+  columns, which the same operations turn into U or V.
 
 Matrices are tiny (a handful of rows/columns), and the hot path is the
-lattice fold of `model.LatticeTable`, so two cheap paths on plain row
-tuples exist.  `hnf_insert` reduces one vector into a canonical HNF, and
-`hermite_normal_form` is a fold of it that returns a canonical HNF as it
-is.  `hnf_invariant_factors` reads the invariant factors of a quotient
-straight off the canonical HNF of its relations, with no transforms, so
-`cokernel` builds no SNF; the SNF with transforms serves the callers that
-read them.
+lattice fold of `model.LatticeTable`, on plain row tuples.
+`hnf_invariant_factors` reads the invariant factors of a quotient straight
+off the canonical HNF of its relations, by closed forms where the shape
+allows and by the elimination without borders otherwise, so `cokernel`
+tracks no transforms.  `smith_normal_form`, `saturation` and `hom_images`
+run the same elimination with the borders they read, `saturation` and
+`hom_images` on the HNF of their input so the transforms stay small.
 """
 
 from __future__ import annotations
@@ -96,7 +99,8 @@ class IntMatrix:
 class SmithDecomposition:
     """U @ M @ V == D with U, V unimodular and D diagonal, d_1 | d_2 | ...
 
-    Diagonal entries are nonnegative and zeros come last.
+    Diagonal entries are nonnegative and zeros come last.  U and V are read
+    off the identity borders of the elimination, not kept separately.
     """
 
     U: IntMatrix
@@ -109,109 +113,72 @@ class SmithDecomposition:
         return tuple(d for d in self.D.diagonal() if d != 0)
 
 
-def _snf_worker(m: IntMatrix):
-    """Diagonalize m, tracking U, V and V^-1.  Returns (U, D, V, Vinv) as lists."""
-    r, c = m.rows, m.cols
-    A = [list(row) for row in m.data]
-    U = [[int(i == j) for j in range(r)] for i in range(r)]
-    V = [[int(i == j) for j in range(c)] for i in range(c)]
-    Vinv = [[int(i == j) for j in range(c)] for i in range(c)]
+def _smith(A: list, r: int, c: int) -> int:
+    """Diagonalize the leading r x c block of the rows A in place; return
+    the rank.
 
-    def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def row_add(i, j, k):
-        # row_i += k * row_j
-        Ai, Aj = A[i], A[j]
-        for p in range(c):
-            Ai[p] += k * Aj[p]
-        Ui, Uj = U[i], U[j]
-        for p in range(r):
-            Ui[p] += k * Uj[p]
-
-    def row_neg(i):
-        A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
-
-    def col_swap(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
-
-    def col_add(i, j, k):
-        # col_i += k * col_j; inverse transform subtracts on Vinv rows
-        for row in A:
-            row[i] += k * row[j]
-        for row in V:
-            row[i] += k * row[j]
-        Vi, Vj = Vinv[i], Vinv[j]
-        for p in range(c):
-            Vj[p] -= k * Vi[p]
-
+    Each pivot is the entry of least magnitude in the trailing block.  Its
+    column and its row are reduced, and a nonzero remainder becomes the
+    next, smaller pivot; a pivot that does not divide the rest of the block
+    gets an offending row added to its row.  The diagonal ends up
+    nonnegative, d_1 | d_2 | ..., with the zeros last.  Row operations act
+    on whole rows and column operations on every row of A, so an identity
+    border to the right of the block records U and one below it records V.
+    """
     t = 0
     while t < min(r, c):
-        # smallest-magnitude nonzero pivot in the trailing submatrix
-        best = None
+        p = 0
         for i in range(t, r):
+            row = A[i]
             for j in range(t, c):
-                v = A[i][j]
-                if v and (best is None or abs(v) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+                x = row[j]
+                if x and (not p or abs(x) < p):
+                    p, pi, pj = abs(x), i, j
+        if not p:
             break
-        if best[0] != t:
-            row_swap(t, best[0])
-        if best[1] != t:
-            col_swap(t, best[1])
-
-        while True:
-            # euclidean sweeps; swaps strictly shrink |pivot|, so this halts
-            for i in range(t + 1, r):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    row_add(i, t, -q)
-                    if A[i][t]:
-                        row_swap(i, t)
-            for j in range(t + 1, c):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    col_add(j, t, -q)
-                    if A[t][j]:
-                        col_swap(j, t)
-            if not any(A[i][t] for i in range(t + 1, r)) and \
-               not any(A[t][j] for j in range(t + 1, c)):
-                break
-
-        # divisibility fix-up: pivot must divide the whole trailing block
-        offender = None
+        A[t], A[pi] = A[pi], A[t]
+        if pj != t:
+            for row in A:
+                row[t], row[pj] = row[pj], row[t]
+        prow = A[t]
+        a = prow[t]
+        clear = True
         for i in range(t + 1, r):
-            for j in range(t + 1, c):
-                if A[i][j] % A[t][t]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+            row = A[i]
+            if row[t]:
+                q = row[t] // a
+                A[i] = row = [s - q * u for s, u in zip(row, prow)]
+                clear = clear and not row[t]
+        for j in range(t + 1, c):
+            if prow[j]:
+                q = prow[j] // a
+                for row in A:
+                    row[j] -= q * row[t]
+                clear = clear and not prow[j]
+        if not clear:
+            continue  # a nonzero remainder is a smaller pivot
+        offender = next((A[i] for i in range(t + 1, r)
+                         if any(A[i][j] % a for j in range(t + 1, c))), None)
         if offender is not None:
-            row_add(t, offender, 1)
+            A[t] = [s + u for s, u in zip(prow, offender)]
             continue
-
-        if A[t][t] < 0:
-            row_neg(t)
+        if a < 0:
+            A[t] = [-s for s in prow]
         t += 1
-
-    return U, A, V, Vinv
+    return t
 
 
 def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
     """Smith normal form with transforms: U @ m @ V == D exactly."""
-    U, D, V, _ = _snf_worker(m)
+    r, c = m.rows, m.cols
+    A = [list(row) + [int(i == k) for k in range(r)]
+         for i, row in enumerate(m.data)]
+    A += [[int(i == j) for j in range(c)] + [0] * r for i in range(c)]
+    _smith(A, r, c)
     return SmithDecomposition(
-        IntMatrix.from_rows(U, m.rows),
-        IntMatrix.from_rows(D, m.cols),
-        IntMatrix.from_rows(V, m.cols),
+        IntMatrix.from_rows([row[c:] for row in A[:r]], r),
+        IntMatrix.from_rows([row[:c] for row in A[:r]], c),
+        IntMatrix.from_rows([row[:c] for row in A[r:]], c),
     )
 
 
@@ -313,7 +280,7 @@ def hnf_invariant_factors(rows: tuple) -> tuple:
     triangular) block, give their determinantal divisors D1 = gcd of the
     entries, D2 = gcd of the 2x2 minors and D3 = the product of the pivots,
     and the invariant factors D1, D2/D1, D3/D2.  Any other shape is
-    diagonalized by elimination, without transforms.
+    diagonalized by `_smith`, with no border.
     """
     kept = []
     j = 0
@@ -336,42 +303,8 @@ def hnf_invariant_factors(rows: tuple) -> tuple:
             factors.append(rows[0][0] * rows[1][1] * rows[2][2] // d2)
         return tuple(d for d in factors if d > 1)
     A = [list(row) for row in rows]
-    factors = []
-    while A:
-        # the entry of least magnitude is the pivot; the rows are
-        # independent, so there is one until every row is used up
-        p = 0
-        for i, row in enumerate(A):
-            for j, x in enumerate(row):
-                if x and (not p or abs(x) < p):
-                    p, pi, pj = abs(x), i, j
-        prow = A[pi]
-        a = prow[pj]
-        clear = True
-        for i, row in enumerate(A):
-            if i != pi and row[pj]:
-                q = row[pj] // a
-                A[i] = row = [s - q * t for s, t in zip(row, prow)]
-                clear = clear and not row[pj]
-        for j, x in enumerate(prow):
-            if j != pj and x:
-                q = x // a
-                for row in A:
-                    row[j] -= q * row[pj]
-                clear = clear and not prow[j]
-        if not clear:
-            continue  # a nonzero remainder is a smaller pivot
-        # divisibility fix-up: the pivot must divide the rest, else the
-        # row holding an offender is added to the pivot row
-        offender = next((row for row in A if any(x % a for x in row)), None)
-        if offender is not None:
-            A[pi] = [s + t for s, t in zip(prow, offender)]
-            continue
-        factors.append(p)
-        del A[pi]
-        for row in A:
-            del row[pj]
-    return tuple(d for d in factors if d > 1)
+    _smith(A, len(A), c)  # the rows are independent: the rank is len(A)
+    return tuple(row[i] for i, row in enumerate(A) if row[i] > 1)
 
 
 def hnf_solve(h: IntMatrix, vector) -> tuple | None:
@@ -504,13 +437,22 @@ def saturation(generators: IntMatrix, ambient: FGAbelianGroup) -> IntMatrix:
             f"generators have {generators.cols} coordinates, ambient needs {n}")
     f = ambient.free_rank
     # reduced to HNF first, as in cokernel, so the transforms stay small;
-    # the HNF rows are independent, so their number is the rank
+    # the HNF rows are independent, so their number r is the rank
     B = hermite_normal_form(
         IntMatrix.from_rows([row[:f] for row in generators.data], f))
-    _, _, _, Vinv = _snf_worker(B)
-    # V^-1 rows form a basis of Z^f; the first rank-many of them span the
-    # rational row space of B, hence their Z-span is the saturation.
-    return hermite_normal_form(IntMatrix.from_rows(Vinv[:B.rows], f))
+    r = B.rows
+    A = [list(row) + [int(i == k) for k in range(r)]
+         for i, row in enumerate(B.data)]
+    _smith(A, r, f)
+    # U B V = D, so U B = D V^-1: row i of V^-1 is row i of U B over d_i.
+    # The first r rows of V^-1, part of a basis of Z^f, span the rational
+    # row space of B, hence their Z-span is the saturation.
+    Vinv = []
+    for i, row in enumerate(A):
+        d = row[i]
+        Vinv.append([sum(u * b[j] for u, b in zip(row[f:], B.data)) // d
+                     for j in range(f)])
+    return hermite_normal_form(IntMatrix.from_rows(Vinv, f))
 
 
 def _annihilator_values(d: int, f: int) -> range:
@@ -533,9 +475,13 @@ def hom_images(relations: IntMatrix, target_torsion) -> list:
     # on tall or large-entry input; the row lattice, hence the homs, is kept
     relations = hermite_normal_form(relations)
     m = relations.rows
-    _, D, V, _ = _snf_worker(relations)
-    # x solves R x = 0 iff x = V y with d_i y_i = 0 per coordinate
-    diag = [D[i][i] if i < m else 0 for i in range(n)]
+    A = [list(row) for row in relations.data]
+    A += [[int(i == j) for j in range(n)] for i in range(n)]
+    _smith(A, m, n)
+    V = A[m:]
+    # x solves R x = 0 iff x = V y with d_i y_i = 0 per coordinate; the HNF
+    # rows are independent, so d_i != 0 exactly for i < m
+    diag = [A[i][i] if i < m else 0 for i in range(n)]
     per_coord = [list(product(*(_annihilator_values(d, f) for f in fs))) for d in diag]
     out = []
     for y in product(*per_coord):

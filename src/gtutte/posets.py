@@ -359,17 +359,13 @@ def hasse_records(poset: LayerPoset, indices=None, pairs=None) -> list:
     } for i in indices]
 
 
-def export_hasse(poset: LayerPoset, indices=None) -> str:
-    """Render the (induced) Hasse diagram as DOT."""
-    if indices is None:
-        indices = poset.all_indices()
-    indices = sorted(set(indices))
+def export_hasse(records: list) -> str:
+    """Render the Hasse diagram of `hasse_records` as DOT."""
     lines = ["digraph layers {", "  rankdir=BT;"]
-    for i in indices:
-        lay = poset.layers[i]
-        label = f"dim={lay.dim} mu={poset.mobius[i]} {lay.key}"
-        lines.append(f'  L{i} [label="{label}"];')
-    for i, j in poset.covers(indices):
+    for r in records:
+        label = f"dim={r['dim']} mu={r['mobius']} {r['key']}"
+        lines.append(f'  L{r["id"]} [label="{label}"];')
+    for i, j in sorted((i, r["id"]) for r in records for i in r["covers"]):
         lines.append(f"  L{i} -> L{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -312,3 +312,54 @@ def test_nonpositive_finite_factors_are_refused(example_file, capsys):
     code, out, _ = run(capsys, "char", example_file, "--torsion", "1")
     assert code == 0
     assert json.loads(out)["coefficients"] == [1, -2, 1]
+
+
+def test_rank_five_large_entry_lie_layers_finish_within_budget(tmp_path):
+    # the rows of an upper-triangular 5x5 HNF with entries near 1000, on
+    # which the Smith elimination behind hom enumeration once ran past 60 s
+    doc = {"group": {"free_rank": 5, "torsion": []},
+           "vectors": [[354, 742, 297, 39, 523], [0, 938, 193, 42, 664],
+                       [0, 0, 453, 84, 175], [0, 0, 0, 137, 829],
+                       [0, 0, 0, 0, 880]]}
+    path = tmp_path / "rank5.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(gtutte.__file__)))
+    for argv, layers in ((["--g", "1"], 32),
+                         (["--g", "1", "--torsion", "2"], 336)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gtutte.cli", "lie-layers", *argv,
+             str(path)], capture_output=True, text=True, env=env, timeout=10)
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert json.loads(proc.stdout)["layer_count"] == layers, argv
+
+
+def test_hom_order_is_not_an_output(example_file, tmp_path, capsys,
+                                    monkeypatch):
+    # the layer engine sorts what it emits: homs met in reverse order give
+    # the same stdout and DOT bytes
+    from gtutte import lie, toric
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps({"group": {"free_rank": 1, "torsion": [2]},
+                                 "vectors": [[1, 0], [0, 1]]}))
+    variants = [["toric-layers"], ["toric-layers", "--k", "2", "--partial"],
+                ["lie-layers", "--g", "1", "--torsion", "4"],
+                ["lie-layers", "--g", "2", "--torsion", "2,2", "--partial"]]
+
+    def outputs():
+        seen = []
+        for path in (example_file, str(mixed)):
+            for argv in variants:
+                dot = tmp_path / "out.dot"
+                code, out, _ = run(capsys, *argv, path, "--dot", str(dot))
+                assert code == 0, argv
+                seen.append((out, dot.read_text()))
+        return seen
+
+    before = outputs()
+    for module in (toric, lie):
+        forward = module.hom_enumerate
+        monkeypatch.setattr(
+            module, "hom_enumerate",
+            lambda *args, forward=forward: forward(*args)[::-1])
+    assert outputs() == before

@@ -48,6 +48,28 @@ def test_snf_example_invariant_factors():
     assert dec.invariant_factors == (1, 2)
 
 
+def _assert_smith_contract(m, dec):
+    # U @ m @ V == D with U, V unimodular, D diagonal, d_1 | d_2 | ...,
+    # nonnegative, zeros last
+    assert (dec.U @ m @ dec.V).data == dec.D.data, m
+    assert abs(determinant(dec.U)) == 1, m
+    assert abs(determinant(dec.V)) == 1, m
+    diag = dec.D.diagonal()
+    assert all(x == 0 for i, row in enumerate(dec.D.data)
+               for j, x in enumerate(row) if i != j), m
+    for i in range(len(diag) - 1):
+        assert diag[i] >= 0
+        if diag[i + 1]:
+            assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
+    # zero entries come last
+    seen_zero = False
+    for d in diag:
+        if d == 0:
+            seen_zero = True
+        else:
+            assert not seen_zero
+
+
 def test_snf_transform_identity_random():
     rng = random.Random(7)
     for _ in range(150):
@@ -55,22 +77,53 @@ def test_snf_transform_identity_random():
         c = rng.randint(0, 4)
         m = IntMatrix.from_rows(
             [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)], c)
-        dec = smith_normal_form(m)
-        assert (dec.U @ m @ dec.V).data == dec.D.data
-        assert abs(determinant(dec.U)) == 1
-        assert abs(determinant(dec.V)) == 1
-        diag = dec.D.diagonal()
-        for i in range(len(diag) - 1):
-            assert diag[i] >= 0
-            if diag[i + 1]:
-                assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
-        # zero entries come last
-        seen_zero = False
-        for d in diag:
-            if d == 0:
-                seen_zero = True
-            else:
-                assert not seen_zero
+        _assert_smith_contract(m, smith_normal_form(m))
+    # every shape up to 5x5, square, tall and wide, half of them with
+    # entries to 1000, reaching the SNF without an HNF first
+    start = time.perf_counter()
+    for trial in range(300):
+        r = rng.randint(0, 5)
+        c = rng.randint(0, 5)
+        bound = 1000 if trial % 2 else 9
+        m = IntMatrix.from_rows(
+            [[rng.randint(-bound, bound) for _ in range(c)] for _ in range(r)],
+            c)
+        _assert_smith_contract(m, smith_normal_form(m))
+    assert time.perf_counter() - start < 2.0
+
+
+# an upper-triangular HNF on which the elimination once ran past 100 s,
+# its working entries passing 4,300 digits within 3 s
+LARGE_ENTRY_HNF = ((354, 742, 297, 39, 523), (0, 938, 193, 42, 664),
+                   (0, 0, 453, 84, 175), (0, 0, 0, 137, 829),
+                   (0, 0, 0, 0, 880))
+
+
+def test_large_entry_hnf_within_budget():
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    m = IntMatrix.from_rows(LARGE_ENTRY_HNF)
+    gamma = FGAbelianGroup(5)
+    start = time.perf_counter()
+    dec = smith_normal_form(m)
+    sat = saturation(m, gamma)
+    homs = {t: hom_enumerate(m, gamma, t) for t in ((2,), (6,), (2, 4))}
+    assert time.perf_counter() - start < 2.0
+    _assert_smith_contract(m, dec)
+    d = sympy_snf(Matrix(LARGE_ENTRY_HNF), domain=ZZ)
+    assert dec.D.diagonal() == tuple(abs(int(d[i, i])) for i in range(5))
+    assert dec.invariant_factors == (1, 1, 1, 2, 9067290835680)
+    assert hnf_invariant_factors(LARGE_ENTRY_HNF) == (2, 9067290835680)
+    # full rank: the saturation is all of Z^5
+    assert sat == IntMatrix.identity(5)
+    quot = cokernel(m, gamma)
+    for target, found in homs.items():
+        assert len(found) == len(set(found)) == hom_count(quot, target)
+        for h in found:
+            for rel in LARGE_ENTRY_HNF:
+                assert not any(
+                    sum(a * h[i][t] for i, a in enumerate(rel)) % target[t]
+                    for t in range(len(target))), h
 
 
 def test_hnf_identity_fixed_point():
@@ -408,12 +461,8 @@ def test_hnf_invariant_factors_matches_smith_forms():
         m = IntMatrix(len(rows), c, rows)
         assert hermite_normal_form(m).data == rows  # the input is canonical
         factors = hnf_invariant_factors(rows)
-        # the tracked SNF's entries explode on some HNFs of four or more
-        # rows with entries near 1000 (one 5x5 ran for over 100 s), so
-        # those are checked against sympy alone
-        if len(rows) <= 3 or bound < 1000:
-            tracked = smith_normal_form(m).invariant_factors
-            assert factors == tuple(d for d in tracked if d > 1), rows
+        tracked = smith_normal_form(m).invariant_factors
+        assert factors == tuple(d for d in tracked if d > 1), rows
         if rows:
             d = sympy_snf(Matrix(rows), domain=ZZ)
             nonzero = [abs(int(d[i, i])) for i in range(min(d.shape)) if d[i, i]]

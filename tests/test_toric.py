@@ -170,27 +170,27 @@ def test_layer_cap():
 def test_export_formats(example, example_poset):
     sub2 = [i for i in k_total_subposet(example_poset, 2)
             if example_poset.layers[i].in_partial]
-    dot = export_hasse(example_poset, sub2)
+    dot = export_hasse(hasse_records(example_poset, sub2))
     assert dot.count("[label=") == 6
     assert dot.count("->") == 7
     records = hasse_records(example_poset, sub2)
     assert len(records) == 6
     assert {r["dim"] for r in records} == {0, 1, 2}
-    empty = export_hasse(example_poset, [])
+    empty = export_hasse(hasse_records(example_poset, []))
     assert "label" not in empty and "->" not in empty
 
 
 def test_export_diamond(example):
     poset = enumerate_toric_layers(example)
     sub1 = [i for i in k_total_subposet(poset, 1)]
-    dot = export_hasse(poset, sub1)
+    dot = export_hasse(hasse_records(poset, sub1))
     assert dot.count("[label=") == 4
     assert dot.count("->") == 4
 
 
 def test_dot_output_is_stable(example):
-    a = export_hasse(enumerate_toric_layers(example))
-    b = export_hasse(enumerate_toric_layers(example))
+    a = export_hasse(hasse_records(enumerate_toric_layers(example)))
+    b = export_hasse(hasse_records(enumerate_toric_layers(example)))
     assert a == b
 
 
