@@ -14,6 +14,7 @@ summary goes to stderr.  All numbers are exact integers.  The exit code is
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -228,10 +229,10 @@ def cmd_toric_layers(args) -> int:
         "polynomial": p.serialize(),
         "layers": records,
     }
-    _emit(payload)
-    if args.dot:
+    if args.dot:  # before stdout, so a refused --dot path emits no result
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(export_hasse(records))
+    _emit(payload)
     print(f"{len(indices)} layers selected of {poset.n}; {poly_str(p)}",
           file=sys.stderr)
     return 0
@@ -259,10 +260,10 @@ def cmd_lie_layers(args) -> int:
              "covers": s[3], "count": c} for s, c in shapes],
         "layers": records,
     }
-    _emit(payload)
-    if args.dot:
+    if args.dot:  # before stdout, so a refused --dot path emits no result
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(export_hasse(records))
+    _emit(payload)
     print(f"{len(indices)} layers; {poly_str(p)}; component shapes "
           + ", ".join(f"{c} x ({s[0]} layers, {s[3]} covers)"
                       for s, c in shapes),
@@ -307,7 +308,13 @@ def cmd_compare(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then shared.
+
+    It depends on nothing but this module: each `parse_args` returns a
+    fresh namespace, so `main` can reuse one parser for every call.
+    """
     ap = argparse.ArgumentParser(
         prog="gtutte",
         description="Exact invariants of arrangements over finitely "
@@ -374,7 +381,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, ValueError) as exc:
+    except (InputError, ValueError, OSError) as exc:
+        # OSError: an input or --dot path that cannot be opened; its message
+        # names the path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

@@ -373,6 +373,15 @@ class FGAbelianGroup:
                 raise ValueError("torsion factors must form a divisibility chain")
             prev = e
 
+    @classmethod
+    def _from_chain(cls, free_rank: int, torsion: tuple) -> FGAbelianGroup:
+        """The group of a tuple already known to be a divisibility chain of
+        ints > 1 (a Smith form's), built without `__post_init__`'s checks."""
+        group = object.__new__(cls)
+        object.__setattr__(group, "free_rank", free_rank)
+        object.__setattr__(group, "torsion", torsion)
+        return group
+
     @property
     def ngens(self) -> int:
         return self.free_rank + len(self.torsion)
@@ -420,7 +429,8 @@ def cokernel(generators: IntMatrix, ambient: FGAbelianGroup) -> FGAbelianGroup:
     column, whose invariant factors `hnf_invariant_factors` reads.
     """
     rel = hermite_normal_form(presentation_matrix(generators, ambient))
-    return FGAbelianGroup(ambient.ngens - rel.rows, hnf_invariant_factors(rel.data))
+    return FGAbelianGroup._from_chain(ambient.ngens - rel.rows,
+                                      hnf_invariant_factors(rel.data))
 
 
 def saturation(generators: IntMatrix, ambient: FGAbelianGroup) -> IntMatrix:

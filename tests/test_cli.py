@@ -22,7 +22,10 @@ def example_file(tmp_path):
 
 
 def run(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse refuses the arguments
+        code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -151,6 +154,51 @@ def test_lie_layers(example_file, capsys):
     shapes = {(s["layers"], s["covers"]): s["count"]
               for s in payload["component_shapes"]}
     assert shapes == {(4, 4): 4, (2, 1): 12}
+
+
+def test_one_parser_serves_every_call(example_file, capsys):
+    calls = [("tutte", example_file, "--p", "1", "--torsion", "2"),
+             ("lie-layers", example_file, "--g", "1", "--torsion", "2,2"),
+             ("char", example_file),
+             ("tutte", example_file, "--p", "not-a-number"),
+             ("verify", "--seed", "0", "--count", "2"),
+             ("tutte", example_file, "--p", "1", "--torsion", "2")]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert [code for code, _, _ in fresh] == [0, 0, 0, 2, 0, 0]
+    assert "invalid int value" in fresh[3][2]
+    cli.build_parser.cache_clear()
+    shared = [run(capsys, *argv) for argv in calls]
+    assert shared == fresh
+    assert cli.build_parser.cache_info().misses == 1
+
+
+def test_importing_does_not_build_the_parser():
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(gtutte.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import gtutte.cli as c; "
+         "print(c.build_parser.cache_info().misses)"],
+        capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
+
+
+def test_unreadable_paths_exit_2(example_file, tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    for argv, path in ((("info", missing), missing),
+                       (("quasi", str(tmp_path)), str(tmp_path))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and path in err, argv
+    dot = str(tmp_path / "no-such-dir" / "out.dot")
+    for argv in (("toric-layers", example_file, "--dot", dot),
+                 ("lie-layers", example_file, "--g", "1", "--dot", dot)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and dot in err, argv
 
 
 def test_verify(capsys):

@@ -405,6 +405,25 @@ def test_cokernel_matches_sympy_smith_form():
         assert quot.torsion == tuple(x for x in nonzero if x > 1), gens
 
 
+def test_cokernel_result_is_a_valid_group():
+    # cokernel builds its group without re-checking the divisibility chain;
+    # the checking constructor must accept it and give an equal group
+    rng = random.Random(13)
+    ambients = [FGAbelianGroup(3), FGAbelianGroup(1, (4,)),
+                FGAbelianGroup(2, (2, 6)), FGAbelianGroup(0, (2, 2, 12))]
+    for trial in range(300):
+        gamma = rng.choice(ambients)
+        bound = 1000 if trial % 2 else 6
+        gens = IntMatrix.from_rows(
+            [[rng.randint(-bound, bound) for _ in range(gamma.ngens)]
+             for _ in range(rng.randint(0, 6))], gamma.ngens)
+        quot = cokernel(gens, gamma)
+        checked = FGAbelianGroup(quot.free_rank, quot.torsion)
+        assert quot == checked and hash(quot) == hash(checked), gens
+        assert type(quot.torsion) is tuple, gens
+        assert all(type(e) is int for e in quot.torsion), gens
+
+
 def test_cokernel_diagonal_matches_tracked_smith_form(example, mixed_torsion):
     # cokernel diagonalizes without transforms; smith_normal_form tracks
     # them.  Both must give the same invariant factors on every lattice the
