@@ -8,7 +8,8 @@ Input files are self-describing JSON documents:
 
 Machine-readable results go to stdout as JSON with sorted keys; the human
 summary goes to stderr.  All numbers are exact integers.  The exit code is
-0 only when every requested check passed.
+0 only when every requested check passed.  `main` prints both, once the
+command has returned: a command that raises prints no result.
 """
 
 from __future__ import annotations
@@ -125,12 +126,7 @@ def _spec_from_args(args) -> GroupSpec:
                      circles=args.p, reals=args.q)
 
 
-def _emit(payload: dict):
-    print(json.dumps(payload, sort_keys=True, indent=1))
-
-
-def cmd_info(args) -> int:
-    arr = load_arrangement(args.file)
+def cmd_info(arr, args):
     qp = invariants.chromatic_quasi(arr)
     tmask = arr.torsion_mask()
     payload = {
@@ -143,69 +139,62 @@ def cmd_info(args) -> int:
         "lcm_period": arr.lcm_period(),
         "minimal_period": invariants.minimal_period(qp),
     }
-    _emit(payload)
-    print(f"{arr.describe()}: {arr.n} elements, rank {arr.rank}, "
-          f"period {payload['lcm_period']} (minimal {payload['minimal_period']})",
-          file=sys.stderr)
-    return 0
+    return payload, (f"{arr.describe()}: {arr.n} elements, rank {arr.rank}, "
+                     f"period {payload['lcm_period']} "
+                     f"(minimal {payload['minimal_period']})"), 0
 
 
-def cmd_tutte(args) -> int:
-    arr = load_arrangement(args.file)
+def cmd_tutte(arr, args):
     spec = _spec_from_args(args)
-    t = invariants.g_tutte(arr, spec)
-    _emit({"triples": t.triples(),
-           "spec": {"f_torsion": list(spec.f_torsion), "p": spec.circles,
-                    "q": spec.reals}})
-    print(f"{len(t.triples())} terms", file=sys.stderr)
-    return 0
+    triples = invariants.g_tutte(arr, spec).triples()
+    return {"triples": triples,
+            "spec": {"f_torsion": list(spec.f_torsion), "p": spec.circles,
+                     "q": spec.reals}}, f"{len(triples)} terms", 0
 
 
-def cmd_arith_tutte(args) -> int:
-    arr = load_arrangement(args.file)
-    t = invariants.arithmetic_tutte(arr)
-    _emit({"triples": t.triples()})
-    print(f"{len(t.triples())} terms", file=sys.stderr)
-    return 0
+def cmd_arith_tutte(arr, args):
+    triples = invariants.arithmetic_tutte(arr).triples()
+    return {"triples": triples}, f"{len(triples)} terms", 0
 
 
-def cmd_char(args) -> int:
-    arr = load_arrangement(args.file)
-    spec = _spec_from_args(args)
-    p = invariants.g_characteristic(arr, spec)
-    _emit({"coefficients": p.serialize()})
-    print(poly_str(p), file=sys.stderr)
-    return 0
+def cmd_char(arr, args):
+    p = invariants.g_characteristic(arr, _spec_from_args(args))
+    return {"coefficients": p.serialize()}, poly_str(p), 0
 
 
-def cmd_quasi(args) -> int:
-    arr = load_arrangement(args.file)
+def cmd_quasi(arr, args):
     qp = invariants.chromatic_quasi(arr)
-    _emit(qp.serialize())
-    print(f"period {qp.period}", file=sys.stderr)
-    for k, c in enumerate(qp.constituents, start=1):
-        print(f"  k={k}: {poly_str(c)}", file=sys.stderr)
-    return 0
+    lines = [f"period {qp.period}"] + [
+        f"  k={k}: {poly_str(c)}" for k, c in enumerate(qp.constituents, start=1)]
+    return qp.serialize(), "\n".join(lines), 0
 
 
-def cmd_constituent(args) -> int:
-    arr = load_arrangement(args.file)
+def cmd_constituent(arr, args):
     if args.k < 1:
         raise InputError("K must be positive")
     c = invariants.constituent(arr, args.k)
-    _emit({"k": args.k, "coefficients": c.serialize()})
-    print(poly_str(c), file=sys.stderr)
+    summary = poly_str(c)
     if args.k % arr.lcm_period() == 0:
         # the last constituent should be the toric characteristic polynomial
         try:
             invariants.toric_characteristic(arr)
         except invariants.HypothesisError as exc:
-            print(f"note: toric cross-check skipped: {exc}", file=sys.stderr)
-    return 0
+            summary += f"\nnote: toric cross-check skipped: {exc}"
+    return {"k": args.k, "coefficients": c.serialize()}, summary, 0
 
 
-def cmd_toric_layers(args) -> int:
-    arr = load_arrangement(args.file)
+def _layers_payload(poset, indices, pairs, p, dot, **fields) -> dict:
+    """The payload fields both layer commands share; writes the DOT Hasse
+    diagram to `dot` when one is given."""
+    records = hasse_records(poset, indices, pairs)
+    if dot:
+        with open(dot, "w", encoding="utf-8") as fh:
+            fh.write(export_hasse(records))
+    return {"layer_count": len(indices), "polynomial": p.serialize(),
+            "layers": records, **fields}
+
+
+def cmd_toric_layers(arr, args):
     poset = toric.enumerate_toric_layers(arr)
     indices = list(poset.all_indices())
     if args.k is not None:
@@ -222,24 +211,13 @@ def cmd_toric_layers(args) -> int:
     else:
         p = toric.total_characteristic(arr, poset)
     pairs = poset.covers(indices)
-    records = hasse_records(poset, indices, pairs)
-    payload = {
-        "layer_count": len(indices),
-        "cover_count": len(pairs),
-        "polynomial": p.serialize(),
-        "layers": records,
-    }
-    if args.dot:  # before stdout, so a refused --dot path emits no result
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(export_hasse(records))
-    _emit(payload)
-    print(f"{len(indices)} layers selected of {poset.n}; {poly_str(p)}",
-          file=sys.stderr)
-    return 0
+    payload = _layers_payload(poset, indices, pairs, p, args.dot,
+                              cover_count=len(pairs))
+    return payload, (f"{len(indices)} layers selected of {poset.n}; "
+                     f"{poly_str(p)}"), 0
 
 
-def cmd_lie_layers(args) -> int:
-    arr = load_arrangement(args.file)
+def cmd_lie_layers(arr, args):
     fs = _parse_torsion(args.torsion)
     poset = lie.enumerate_lie_layers(arr, args.g, fs)
     if args.partial:
@@ -250,62 +228,44 @@ def cmd_lie_layers(args) -> int:
         p = lie.total_characteristic(arr, args.g, fs, poset)
     pairs = poset.covers(indices)
     shapes = component_shapes(poset, indices, pairs)
-    records = hasse_records(poset, indices, pairs)
-    payload = {
-        "layer_count": len(indices),
-        "minimal_count": sum(1 for i in indices if poset.layers[i].rank == 0),
-        "polynomial": p.serialize(),
-        "component_shapes": [
+    payload = _layers_payload(
+        poset, indices, pairs, p, args.dot,
+        minimal_count=sum(1 for i in indices if poset.layers[i].rank == 0),
+        component_shapes=[
             {"layers": s[0], "ranks": list(s[1]), "dims": list(s[2]),
-             "covers": s[3], "count": c} for s, c in shapes],
-        "layers": records,
-    }
-    if args.dot:  # before stdout, so a refused --dot path emits no result
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(export_hasse(records))
-    _emit(payload)
-    print(f"{len(indices)} layers; {poly_str(p)}; component shapes "
-          + ", ".join(f"{c} x ({s[0]} layers, {s[3]} covers)"
-                      for s, c in shapes),
-          file=sys.stderr)
-    return 0
+             "covers": s[3], "count": c} for s, c in shapes])
+    return payload, (f"{len(indices)} layers; {poly_str(p)}; component shapes "
+                     + ", ".join(f"{c} x ({s[0]} layers, {s[3]} covers)"
+                                 for s, c in shapes)), 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(arr, args):
     report = oracle.randomized_battery(seed=args.seed, count=args.count,
                                        qmax=args.qmax)
-    _emit({"passed": report.passed, "checks": report.to_records()})
-    print(report.to_text(), file=sys.stderr)
-    return 0 if report.passed else 1
+    return ({"passed": report.passed, "checks": report.to_records()},
+            report.to_text(), 0 if report.passed else 1)
 
 
-def cmd_reciprocity(args) -> int:
-    arr = load_arrangement(args.file)
+def cmd_reciprocity(arr, args):
     value = invariants.reciprocity_eval(arr, args.k, args.q)
-    _emit({"k": args.k, "q": args.q, "value": value,
-           "nonnegative": value >= 0})
-    print(f"(-1)^rank * f_{args.k}(-{args.q}) = {value}", file=sys.stderr)
-    return 0
+    return ({"k": args.k, "q": args.q, "value": value,
+             "nonnegative": value >= 0},
+            f"(-1)^rank * f_{args.k}(-{args.q}) = {value}", 0)
 
 
-def cmd_beta(args) -> int:
-    arr = load_arrangement(args.file)
+def cmd_beta(arr, args):
     betas = invariants.beta_coefficients(arr, args.q)
-    _emit({"q": args.q, "betas": betas})
-    print(" ".join(f"beta_{j}={b}" for j, b in enumerate(betas)),
-          file=sys.stderr)
-    return 0
+    return ({"q": args.q, "betas": betas},
+            " ".join(f"beta_{j}={b}" for j, b in enumerate(betas)), 0)
 
 
-def cmd_compare(args) -> int:
-    arr = load_arrangement(args.file)
+def cmd_compare(arr, args):
     rows = invariants.chen_wang_compare(arr, args.a, args.b)
     ok = all(r["ok"] for r in rows)
-    _emit({"a": args.a, "b": args.b, "rows": rows, "ok": ok})
-    for r in rows:
-        print(f"j={r['j']}: beta({args.a})={r['beta_a']} "
-              f"<= beta({args.b})={r['beta_b']}: {r['ok']}", file=sys.stderr)
-    return 0 if ok else 1
+    return ({"a": args.a, "b": args.b, "rows": rows, "ok": ok},
+            "\n".join(f"j={r['j']}: beta({args.a})={r['beta_a']} "
+                      f"<= beta({args.b})={r['beta_b']}: {r['ok']}"
+                      for r in rows), 0 if ok else 1)
 
 
 @functools.cache
@@ -378,9 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one `cmd_*(arrangement or None, args)`, which returns (payload,
+    summary, exit code) and prints nothing; print both, return the code."""
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        arr = load_arrangement(args.file) if "file" in args else None
+        payload, summary, code = args.fn(arr, args)
+        print(json.dumps(payload, sort_keys=True, indent=1))
+        print(summary, file=sys.stderr)
     except (InputError, ValueError, OSError) as exc:
         # OSError: an input or --dot path that cannot be opened; its message
         # names the path
@@ -389,6 +354,7 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"identity check failed: {exc}", file=sys.stderr)
         return 1
+    return code
 
 
 if __name__ == "__main__":

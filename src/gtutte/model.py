@@ -22,30 +22,14 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .intlinalg import (FGAbelianGroup, IntMatrix, cokernel, hermite_normal_form,
-                        hnf_insert, presentation_matrix, saturation)
+                        hnf_insert, hnf_invariant_factors, presentation_matrix,
+                        saturation)
 
 MAX_ELEMENTS = 24  # the subset histogram may meet up to 2^n distinct lattices
 
 
 class CapExceeded(ValueError):
     """Input is beyond the documented desk-scale limits."""
-
-
-def _invariant_chain(factors) -> tuple:
-    """Canonicalize cyclic factors to an invariant-factor chain, e.g. (2,3)->(6,)."""
-    fs = [int(f) for f in factors if int(f) > 1]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(fs)):
-            for j in range(i + 1, len(fs)):
-                if fs[j] % fs[i]:
-                    g = gcd(fs[i], fs[j])
-                    fs[i], fs[j] = g, fs[i] * fs[j] // g
-                    changed = True
-    fs = [f for f in fs if f > 1]
-    fs.sort()
-    return tuple(fs)
 
 
 @dataclass(frozen=True)
@@ -61,10 +45,14 @@ class GroupSpec:
     reals: int = 0
 
     def __post_init__(self):
-        for f in self.f_torsion:
-            if int(f) < 1:
+        fs = [int(f) for f in self.f_torsion]
+        for f in fs:
+            if f < 1:
                 raise ValueError(f"finite factor {f} must be positive")
-        object.__setattr__(self, "f_torsion", _invariant_chain(self.f_torsion))
+        # the relations diag(f_1, ..., f_k) are already a canonical HNF
+        object.__setattr__(self, "f_torsion", hnf_invariant_factors(
+            [[f if i == j else 0 for j in range(len(fs))]
+             for i, f in enumerate(fs)]))
         if self.circles < 0 or self.reals < 0:
             raise ValueError("factor counts must be nonnegative")
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 import gtutte
-from gtutte import cli
+from gtutte import cli, invariants
 from gtutte.oracle import brute_complement_count
 
 
@@ -411,3 +412,214 @@ def test_hom_order_is_not_an_output(example_file, tmp_path, capsys,
             module, "hom_enumerate",
             lambda *args, forward=forward: forward(*args)[::-1])
     assert outputs() == before
+
+
+# The I/O contract: stdout, stderr and exit code of every subcommand, with
+# the option variants the benchmark workloads run, on an input with a free
+# ambient and one with torsion.  Constituent 12 is a multiple of both
+# periods (4 and 6): the toric cross-check runs on the example and is
+# skipped, with a note on stderr, on the torsion input.
+TORSION_DOC = {"group": {"free_rank": 2, "torsion": [2, 6]},
+               "vectors": [[1, 0, 1, 0], [0, 1, 0, 3], [1, 1, 1, 2],
+                           [2, -1, 0, 1]],
+               "name": "torsion"}
+CONTRACT_VARIANTS = (
+    ("info",), ("quasi",), ("constituent", "4"), ("constituent", "12"),
+    ("arith-tutte",), ("tutte", "--p", "1", "--torsion", "2"),
+    ("tutte", "--q", "1"), ("char", "--torsion", "4"), ("char", "--p", "1"),
+    ("beta", "--q", "3"), ("compare", "--a", "2", "--b", "4"),
+    ("reciprocity", "--k", "2", "--q", "3"),
+    ("toric-layers",), ("toric-layers", "--partial"),
+    ("toric-layers", "--k", "2"), ("toric-layers", "--k", "3", "--partial"),
+    ("lie-layers", "--g", "1", "--torsion", "4"),
+    ("lie-layers", "--g", "2", "--torsion", "2,2", "--partial"),
+    ("lie-layers", "--g", "1", "--torsion", "6", "--partial"))
+CONTRACT_CASES = [(name, argv) for name in ("example", "torsion")
+                  for argv in CONTRACT_VARIANTS] + \
+    [(None, ("verify", "--seed", "1", "--count", "3"))]
+
+
+def _case_id(case):
+    name, argv = case
+    return " ".join(([name] if name else []) + list(argv))
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def contract_run(capsys, tmp_path, example_file, name, argv):
+    """(exit code, stdout digest, stderr digest, DOT digest or None)."""
+    argv = list(argv)
+    if name is not None:
+        path = example_file
+        if name == "torsion":
+            path = str(tmp_path / "torsion.json")
+            with open(path, "w") as fh:
+                json.dump(TORSION_DOC, fh)
+        argv.insert(1, path)
+    dot = None
+    if argv[0].endswith("-layers"):
+        dot = tmp_path / "out.dot"
+        argv += ["--dot", str(dot)]
+    code, out, err = run(capsys, *argv)
+    return code, _sha(out), _sha(err), dot and _sha(dot.read_text())
+
+
+# (exit code, sha256 prefixes of stdout, stderr and the DOT file)
+CONTRACT_DIGESTS = {
+    "example info":
+        (0, "9327c7177c156998", "7b7c030d844efa09", None),
+    "example quasi":
+        (0, "4f19bc9f1e2fb715", "f34a5e7bce362359", None),
+    "example constituent 4":
+        (0, "03e953f5a5ca255f", "8bc696c4820a4e5e", None),
+    "example constituent 12":
+        (0, "1a97c300f953de8a", "8bc696c4820a4e5e", None),
+    "example arith-tutte":
+        (0, "c9cd78c70244d41b", "a0125c35054d5611", None),
+    "example tutte --p 1 --torsion 2":
+        (0, "9cef1716603b7ad9", "a0125c35054d5611", None),
+    "example tutte --q 1":
+        (0, "f6e2b644e1ecd330", "b569bdf2438038b2", None),
+    "example char --torsion 4":
+        (0, "b09a8148ce9845e7", "8bc696c4820a4e5e", None),
+    "example char --p 1":
+        (0, "b09a8148ce9845e7", "8bc696c4820a4e5e", None),
+    "example beta --q 3":
+        (0, "a9e336b8aa0b6d3e", "e0d23035a74c1b6e", None),
+    "example compare --a 2 --b 4":
+        (0, "e8c1fef4d2386ba9", "79a1040e12323f7c", None),
+    "example reciprocity --k 2 --q 3":
+        (0, "d80d5fc52cd66869", "f5568424b9b36aed", None),
+    "example toric-layers":
+        (0, "08b07ead9ad5ac4c", "91c4233c2205355b", "e6b2622b4bf7a68c"),
+    "example toric-layers --partial":
+        (0, "08b07ead9ad5ac4c", "91c4233c2205355b", "e6b2622b4bf7a68c"),
+    "example toric-layers --k 2":
+        (0, "45398e9c44bfe554", "0ab00e2e6e0e673d", "37e3ac1caab2468d"),
+    "example toric-layers --k 3 --partial":
+        (0, "ae463045c9c93ca7", "e429e9c91d08c505", "03ebd7d0666367d1"),
+    "example lie-layers --g 1 --torsion 4":
+        (0, "87b5ee9c6f491d86", "667a1e904adc9399", "37ef4d6627dfe009"),
+    "example lie-layers --g 2 --torsion 2,2 --partial":
+        (0, "aa5de32d152c4c14", "7676a2487171dc3b", "03ab6d3254c6d699"),
+    "example lie-layers --g 1 --torsion 6 --partial":
+        (0, "8c53dab013b25c3d", "0398296bf45ab673", "9ef9747f05cd8135"),
+    "torsion info":
+        (0, "e8865a33bc0d143e", "fa3f9582f17b404c", None),
+    "torsion quasi":
+        (0, "c8efc1c2f54f1a6a", "1296dfcd74f7ddd8", None),
+    "torsion constituent 4":
+        (0, "7b981315c82321ad", "87c4196aee7a098c", None),
+    "torsion constituent 12":
+        (0, "0e4fb8648b4875a6", "356d0e150888549c", None),
+    "torsion arith-tutte":
+        (0, "0194ddebbed00c70", "3f6e39c2434d671e", None),
+    "torsion tutte --p 1 --torsion 2":
+        (0, "b0cc39e0eca24021", "3f6e39c2434d671e", None),
+    "torsion tutte --q 1":
+        (0, "70ce4a4d143b9b30", "1e35854adf7350b3", None),
+    "torsion char --torsion 4":
+        (0, "cfedea13243df438", "87c4196aee7a098c", None),
+    "torsion char --p 1":
+        (0, "627593e9ec7e1b69", "974342c56e9c1c82", None),
+    "torsion beta --q 3":
+        (0, "afc315d6fde1be37", "29de8470a00783aa", None),
+    "torsion compare --a 2 --b 4":
+        (0, "bb439ba6f4ec8ce3", "ef064e38a5756137", None),
+    "torsion reciprocity --k 2 --q 3":
+        (0, "bfd8b230371f523d", "6fec943da1172fbb", None),
+    "torsion toric-layers":
+        (0, "e2fa1b5af11bf265", "226c1ece911a9c16", "73b3703ee871658b"),
+    "torsion toric-layers --partial":
+        (0, "e2fa1b5af11bf265", "226c1ece911a9c16", "73b3703ee871658b"),
+    "torsion toric-layers --k 2":
+        (0, "7e96430778c1896b", "41541787202bf797", "1b5b77587ff7a1c5"),
+    "torsion toric-layers --k 3 --partial":
+        (0, "8377597160b600a4", "86d7c833ca837465", "ff9475674f0543f1"),
+    "torsion lie-layers --g 1 --torsion 4":
+        (0, "ea5ed9973e81553e", "e6cb1ddf95db8782", "385ddc445f959bd6"),
+    "torsion lie-layers --g 2 --torsion 2,2 --partial":
+        (0, "a454fc109ba840b8", "a29025c28f45e2d8", "b4785d78f065eb16"),
+    "torsion lie-layers --g 1 --torsion 6 --partial":
+        (0, "277755ed04772591", "8d7c7cac67939bc1", "78a2736cdfdefa1c"),
+    "verify --seed 1 --count 3":
+        (0, "535bd65e1add91f4", "c767a956db9473ca", None),
+}
+
+
+@pytest.mark.parametrize("case", CONTRACT_CASES, ids=_case_id)
+def test_io_contract(case, capsys, tmp_path, example_file):
+    assert contract_run(capsys, tmp_path, example_file, *case) == \
+        CONTRACT_DIGESTS[_case_id(case)]
+
+
+def _period_file(tmp_path, period):
+    """An input on Z^2 whose lcm period is `period`."""
+    path = tmp_path / f"period-{period}.json"
+    path.write_text(json.dumps({"group": {"free_rank": 2, "torsion": []},
+                                "vectors": [[period, 0], [0, 1], [1, 1]]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("info", "{tmp}/missing.json"), "{tmp}/missing.json"),
+    (("quasi", "{tmp}/bad.json"), "not valid JSON"),
+    (("constituent", "{example}", "0"), "K must be positive"),
+    (("toric-layers", "{example}", "--dot", "{tmp}/no-dir/out.dot"),
+     "{tmp}/no-dir/out.dot"),
+    (("quasi", "{over_cap}"), f"exceeds the cap {invariants.MAX_PERIOD}"),
+], ids=["missing file", "bad JSON", "K = 0", "--dot into a missing directory",
+        "period cap"])
+def test_error_paths_print_no_result(argv, message, example_file, tmp_path,
+                                     capsys):
+    (tmp_path / "bad.json").write_text("{not json")
+    names = {"tmp": str(tmp_path), "example": example_file,
+             "over_cap": _period_file(tmp_path, invariants.MAX_PERIOD + 1)}
+    code, out, err = run(capsys, *(a.format(**names) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message.format(**names) in err
+
+
+def test_verify_stdout_digest(capsys):
+    code, out, _ = run(capsys, "verify", "--seed", "0", "--count", "25")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "04dde836bf93901e6645e509654cd00186b769be54ff56faecf93dbd73296492"
+
+
+def test_a_raising_handler_prints_no_result(example_file, capsys,
+                                            monkeypatch):
+    def fail(arr):
+        raise invariants.IdentityCheckError("injected")
+
+    monkeypatch.setattr(invariants, "toric_characteristic", fail)
+    code, out, err = run(capsys, "constituent", example_file, "4")
+    assert code == 1 and out == ""
+    assert err == "identity check failed: injected\n"
+
+
+def test_dense_periods_are_refused_past_the_cap(tmp_path, capsys):
+    cap = invariants.MAX_PERIOD
+    at_cap = _period_file(tmp_path, cap)
+    code, out, _ = run(capsys, "quasi", at_cap)
+    assert code == 0 and json.loads(out)["period"] == cap
+    code, out, _ = run(capsys, "info", at_cap)
+    assert code == 0 and json.loads(out)["lcm_period"] == cap
+    # one above the cap, and a period of 160 digits
+    rng = random.Random(0)
+    huge = tmp_path / "huge_period.json"
+    huge.write_text(json.dumps(
+        {"group": {"free_rank": 3, "torsion": []},
+         "vectors": [[rng.randint(-1000, 1000) for _ in range(3)]
+                     for _ in range(6)]}))
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(gtutte.__file__)))
+    for path in (_period_file(tmp_path, cap + 1), str(huge)):
+        for command in ("info", "quasi"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "gtutte.cli", command, path],
+                capture_output=True, text=True, env=env, timeout=2)
+            assert proc.returncode == 2 and proc.stdout == "", command
+            assert f"exceeds the cap {cap}" in proc.stderr, command
