@@ -18,6 +18,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 
 from . import invariants, lie, oracle, toric
 from .intlinalg import FGAbelianGroup
@@ -28,6 +29,10 @@ from .posets import component_shapes, export_hasse, hasse_records
 
 class InputError(ValueError):
     pass
+
+
+class ReducedEntryWarning(UserWarning):
+    """An out-of-range torsion entry of the input was reduced."""
 
 
 def load_arrangement(path: str) -> Arrangement:
@@ -73,8 +78,8 @@ def arrangement_from_document(doc, origin: str = "<input>") -> Arrangement:
         for j, e in enumerate(gamma.torsion):
             x = vec[free_rank + j]
             if not 0 <= x < e:
-                print(f"warning: vectors[{i}][{free_rank + j}] = {x} reduced "
-                      f"mod {e}", file=sys.stderr)
+                warnings.warn(f"vectors[{i}][{free_rank + j}] = {x} reduced "
+                              f"mod {e}", ReducedEntryWarning, stacklevel=2)
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise InputError(f"{origin}: 'name' must be a string")
@@ -342,7 +347,13 @@ def main(argv=None) -> int:
     summary, exit code) and prints nothing; print both, return the code."""
     args = build_parser().parse_args(argv)
     try:
-        arr = load_arrangement(args.file) if "file" in args else None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ReducedEntryWarning)
+            try:
+                arr = load_arrangement(args.file) if "file" in args else None
+            finally:
+                for w in caught:
+                    print(f"warning: {w.message}", file=sys.stderr)
         payload, summary, code = args.fn(arr, args)
         print(json.dumps(payload, sort_keys=True, indent=1))
         print(summary, file=sys.stderr)

@@ -127,28 +127,26 @@ def reference_strict_downs(poset) -> tuple:
     """strict_downs of a layer poset rebuilt by pairwise containment tests,
     without localization masks, ranks or component grouping.
 
-    Circle target: X contains Y when every span row of X solves over the
-    span of Y and Y's character takes X's values there and on the torsion
-    generators.  Line targets: the spans nest and the homs into F agree.
-    Only pairs that agree on the part of that test read off `chi` alone
-    (equal homs for line targets, equal values on the torsion generators
-    for the circle target) are tested further.
+    X contains Y when every span row of X solves over the span of Y, Y's
+    F-hom is X's and, with a circle, Y's circle values take X's values on
+    those rows and on the torsion generators.  Only pairs that agree on the
+    part of that test read off `chi` alone (equal F-homs and equal values
+    on the torsion generators) are tested further.
     """
     period = poset.arr.lcm_period()
     circle = poset.spec.circles
 
     def key(layer):
-        return layer.chi[layer.span.rows:] if circle else layer.chi
+        values, hom = layer.chi
+        return values[layer.span.rows:], hom
 
     def contains(big, small):
-        if not circle:
-            return all(hnf_solve(small.span, row) is not None
-                       for row in big.span.data)
-        r = small.span.rows
-        for row, want in zip(big.span.data, big.chi):
+        for i, row in enumerate(big.span.data):
             coeffs = hnf_solve(small.span, row)
-            if coeffs is None or \
-                    sum(c * v for c, v in zip(coeffs, small.chi[:r])) % period != want:
+            if coeffs is None:
+                return False
+            if circle and sum(c * v for c, v in zip(coeffs, small.chi[0])) \
+                    % period != big.chi[0][i]:
                 return False
         return True
 
@@ -165,12 +163,14 @@ def reference_subset_components(poset) -> tuple:
     """(subset_components, localizations) of a layer poset rebuilt mask by
     mask, from each subset's own elements and per-subset data.
 
-    A subset's span is the saturation of its own rows.  Circle target: its
-    components are the characters of the saturation modulo the subset, into
-    the cyclic group of the quotient exponent, scaled to residues mod the
-    lcm of all the exponents.  Line targets: the homs of the quotient by
-    the subset into F.  A layer's localization is the union of the subsets
-    it is a component of; a component missing from the poset is index -1.
+    A subset's span is the saturation of its own rows.  Its components are
+    the pairs (circle values, F-hom).  With a circle, the values are the
+    characters of the saturation modulo the subset, into the cyclic group
+    of the quotient exponent, scaled to residues mod the lcm of all the
+    exponents; without one they are ().  The F-homs are the homs of the
+    quotient by the subset into F.  A layer's localization is the union of
+    the subsets it is a component of; a component missing from the poset
+    is index -1.
     """
     arr, spec = poset.arr, poset.spec
     gamma = arr.gamma
@@ -183,6 +183,7 @@ def reference_subset_components(poset) -> tuple:
     localizations = [0] * poset.n
     for mask in arr.masks():
         span = saturation(arr.subset_matrix(mask), gamma)
+        values = [()]
         if spec.circles:
             gens = [hnf_solve(span, vec[:f]) + vec[f:]
                     for vec in arr.mask_elements(mask)]
@@ -190,10 +191,10 @@ def reference_subset_components(poset) -> tuple:
                 IntMatrix.from_rows(gens, span.rows + len(gamma.torsion)),
                 FGAbelianGroup(span.rows, gamma.torsion), (exponents[mask],))
             scale = period // exponents[mask]
-            chis = [tuple(img[0] * scale for img in h) for h in homs]
-        else:
-            chis = hom_enumerate(arr.subset_matrix(mask), gamma, spec.f_torsion)
-        found = [index.get((span.data, chi), -1) for chi in chis]
+            values = [tuple(img[0] * scale for img in h) for h in homs]
+        f_homs = hom_enumerate(arr.subset_matrix(mask), gamma, spec.f_torsion)
+        found = [index.get((span.data, (v, h)), -1)
+                 for v in values for h in f_homs]
         for i in found:
             if i >= 0:
                 localizations[i] |= mask

@@ -1,15 +1,17 @@
-"""The layer engine shared by the circle-target and line-target posets.
+"""The layer engine for targets (S^1)^p x R^q x F with p <= 1, F finite.
 
 A layer is a connected component of an intersection of kernels in
 Hom(gamma, target).  It is pinned down by a canonical pair: the saturated
 span of the elements whose kernels contain it (an HNF lattice in the free
-quotient) and an integer character `chi` in the front end's coordinates
-(toric.py: residues mod the lcm period on the span rows and the torsion
-generators; lie.py: the image of every ambient generator in F).
+quotient) and a character `chi` = (circle values, F-hom).  The circle
+values are residues mod the lcm period P on the span rows and the torsion
+generators, `()` without a circle; the F-hom is one homomorphism of the
+whole ambient group into F, the zero hom `((),) * ngens` when F is trivial.
+The real factors only add connectivity, so they need no coordinates.
 `enumerate_layers` runs every lattice of the (lattice, #S) states through
-the front end's component enumeration, once for all the subsets that span
-it, deduplicates on (span, chi) and records each layer's localization, the
-set of elements whose kernel contains it: the union of the subsets it is a
+the component enumeration, once for all the subsets that span it,
+deduplicates on (span, chi) and records each layer's localization, the set
+of elements whose kernel contains it: the union of the subsets it is a
 component of.  Subsets are visited one by one only if `subset_components`
 is read.
 
@@ -27,12 +29,14 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from math import gcd, lcm
 
 from . import model
-from .intlinalg import FGAbelianGroup, IntMatrix, hom_enumerate
-from .invariants import IdentityCheckError
+from .intlinalg import FGAbelianGroup, IntMatrix, hnf_solve, hom_enumerate
+from .invariants import (HypothesisError, IdentityCheckError, checked,
+                         g_characteristic)
 from .model import Arrangement, CapExceeded, GroupSpec
-from .poly import UniPoly
+from .poly import UniPoly, scale_variable
 
 MAX_LAYER_ELEMENTS = 12
 
@@ -42,7 +46,7 @@ class Layer:
     """One connected component: (saturated span, character) with derived data."""
 
     span: IntMatrix          # HNF rows in the free quotient
-    chi: tuple               # integer character, in the front end's coordinates
+    chi: tuple               # (circle values mod P, F-hom of the ambient)
     rank: int
     dim: int
     in_partial: bool         # the localization holds no torsion element
@@ -53,27 +57,30 @@ class Layer:
     key: str                 # printed form of (span, chi)
 
 
-def enumerate_layers(arr: Arrangement, spec: GroupSpec, homs, restrict,
-                     describe, max_layers: int) -> "LayerPoset":
+def enumerate_layers(arr: Arrangement, spec: GroupSpec,
+                     max_layers: int) -> "LayerPoset":
     """Enumerate all layers over all element subsets and build the poset.
 
     A subset's components depend on it only through its lattice <S> plus
     the ambient torsion, so the work runs once per distinct lattice of
-    `arr.lattice_states()`.  The front end supplies homs(lattice, span),
-    the components of every subset spanning the lattice, as characters;
-    restrict(x, y), y's character restricted to the span of x, for layers
-    with loc(x) inside loc(y); and describe(span, chi), which gives
-    (component, order, printed chi).  The predicted number of
-    instances, the sum over subsets S of
-    multiplicity(S) * #F^(free rank - rank S), is checked against
-    max_layers before any homomorphism is enumerated, and each lattice's
-    component count is checked against its term on the way.  The poset
-    keeps the target as its `spec`.
+    `arr.lattice_states()`: its circle values are the characters of the
+    finite quotient (saturation mod lattice) into Z/P, and its F-homs those
+    of the quotient by the lattice.  The predicted number of instances,
+    the sum over subsets S of multiplicity(S) * #F^(free rank - rank S), is
+    checked against max_layers before any homomorphism is enumerated, and
+    each lattice's component count is checked against its term on the way.
+    The poset keeps the target as its `spec`.
     """
+    if spec.circles > 1:
+        raise HypothesisError(
+            f"{arr.describe()}: {spec.circles} circle factors; layer posets "
+            "take at most one")
     if arr.n > MAX_LAYER_ELEMENTS:
         raise CapExceeded(
             f"{arr.n} elements; layer enumeration is capped at {MAX_LAYER_ELEMENTS}")
-    f = arr.gamma.free_rank
+    gamma = arr.gamma
+    f = gamma.free_rank
+    fs = spec.f_torsion
     table = arr.lattice_table()
     expected: dict = {}  # lattice id -> components of each subset spanning it
     predicted = 0
@@ -98,15 +105,35 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec, homs, restrict,
             c = child[lat, vec]
             locs[c] = locs.get(c, 0) | locs[lat] | 1 << i
 
+    period = arr.lcm_period() if spec.circles else 1
+    # the lattice holds the torsion relations, so it presents its quotient
+    # of the free group on gamma's generators
+    free = FGAbelianGroup(gamma.ngens)
     raw: dict = {}  # (span rows, chi) -> [span, chi, rank, localization]
     lattice_keys: dict = {}  # lattice id -> its components' (span rows, chi)
     for lat in expected:
-        span = table.span(lat)
+        lattice, span = table.lattices[lat], table.span(lat)
         rank = f - table.quotient(lat).free_rank
-        chis = homs(table.lattices[lat], span)
+        values = [()]
+        if spec.circles:
+            gens = []
+            for row in lattice.data:
+                coeffs = hnf_solve(span, row[:f])
+                if coeffs is None:
+                    raise IdentityCheckError(
+                        f"{arr.describe()}: lattice row escaped its own saturation")
+                gens.append(coeffs + row[f:])
+            gens_m = IntMatrix.from_rows(gens, span.rows + len(gamma.torsion))
+            # the torsion relations are lattice rows already, so gens_m
+            # presents the quotient of the free group on the span and
+            # torsion generators
+            values = [tuple(img[0] for img in h) for h in hom_enumerate(
+                gens_m, FGAbelianGroup(gens_m.cols), (period,))]
+        homs = hom_enumerate(lattice, free, fs) if fs else [((),) * gamma.ngens]
+        chis = [(v, h) for v in values for h in homs]
         if len(chis) != expected[lat]:
             raise IdentityCheckError(
-                f"{arr.describe()}: lattice {list(table.lattices[lat].data)} "
+                f"{arr.describe()}: lattice {list(lattice.data)} "
                 f"has {len(chis)} components, expected {expected[lat]}")
         for chi in chis:
             entry = raw.setdefault((span.data, chi), [span, chi, rank, 0])
@@ -115,16 +142,41 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec, homs, restrict,
 
     tmask = arr.torsion_mask()
     layers = []
-    for span, chi, rank, loc in raw.values():
-        component, order, chi_text = describe(span, chi)
+    for span, (circle, hom), rank, loc in raw.values():
+        order = lcm(*(m // gcd(m, *(img[t] for img in hom))
+                      for t, m in enumerate(fs)))
+        texts = []
+        if spec.circles:
+            order = lcm(order, period // gcd(period, *circle))
+            texts.append(",".join(
+                f"{v // gcd(v, period)}/{period // gcd(v, period)}" if v else "0"
+                for v in circle))
+        if fs or not spec.circles:  # the trivial F-hom only without a circle
+            texts.append(",".join("+".join(str(x) for x in img) or "0"
+                                  for img in hom))
         rows = ";".join(",".join(str(x) for x in row) for row in span.data)
-        layers.append(Layer(span, chi, rank, spec.dim * (f - rank),
-                            not loc & tmask, loc, component, order,
-                            f"[{rows}]({chi_text})"))
+        layers.append(Layer(span, (circle, hom), rank, spec.dim * (f - rank),
+                            not loc & tmask, loc, (circle[span.rows:], hom),
+                            order, f"[{rows}]({'|'.join(texts)})"))
     layers.sort(key=lambda lay: (lay.rank, lay.span.data, lay.component, lay.chi))
     index = {(lay.span.data, lay.chi): i for i, lay in enumerate(layers)}
     components = {lat: tuple(sorted(index[key] for key in keys))
                   for lat, keys in lattice_keys.items()}
+    coefficients: dict = {}  # (span X, span Y) -> span X rows over span Y
+
+    def restrict(x, y):
+        """y's character restricted to the span of x, for loc(x) in loc(y):
+        the circle values move along the spans, the F-hom passes through."""
+        if not spec.circles:
+            return y.chi
+        pair = (x.span.data, y.span.data)
+        rows = coefficients.get(pair)
+        if rows is None:
+            rows = coefficients[pair] = [hnf_solve(y.span, row)
+                                         for row in x.span.data]
+        circle, hom = y.chi
+        return tuple(sum(c * v for c, v in zip(row, circle)) % period
+                     for row in rows) + circle[y.rank:], hom
 
     def leq(x, y):
         """x <= y in the poset: x contains y."""
@@ -133,6 +185,19 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec, homs, restrict,
     poset = LayerPoset(arr, layers, components, leq)
     poset.spec = spec
     return poset
+
+
+def checked_sum(poset: "LayerPoset", indices, arr: Arrangement,
+                target: GroupSpec, what: str) -> UniPoly:
+    """The Möbius-weighted dimension sum over `indices` (all layers if
+    None), once it equals the characteristic polynomial of `arr` over
+    `target` evaluated at #F * t^dim, F and dim those of the poset's target.
+    """
+    spec = poset.spec
+    return checked(poset.characteristic(indices),
+                   scale_variable(g_characteristic(arr, target),
+                                  spec.f_order, spec.dim),
+                   f"{poset.arr.describe()}: {what}")
 
 
 class LayerPoset:
@@ -161,7 +226,8 @@ class LayerPoset:
             roots = [i for i in idxs if self.layers[i].rank == 0]
             if len(roots) != 1:
                 raise IdentityCheckError(
-                    f"component has {len(roots)} rank-0 layers, expected 1")
+                    f"{arr.describe()}: component has {len(roots)} rank-0 "
+                    "layers, expected 1")
             root = roots[0]
             ranks = [self.layers[i].rank for i in idxs]
             for pos, j in enumerate(idxs):
@@ -193,8 +259,8 @@ class LayerPoset:
         for i, lay in enumerate(self.layers):
             if (-1) ** lay.rank * self.mobius[i] <= 0:
                 raise IdentityCheckError(
-                    f"Moebius sign fails at layer {i}: rank {lay.rank}, "
-                    f"mu {self.mobius[i]}")
+                    f"{self.arr.describe()}: Moebius sign fails at layer {i}: "
+                    f"rank {lay.rank}, mu {self.mobius[i]}")
 
     @property
     def n(self) -> int:
@@ -256,12 +322,14 @@ def partial_subposet(poset: LayerPoset) -> tuple:
     inside = set(chosen)
     for j in range(poset.n):
         if j not in inside and poset.strict_downs[j] & inside:
-            raise IdentityCheckError("partial subposet is not upward closed")
+            raise IdentityCheckError(
+                f"{poset.arr.describe()}: partial subposet is not upward closed")
     minimal_count = sum(1 for i in chosen if poset.layers[i].rank == 0)
     expected = _surviving_component_count(poset.arr, poset.spec)
     if minimal_count != expected:
         raise IdentityCheckError(
-            f"{minimal_count} surviving components, expected {expected}")
+            f"{poset.arr.describe()}: {minimal_count} surviving components, "
+            f"expected {expected}")
     return chosen
 
 
@@ -301,7 +369,8 @@ def mobius_all(poset: LayerPoset) -> LayerPoset:
         else:
             fresh[j] = -sum(fresh[i] for i in poset.strict_downs[j])
     if tuple(fresh) != poset.mobius:
-        raise IdentityCheckError("stored Möbius values are stale")
+        raise IdentityCheckError(
+            f"{poset.arr.describe()}: stored Möbius values are stale")
     poset._check_sign_alternation()
     return poset
 

@@ -276,9 +276,12 @@ def test_out_of_range_torsion_entry_warns(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "info", str(path))
     assert code == 0
-    assert "reduced" in err
-    arr = cli.load_arrangement(str(path))
+    assert "warning: vectors[0][1] = 3 reduced mod 2\n" in err
+    # the library warns through `warnings` and writes nothing itself
+    with pytest.warns(cli.ReducedEntryWarning, match="reduced mod 2"):
+        arr = cli.load_arrangement(str(path))
     assert arr.elements == ((0, 1),)
+    assert capsys.readouterr().err == ""
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
@@ -387,7 +390,7 @@ def test_hom_order_is_not_an_output(example_file, tmp_path, capsys,
                                     monkeypatch):
     # the layer engine sorts what it emits: homs met in reverse order give
     # the same stdout and DOT bytes
-    from gtutte import lie, toric
+    from gtutte import posets
     mixed = tmp_path / "mixed.json"
     mixed.write_text(json.dumps({"group": {"free_rank": 1, "torsion": [2]},
                                  "vectors": [[1, 0], [0, 1]]}))
@@ -406,11 +409,9 @@ def test_hom_order_is_not_an_output(example_file, tmp_path, capsys,
         return seen
 
     before = outputs()
-    for module in (toric, lie):
-        forward = module.hom_enumerate
-        monkeypatch.setattr(
-            module, "hom_enumerate",
-            lambda *args, forward=forward: forward(*args)[::-1])
+    forward = posets.hom_enumerate
+    monkeypatch.setattr(posets, "hom_enumerate",
+                        lambda *args: forward(*args)[::-1])
     assert outputs() == before
 
 
@@ -433,7 +434,8 @@ CONTRACT_VARIANTS = (
     ("toric-layers", "--k", "2"), ("toric-layers", "--k", "3", "--partial"),
     ("lie-layers", "--g", "1", "--torsion", "4"),
     ("lie-layers", "--g", "2", "--torsion", "2,2", "--partial"),
-    ("lie-layers", "--g", "1", "--torsion", "6", "--partial"))
+    ("lie-layers", "--g", "1", "--torsion", "6", "--partial"),
+    ("lie-layers", "--g", "1"))
 CONTRACT_CASES = [(name, argv) for name in ("example", "torsion")
                   for argv in CONTRACT_VARIANTS] + \
     [(None, ("verify", "--seed", "1", "--count", "3"))]
@@ -506,6 +508,8 @@ CONTRACT_DIGESTS = {
         (0, "aa5de32d152c4c14", "7676a2487171dc3b", "03ab6d3254c6d699"),
     "example lie-layers --g 1 --torsion 6 --partial":
         (0, "8c53dab013b25c3d", "0398296bf45ab673", "9ef9747f05cd8135"),
+    "example lie-layers --g 1":
+        (0, "c985b5b63acc7f60", "ce2769dac49c4e8b", "e44ae839c2fce1d4"),
     "torsion info":
         (0, "e8865a33bc0d143e", "fa3f9582f17b404c", None),
     "torsion quasi":
@@ -544,6 +548,8 @@ CONTRACT_DIGESTS = {
         (0, "a454fc109ba840b8", "a29025c28f45e2d8", "b4785d78f065eb16"),
     "torsion lie-layers --g 1 --torsion 6 --partial":
         (0, "277755ed04772591", "8d7c7cac67939bc1", "78a2736cdfdefa1c"),
+    "torsion lie-layers --g 1":
+        (0, "bec3c95c2a3a1f65", "f312d2752358264e", "5d0a466de82cf786"),
     "verify --seed 1 --count 3":
         (0, "535bd65e1add91f4", "c767a956db9473ca", None),
 }

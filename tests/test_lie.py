@@ -204,7 +204,7 @@ def test_first_constituent_matches_trivial_finite_part(example):
 ], ids=["partial", "partial-poset", "total", "total-poset", "constituent"])
 def test_identity_check_failure_raises(example, monkeypatch, call):
     # a wrong independent polynomial must make every wrapper raise
-    monkeypatch.setattr(lie, "g_characteristic",
+    monkeypatch.setattr(posets, "g_characteristic",
                         lambda arr, spec: UniPoly([7]))
     with pytest.raises(IdentityCheckError):
         call(example)

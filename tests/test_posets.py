@@ -1,0 +1,62 @@
+import pytest
+
+from gtutte import GroupSpec, posets
+from gtutte.invariants import HypothesisError, IdentityCheckError
+from gtutte.model import CapExceeded
+from gtutte.oracle import (battery_instances, brute_mobius, poset_leq_matrix,
+                           reference_strict_downs, reference_subset_components)
+from gtutte.poly import UniPoly
+from gtutte.posets import (checked_sum, enumerate_layers, mobius_all,
+                           partial_subposet)
+from gtutte.toric import enumerate_toric_layers, total_characteristic
+
+MIXED = (GroupSpec(f_torsion=(2,), circles=1), GroupSpec(circles=1, reals=1))
+
+
+def _mixed_posets(count=10):
+    """Posets of the first `count` nonempty battery instances whose layer
+    instances stay under 500 for both mixed targets."""
+    found = []
+    for arr in battery_instances(0, 60):
+        if not arr.n:
+            continue
+        try:
+            found.append([(arr, enumerate_layers(arr, spec, 500))
+                          for spec in MIXED])
+        except CapExceeded:
+            continue
+        if len(found) == count:
+            return [pair for pairs in found for pair in pairs]
+    raise AssertionError("too few small battery instances")
+
+
+def test_mixed_targets_match_identities_and_oracle():
+    for arr, poset in _mixed_posets():
+        spec = poset.spec
+        checked_sum(poset, partial_subposet(poset), arr, spec, "partial")
+        checked_sum(poset, None, arr.without_torsion(), spec, "total")
+        mobius_all(poset)
+        mu = brute_mobius(poset_leq_matrix(poset))
+        assert [mu[poset.component_of[i]][i] for i in range(poset.n)] == \
+            list(poset.mobius), (arr, spec)
+        assert poset.strict_downs == reference_strict_downs(poset), (arr, spec)
+        components, localizations = reference_subset_components(poset)
+        assert poset.subset_components == components, (arr, spec)
+        assert tuple(lay.localization for lay in poset.layers) == \
+            localizations, (arr, spec)
+
+
+def test_two_circles_are_refused(example):
+    with pytest.raises(HypothesisError, match="example"):
+        enumerate_layers(example, GroupSpec(circles=2), 10_000)
+
+
+def test_identity_errors_name_the_instance(example, monkeypatch):
+    poset = enumerate_toric_layers(example)
+    poset.mobius = (0,) + poset.mobius[1:]
+    with pytest.raises(IdentityCheckError, match="^example: stored Möbius"):
+        mobius_all(poset)
+    monkeypatch.setattr(posets, "g_characteristic",
+                        lambda arr, spec: UniPoly([7]))
+    with pytest.raises(IdentityCheckError, match="^example: total polynomial"):
+        total_characteristic(example, enumerate_toric_layers(example))

@@ -1,6 +1,6 @@
 import pytest
 
-from gtutte import Arrangement, FGAbelianGroup, GroupSpec, chromatic_quasi, toric
+from gtutte import Arrangement, FGAbelianGroup, GroupSpec, chromatic_quasi, posets
 from gtutte.invariants import IdentityCheckError
 from gtutte.model import CapExceeded, multiplicity
 from gtutte.oracle import brute_mobius, poset_leq_matrix
@@ -232,7 +232,7 @@ def test_mobius_all_recompute(example_poset):
 def test_identity_check_failure_raises(example, example_poset, monkeypatch,
                                        wrapper, args):
     # a wrong independent polynomial must make every wrapper raise
-    monkeypatch.setattr(toric, "g_characteristic",
+    monkeypatch.setattr(posets, "g_characteristic",
                         lambda arr, spec: UniPoly([7]))
     with pytest.raises(IdentityCheckError):
         wrapper(example, *args, example_poset)
@@ -240,7 +240,7 @@ def test_identity_check_failure_raises(example, example_poset, monkeypatch,
 
 def test_k_partial_unchecked_skips_identity(example, example_poset,
                                             monkeypatch):
-    monkeypatch.setattr(toric, "g_characteristic",
+    monkeypatch.setattr(posets, "g_characteristic",
                         lambda arr, spec: UniPoly([7]))
     got = k_partial_characteristic(example, 2, example_poset, check=False)
     assert got.coeffs == (2, -3, 1)
