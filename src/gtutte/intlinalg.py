@@ -17,9 +17,13 @@ lattice fold of `model.LatticeTable`, on plain row tuples.
 `hnf_invariant_factors` reads the invariant factors of a quotient straight
 off the canonical HNF of its relations, by closed forms where the shape
 allows and by the elimination without borders otherwise, so `cokernel`
-tracks no transforms.  `smith_normal_form`, `saturation` and `hom_images`
-run the same elimination with the borders they read, `saturation` and
-`hom_images` on the HNF of their input so the transforms stay small.
+tracks no transforms.  Two callers still border `_smith`:
+`smith_normal_form` with both borders, and `saturation` with the U border,
+on the HNF of its input so the transforms stay small, and only for a rank
+strictly between 1 and the free rank; a full-rank HNF saturates to the
+identity and a single row to itself over its gcd.  `hom_images` runs no
+elimination: it solves the canonical HNF of the relations by
+back-substitution, one target factor at a time.
 """
 
 from __future__ import annotations
@@ -451,6 +455,13 @@ def saturation(generators: IntMatrix, ambient: FGAbelianGroup) -> IntMatrix:
     B = hermite_normal_form(
         IntMatrix.from_rows([row[:f] for row in generators.data], f))
     r = B.rows
+    if r == f:  # full rank: the saturation is all of Z^f
+        return IntMatrix.identity(f)
+    if r == 0:
+        return B
+    if r == 1:  # a primitive row with a positive pivot is a canonical HNF
+        g = gcd(*B.data[0])
+        return IntMatrix(1, f, (tuple(x // g for x in B.data[0]),))
     A = [list(row) + [int(i == k) for k in range(r)]
          for i, row in enumerate(B.data)]
     _smith(A, r, f)
@@ -465,45 +476,54 @@ def saturation(generators: IntMatrix, ambient: FGAbelianGroup) -> IntMatrix:
     return hermite_normal_form(IntMatrix.from_rows(Vinv, f))
 
 
-def _annihilator_values(d: int, f: int) -> range:
-    """Elements x of Z/f with d*x = 0: multiples of f/gcd(f, d)."""
-    g = gcd(f, d) if d else f
-    return range(0, f, f // g)
-
-
 def hom_images(relations: IntMatrix, target_torsion) -> list:
     """All homomorphisms from Z^n/<relation rows> into + Z/f_j.
 
     Returned as tuples of generator images, each image a residue tuple; the
     list is complete, duplicate-free, and deterministically ordered.
+
+    The relations are reduced to their canonical HNF, and each factor Z/m
+    is solved on its own by back-substitution, from the last column to the
+    first: a column without a pivot takes every residue, and a pivot p, with
+    the later columns fixed at a sum s over the rest of its row, takes the
+    gcd(p, m) residues x with p*x = -s mod m, or none when gcd(p, m) does
+    not divide s.  The solutions so far form a group and s mod gcd(p, m) a
+    homomorphism on it, so a pivot keeps at least 1/gcd(p, m) of them and
+    gcd(p, m) residues each: no intermediate list outgrows the result.  The
+    homs are the product of the factors' solutions.
     """
     fs = tuple(int(f) for f in target_torsion)
     if any(f < 1 for f in fs):
         raise ValueError("target factors must be positive")
     n = relations.cols
-    # reduced to HNF first, as in cokernel, so the transforms stay small
-    # on tall or large-entry input; the row lattice, hence the homs, is kept
-    relations = hermite_normal_form(relations)
-    m = relations.rows
-    A = [list(row) for row in relations.data]
-    A += [[int(i == j) for j in range(n)] for i in range(n)]
-    _smith(A, m, n)
-    V = A[m:]
-    # x solves R x = 0 iff x = V y with d_i y_i = 0 per coordinate; the HNF
-    # rows are independent, so d_i != 0 exactly for i < m
-    diag = [A[i][i] if i < m else 0 for i in range(n)]
-    per_coord = [list(product(*(_annihilator_values(d, f) for f in fs))) for d in diag]
-    out = []
-    for y in product(*per_coord):
-        x = []
-        for k in range(n):
-            Vk = V[k]
-            img = tuple(
-                sum(Vk[i] * y[i][c] for i in range(n)) % fs[c]
-                for c in range(len(fs)))
-            x.append(img)
-        out.append(tuple(x))
-    return out
+    if not fs:  # one hom, onto the trivial group
+        return [((),) * n]
+    pivot_rows = {}  # pivot column -> (pivot, the rest of its HNF row)
+    for row in hermite_normal_form(relations).data:
+        j = 0
+        while not row[j]:
+            j += 1
+        pivot_rows[j] = (row[j], row[j + 1:])
+    per_factor = []
+    for m in fs:
+        tails = [()]  # solutions (x_j+1, ..., x_n-1) on the columns after j
+        for j in range(n - 1, -1, -1):
+            if j not in pivot_rows:
+                tails = [(x,) + t for t in tails for x in range(m)]
+                continue
+            p, rest = pivot_rows[j]
+            g = gcd(p, m)
+            step = m // g
+            inv = pow(p // g, -1, step)
+            grown = []
+            for t in tails:
+                s = sum([a * x for a, x in zip(rest, t)])
+                if not s % g:
+                    x0 = -s // g * inv % step
+                    grown.extend([(x,) + t for x in range(x0, m, step)])
+            tails = grown
+        per_factor.append(tails)
+    return [tuple(zip(*sols)) for sols in product(*per_factor)]
 
 
 def hom_enumerate(generators: IntMatrix, ambient: FGAbelianGroup,

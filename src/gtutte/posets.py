@@ -18,14 +18,21 @@ is read.
 The order is reverse inclusion.  X contains Y exactly when loc(X) lies in
 loc(Y), so that span(X) lies in span(Y), and Y's character restricted to
 span(X) is X's: one bit test plus one residue check.  Each layer lies over
-a unique minimal element (the connected component of the total group
-containing it), and the interval used everywhere is [component, layer], so
-a single bottom-up sweep computes every Möbius value mu(component(C), C).
+a unique minimal element, the rank-0 root of its component (the connected
+component of the total group containing it), which lies below every layer
+of that component untested.  Above rank 1 the test runs only on layers X
+of the same component exactly one rank below Y whose localization nests in
+loc(Y), and downs(Y) is the root together with each such X and downs(X).
+Nothing is missed: if X < Y with ranks at least 2 apart, joining loc(X)
+with one element of loc(Y) outside span(X) gives an intersection whose
+component containing Y is a layer Z of rank(X) + 1 with X < Z < Y, so X
+lies in downs(Z) by induction.  The interval used everywhere is
+[component, layer], so a single bottom-up sweep computes every Möbius
+value mu(component(C), C).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -164,23 +171,24 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec,
                   for lat, keys in lattice_keys.items()}
     coefficients: dict = {}  # (span X, span Y) -> span X rows over span Y
 
-    def restrict(x, y):
-        """y's character restricted to the span of x, for loc(x) in loc(y):
-        the circle values move along the spans, the F-hom passes through."""
+    def leq(x, y):
+        """x <= y in the poset: x contains y.  Within one component (equal
+        F-homs and torsion-generator values) y's circle values, moved
+        along the spans, must give x's on the span rows of x."""
+        if x.localization & ~y.localization or x.component != y.component:
+            return False
         if not spec.circles:
-            return y.chi
+            return True
         pair = (x.span.data, y.span.data)
         rows = coefficients.get(pair)
         if rows is None:
             rows = coefficients[pair] = [hnf_solve(y.span, row)
                                          for row in x.span.data]
-        circle, hom = y.chi
-        return tuple(sum(c * v for c, v in zip(row, circle)) % period
-                     for row in rows) + circle[y.rank:], hom
-
-    def leq(x, y):
-        """x <= y in the poset: x contains y."""
-        return not x.localization & ~y.localization and restrict(x, y) == x.chi
+        circle = y.chi[0]
+        for row, value in zip(rows, x.chi[0]):
+            if sum([c * v for c, v in zip(row, circle)]) % period != value:
+                return False
+        return True
 
     poset = LayerPoset(arr, layers, components, leq)
     poset.spec = spec
@@ -205,8 +213,11 @@ class LayerPoset:
 
     layers[i] is a Layer; lattice_components maps each lattice id of the
     arrangement's states to its subsets' sorted component indices; and
-    leq_fn(x, y) says whether x contains y.  The poset adds the order
-    (strict_downs), Möbius values and the component map.
+    leq_fn(x, y) says whether x contains y.  It is asked only about pairs
+    of one component, one rank apart, whose localizations nest; the rest
+    of the order (strict_downs) follows from those answers, see the module
+    docstring.  The poset adds the order, Möbius values and the component
+    map.
     """
 
     def __init__(self, arr, layers, lattice_components, leq_fn):
@@ -215,26 +226,39 @@ class LayerPoset:
         n = len(self.layers)
         self.lattice_components = dict(lattice_components)
 
+        layers = self.layers
         groups: dict = {}
-        for i, lay in enumerate(self.layers):
+        for i, lay in enumerate(layers):
             groups.setdefault(lay.component, []).append(i)
 
         downs = [frozenset()] * n
         component_of = [None] * n
         for idxs in groups.values():
-            idxs.sort(key=lambda i: self.layers[i].rank)
-            roots = [i for i in idxs if self.layers[i].rank == 0]
+            by_rank: dict = {}
+            for i in idxs:
+                by_rank.setdefault(layers[i].rank, []).append(i)
+            roots = by_rank.get(0, ())
             if len(roots) != 1:
                 raise IdentityCheckError(
                     f"{arr.describe()}: component has {len(roots)} rank-0 "
                     "layers, expected 1")
             root = roots[0]
-            ranks = [self.layers[i].rank for i in idxs]
-            for pos, j in enumerate(idxs):
-                component_of[j] = root
-                lower = idxs[:bisect_left(ranks, ranks[pos])]
-                downs[j] = frozenset(i for i in lower
-                                     if leq_fn(self.layers[i], self.layers[j]))
+            for i in idxs:
+                component_of[i] = root
+            for j in by_rank.get(1, ()):
+                downs[j] = frozenset((root,))
+            for r in range(2, max(by_rank) + 1):
+                lower = by_rank.get(r - 1, ())
+                for j in by_rank.get(r, ()):
+                    y = layers[j]
+                    outside = ~y.localization
+                    down = {root}
+                    for i in lower:
+                        x = layers[i]
+                        if not x.localization & outside and leq_fn(x, y):
+                            down.add(i)
+                            down |= downs[i]
+                    downs[j] = frozenset(down)
         self.strict_downs = tuple(downs)
         self.component_of = tuple(component_of)
         self.minimal = tuple(sorted(i for i in range(n) if not downs[i]))

@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import product
 
 import pytest
 
@@ -247,6 +248,11 @@ def test_saturation_examples():
     assert saturation(rows([0, 2]), Z2).data == ((0, 1),)
     assert saturation(IntMatrix.from_rows([], 2), Z2).data == ()
     assert saturation(rows([-1, 1], [0, 2]), Z2).data == ((1, 0), (0, 1))
+    # rank 1: negative or not primitive rows are divided by their gcd
+    assert saturation(rows([-4, 6]), Z2).data == ((2, -3),)
+    assert saturation(rows([0, -3], [0, 6]), Z2).data == ((0, 1),)
+    # full rank of index 6 is all of Z^2
+    assert saturation(rows([2, 0], [0, 3]), Z2) == IntMatrix.identity(2)
 
 
 def test_saturation_contains_rows_and_gives_free_quotient():
@@ -267,6 +273,29 @@ def test_saturation_contains_rows_and_gives_free_quotient():
             lifted.append(unit)
         quot = cokernel(IntMatrix.from_rows(lifted, gamma.ngens), gamma)
         assert quot.torsion == (), gens
+        return sat.rows
+
+    # every rank 0..f: r scaled independent rows (negative and non-primitive
+    # ones included) and a dependent combination of them
+    rng = random.Random(3)
+    for free in range(4):
+        gamma = FGAbelianGroup(free, (2,))
+        for rank in range(free + 1):
+            basis = []
+            while len(basis) < rank:
+                vec = [rng.randint(-3, 3) for _ in range(free)]
+                trial = IntMatrix.from_rows(basis + [vec], free)
+                if hermite_normal_form(trial).rows > len(basis):
+                    basis.append(vec)
+            gens = [[rng.choice([-6, -2, 1, 3]) * x for x in vec]
+                    for vec in basis]
+            coeffs = [rng.randint(-2, 2) for _ in gens]
+            if gens:
+                gens.append([sum(c * vec[j] for c, vec in zip(coeffs, gens))
+                             for j in range(free)])
+            lifted = [vec + [rng.randint(0, 1)] for vec in gens]
+            assert check(IntMatrix.from_rows(lifted, gamma.ngens),
+                         gamma) == rank, (free, lifted)
 
     rng = random.Random(11)
     for _ in range(100):
@@ -363,6 +392,51 @@ def test_hom_count_matches_enumeration_small_groups():
                 continue
             homs = hom_enumerate(IntMatrix.from_rows([], len(s)), src, t)
             assert len(homs) == hom_count(src, t)
+
+
+def _brute_homs(gens, gamma, target):
+    """Every x in the product of (Z/f_j)^n that kills the relations."""
+    rels = presentation_matrix(gens, gamma).data
+    images = list(product(*(range(f) for f in target)))
+    return {x for x in product(images, repeat=gamma.ngens)
+            if all(not sum(a * img[t] for a, img in zip(rel, x)) % f
+                   for rel in rels for t, f in enumerate(target))}
+
+
+def test_hom_enumerate_matches_brute_force():
+    cases = [
+        # zero-row relations: every x, free and torsion ambients
+        (FGAbelianGroup(2), [], (2, 6)),
+        (FGAbelianGroup(1, (2, 4)), [], (4,)),
+        # non-square HNFs: one and two rows over three columns
+        (FGAbelianGroup(3), [[2, 4, 6]], (2, 6)),
+        (FGAbelianGroup(3), [[2, 1, 3], [0, 4, 2]], (2, 2)),
+        (FGAbelianGroup(2, (6,)), [[3, 0, 2], [0, 2, 3]], (6,)),
+        # target factor 1 and an empty target
+        (FGAbelianGroup(2, (2,)), [[1, 3, 1]], (1,)),
+        (FGAbelianGroup(1, (2,)), [[2, 1]], (1, 2)),
+        (FGAbelianGroup(2, (2,)), [[1, 3, 1]], ()),
+        (FGAbelianGroup(0), [], ()),
+        (FGAbelianGroup(0), [], (2, 2)),
+    ]
+    rng = random.Random(13)
+    for _ in range(60):
+        free = rng.randint(0, 3)
+        tors = rng.choice([(), (2,), (4,), (2, 6)])
+        gamma = FGAbelianGroup(free, tors)
+        if gamma.ngens > 3:
+            continue
+        gens = [[rng.randint(-4, 4) for _ in range(free)]
+                + [rng.randint(0, e - 1) for e in tors]
+                for _ in range(rng.randint(0, 3))]
+        cases.append((gamma, gens, rng.choice(
+            [(), (1,), (2,), (3,), (4,), (2, 2), (2, 6)])))
+    for gamma, gens, target in cases:
+        gens = IntMatrix.from_rows(gens, gamma.ngens)
+        homs = hom_enumerate(gens, gamma, target)
+        assert len(homs) == len(set(homs)), (gens, gamma, target)
+        assert set(homs) == _brute_homs(gens, gamma, target), \
+            (gens, gamma, target)
 
 
 def test_group_validation():

@@ -1,7 +1,8 @@
 import pytest
 
-from gtutte import GroupSpec, posets
+from gtutte import Arrangement, FGAbelianGroup, GroupSpec, posets
 from gtutte.invariants import HypothesisError, IdentityCheckError
+from gtutte.lie import enumerate_lie_layers
 from gtutte.model import CapExceeded
 from gtutte.oracle import (battery_instances, brute_mobius, poset_leq_matrix,
                            reference_strict_downs, reference_subset_components)
@@ -10,12 +11,14 @@ from gtutte.posets import (checked_sum, enumerate_layers, mobius_all,
                            partial_subposet)
 from gtutte.toric import enumerate_toric_layers, total_characteristic
 
-MIXED = (GroupSpec(f_torsion=(2,), circles=1), GroupSpec(circles=1, reals=1))
+MIXED = (GroupSpec(f_torsion=(2,), circles=1),
+         GroupSpec(f_torsion=(2, 2), circles=1),
+         GroupSpec(circles=1, reals=1))
 
 
 def _mixed_posets(count=10):
     """Posets of the first `count` nonempty battery instances whose layer
-    instances stay under 500 for both mixed targets."""
+    instances stay under 500 for every mixed target."""
     found = []
     for arr in battery_instances(0, 60):
         if not arr.n:
@@ -44,6 +47,35 @@ def test_mixed_targets_match_identities_and_oracle():
         assert poset.subset_components == components, (arr, spec)
         assert tuple(lay.localization for lay in poset.layers) == \
             localizations, (arr, spec)
+
+
+def test_order_tests_only_adjacent_ranks_with_nested_localizations(example):
+    # the root of a component lies below all of it, and every longer
+    # relation passes through a layer one rank up, so leq_fn is only asked
+    # about pairs one rank apart whose localizations nest
+    mixed = Arrangement(FGAbelianGroup(2, (2,)),
+                        [[1, 0, 1], [0, 2, 0], [1, 1, 0], [1, -1, 1]])
+    built = [enumerate_toric_layers(example),
+             enumerate_toric_layers(mixed),
+             enumerate_lie_layers(example, 1, (2, 2)),
+             enumerate_lie_layers(mixed, 2, (2,))]
+    for poset in built:
+        reference = reference_strict_downs(poset)
+        index = {id(lay): i for i, lay in enumerate(poset.layers)}
+        asked = []
+
+        def leq(x, y):
+            asked.append((x, y))
+            return index[id(x)] in reference[index[id(y)]]
+
+        rebuilt = posets.LayerPoset(poset.arr, poset.layers,
+                                    poset.lattice_components, leq)
+        assert rebuilt.strict_downs == reference, poset.arr
+        assert asked, poset.arr
+        for x, y in asked:
+            assert y.rank == x.rank + 1, (x.key, y.key)
+            assert not x.localization & ~y.localization, (x.key, y.key)
+            assert x.component == y.component, (x.key, y.key)
 
 
 def test_two_circles_are_refused(example):
