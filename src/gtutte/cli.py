@@ -42,6 +42,8 @@ def load_arrangement(path: str) -> Arrangement:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON (line {exc.lineno}: {exc.msg})")
+    except RecursionError:
+        raise InputError(f"{path}: JSON nested too deeply to parse")
     return arrangement_from_document(doc, origin=path)
 
 
@@ -177,7 +179,7 @@ def cmd_quasi(arr, args):
 def cmd_constituent(arr, args):
     if args.k < 1:
         raise InputError("K must be positive")
-    c = invariants.constituent(arr, args.k)
+    c = invariants.QuasiPolynomial(arr).constituent(args.k)
     summary = poly_str(c)
     if args.k % arr.lcm_period() == 0:
         # the last constituent should be the toric characteristic polynomial

@@ -1,29 +1,30 @@
 """Closed-form invariants computed by exact subset sums.
 
-The bivariate subset sum over all 2^n element subsets, taken class by class
-over the subset histogram with weights given by the homomorphism-count
-multiplicity, specializes to everything else here:
-the classical Tutte polynomial (real target), the arithmetic Tutte
-polynomial (circle target), the characteristic polynomial of the target
-group, and the chromatic quasi-polynomial (cyclic targets, one constituent
-per residue class mod the lcm period).
+Each invariant is a sum over the classes of the subset histogram, weighted
+by the homomorphism-count multiplicity m(S).  The bivariate sum is the
+G-Tutte polynomial; its real and circle targets give the classical and
+arithmetic Tutte polynomials.  The characteristic polynomial is the signed
+class sum of (-1)^#S * m(S) * t^(rank(gamma)-rank(S)); the tests check it
+against the Tutte specialization.  The chromatic quasi-polynomial keeps one
+characteristic polynomial per divisor d of the lcm period, that of the
+cyclic target Z/d, and its constituent at k is the one at gcd(k, period).
 
-Constituents are produced symbolically from gcds with a residue
-representative, never by interpolating point counts; the brute-force counts
-live in the oracle module and stay an independent cross-check.
+Constituents are produced symbolically, never by interpolating point
+counts; the brute-force counts live in the oracle module and stay an
+independent cross-check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 from math import comb, gcd
 
 from . import model
 from .model import Arrangement, GroupSpec
-from .poly import BiPoly, UniPoly, substitute_xy
+from .poly import BiPoly, UniPoly
 
 
-# `chromatic_quasi` holds one constituent per residue: at this period, `quasi`
+# the dense view holds one constituent per residue: at this period, `quasi`
 # takes about 0.4 s and prints 1.4 MB on a rank-2 input (2-core x86)
 MAX_PERIOD = 50_000
 
@@ -67,28 +68,47 @@ def arithmetic_tutte(arr: Arrangement) -> BiPoly:
 
 
 def g_characteristic(arr: Arrangement, spec: GroupSpec) -> UniPoly:
-    """(-1)^rank(A) * t^(rank(gamma)-rank(A)) * T(1-t, 0), exactly."""
-    r_full = arr.rank
-    u = substitute_xy(g_tutte(arr, spec))
-    sign = -1 if r_full % 2 else 1
-    return UniPoly.monomial(arr.gamma.free_rank - r_full, sign) * u
+    """Subset sum of (-1)^#S * m(S) * t^(rank(gamma)-rank(S)), taken over
+    the classes of the subset histogram."""
+    f = arr.gamma.free_rank
+    coeffs = [0] * (f + 1)
+    for key, count in arr.histogram().items():
+        m = count * model.multiplicity(key, spec)
+        coeffs[f - key.rank] += -m if key.size % 2 else m
+    return UniPoly(coeffs)
 
 
-@dataclass(frozen=True)
 class QuasiPolynomial:
-    """Period plus one exact integer polynomial per residue class.
+    """The chromatic quasi-polynomial of an arrangement, kept per divisor.
 
-    constituents[k-1] is the polynomial giving the value at arguments
-    congruent to k mod period, for k = 1..period.
+    The constituent at k is the characteristic polynomial for the cyclic
+    target of order k.  It depends on k only through gcd(k, period), so it
+    is computed once per divisor of the lcm period, on first use.
+    `constituents` is the dense view: constituents[k-1] for k = 1..period.
     """
 
-    period: int
-    constituents: tuple
+    def __init__(self, arr: Arrangement):
+        self.arr = arr
+        self.period = arr.lcm_period()
+        self._by_divisor: dict = {}
 
     def constituent(self, k: int) -> UniPoly:
         if k < 1:
             raise ValueError("residue representative must be positive")
-        return self.constituents[(k - 1) % self.period]
+        d = gcd(k, self.period)
+        if d not in self._by_divisor:
+            self._by_divisor[d] = g_characteristic(self.arr, GroupSpec.cyclic(d))
+        return self._by_divisor[d]
+
+    @cached_property
+    def constituents(self) -> tuple:
+        """One constituent per residue; a period above `MAX_PERIOD` is
+        refused with `CapExceeded` before any constituent is built."""
+        if self.period > MAX_PERIOD:
+            raise model.CapExceeded(
+                f"{self.arr.describe()}: lcm period {self.period} exceeds the "
+                f"cap {MAX_PERIOD} (one constituent is held per residue)")
+        return tuple(self.constituent(k) for k in range(1, self.period + 1))
 
     def __call__(self, q: int) -> int:
         return self.constituent(q)(q)
@@ -99,38 +119,17 @@ class QuasiPolynomial:
 
 
 def chromatic_quasi(arr: Arrangement) -> QuasiPolynomial:
-    """All constituents of the cyclic-target characteristic polynomial.
-
-    The k-th constituent is the characteristic polynomial for the cyclic
-    target of order k; it only depends on gcds of k with the quotient
-    torsion factors, all of which divide the lcm period, so it is that of
-    the target of order gcd(k, period) and is computed once per divisor.
-    A period above `MAX_PERIOD` is refused with `CapExceeded` before any
-    constituent is built.
-    """
-    period = arr.lcm_period()
-    if period > MAX_PERIOD:
-        raise model.CapExceeded(
-            f"{arr.describe()}: lcm period {period} exceeds the cap "
-            f"{MAX_PERIOD} (one constituent is held per residue)")
-    by_divisor = {d: g_characteristic(arr, GroupSpec.cyclic(d))
-                  for d in _divisors(period)}
-    constituents = tuple(by_divisor[gcd(k, period)] for k in range(1, period + 1))
-    return QuasiPolynomial(period, constituents)
-
-
-def constituent(arr: Arrangement, k: int) -> UniPoly:
-    """The k-th constituent alone, as `chromatic_quasi(arr).constituent(k)`
-    gives it, without building the other residues."""
-    if k < 1:
-        raise ValueError("residue representative must be positive")
-    return g_characteristic(arr, GroupSpec.cyclic(gcd(k, arr.lcm_period())))
+    """The quasi-polynomial with its dense view built, so a period above
+    `MAX_PERIOD` is refused here."""
+    qp = QuasiPolynomial(arr)
+    qp.constituents  # built now, inside this call
+    return qp
 
 
 def first_constituent(arr: Arrangement) -> UniPoly:
     """Constituent 1: zero when a torsion element is present, else the
     characteristic polynomial of the real-target arrangement."""
-    return g_characteristic(arr, GroupSpec.cyclic(1))
+    return QuasiPolynomial(arr).constituent(1)
 
 
 def toric_characteristic(arr: Arrangement) -> UniPoly:
@@ -145,7 +144,7 @@ def toric_characteristic(arr: Arrangement) -> UniPoly:
     zero = (0,) * arr.gamma.ngens
     if zero in arr.elements:
         raise HypothesisError("the zero element is not allowed here")
-    return checked(g_characteristic(arr, GroupSpec.cyclic(arr.lcm_period())),
+    return checked(QuasiPolynomial(arr).constituent(arr.lcm_period()),
                    g_characteristic(arr, GroupSpec.circle()),
                    "last constituent vs arithmetic Tutte specialization")
 
@@ -159,7 +158,7 @@ def beta_coefficients(arr: Arrangement, q: int,
     """
     if q < 1:
         raise ValueError("q must be positive")
-    c = constituent(arr, q) if qp is None else qp.constituent(q)
+    c = (QuasiPolynomial(arr) if qp is None else qp).constituent(q)
     r = arr.gamma.free_rank
     betas = []
     for j in range(r + 1):
@@ -175,8 +174,9 @@ def chen_wang_compare(arr: Arrangement, a: int, b: int) -> list:
     """Coefficientwise comparison beta_j(a) <= beta_j(b) for a | b."""
     if a < 1 or b < 1 or b % a:
         raise ValueError("need positive a dividing b")
-    beta_a = beta_coefficients(arr, a)
-    beta_b = beta_coefficients(arr, b)
+    qp = QuasiPolynomial(arr)
+    beta_a = beta_coefficients(arr, a, qp)
+    beta_b = beta_coefficients(arr, b, qp)
     return [{"j": j, "beta_a": x, "beta_b": y, "ok": x <= y}
             for j, (x, y) in enumerate(zip(beta_a, beta_b))]
 
@@ -187,7 +187,7 @@ def reciprocity_eval(arr: Arrangement, k: int, q: int,
     since it equals sum_j beta_j(k) * q^j."""
     if q < 1:
         raise ValueError("q must be positive")
-    c = constituent(arr, k) if qp is None else qp.constituent(k)
+    c = (QuasiPolynomial(arr) if qp is None else qp).constituent(k)
     val = (-1) ** arr.gamma.free_rank * c(-q)
     if val < 0:
         raise IdentityCheckError(
@@ -203,14 +203,14 @@ def leading_part(arr: Arrangement, spec: GroupSpec) -> int:
     return lead * spec.f_order ** arr.gamma.free_rank
 
 
-def _divisors(n: int) -> list:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
 def minimal_period(qp: QuasiPolynomial) -> int:
-    """Smallest divisor of the period under which the constituents repeat."""
-    for p in _divisors(qp.period):
-        if all(qp.constituents[k] == qp.constituents[k % p]
-               for k in range(qp.period)):
+    """Smallest divisor p of the period under which the constituents repeat:
+    the least p with constituent(d) == constituent(gcd(d, p)) for every
+    divisor d (by the Chinese remainder theorem, some j = d mod p has
+    gcd(j, period) = gcd(d, p)).  The dense view's cap applies."""
+    qp.constituents  # fills every divisor's constituent
+    divisors = sorted(qp._by_divisor)
+    for p in divisors:
+        if all(qp.constituent(d) == qp.constituent(gcd(d, p)) for d in divisors):
             return p
     return qp.period

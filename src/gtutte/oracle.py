@@ -278,27 +278,16 @@ def random_arrangement(rng: random.Random) -> Arrangement:
 
 
 def _desk_sized(arr: Arrangement) -> bool:
-    """Keep battery instances inside the layer modules' documented caps."""
+    """Keep battery instances inside the layer modules' documented caps,
+    sizing the toric and line-target layer sets off the histogram."""
     if arr.lcm_period() > 360:
         return False
-    toric_size = 0
-    for mask in arr.masks():
-        prod = 1
-        for d in arr.subset_data(mask).torsion_factors:
-            prod *= d
-        toric_size += prod
-    if toric_size > 2500:
-        return False
+    hist = arr.histogram().items()
+    toric = sum(c * model.multiplicity(k, GroupSpec.circle()) for k, c in hist)
     f = arr.gamma.free_rank
-    for fs in ((2,), (3,), (4,)):
-        spec = GroupSpec(f_torsion=fs)
-        size = sum(
-            model.multiplicity(arr.subset_data(mask), spec)
-            * spec.f_order ** (f - arr.subset_data(mask).rank)
-            for mask in arr.masks())
-        if size > 12000:
-            return False
-    return True
+    return toric <= 2500 and all(
+        sum(c * model.multiplicity(k, GroupSpec.cyclic(e)) * e ** (f - k.rank)
+            for k, c in hist) <= 12000 for e in (2, 3, 4))
 
 
 def battery_instances(seed: int, count: int) -> list:

@@ -576,11 +576,13 @@ def _period_file(tmp_path, period):
     (("toric-layers", "{example}", "--dot", "{tmp}/no-dir/out.dot"),
      "{tmp}/no-dir/out.dot"),
     (("quasi", "{over_cap}"), f"exceeds the cap {invariants.MAX_PERIOD}"),
+    (("info", "{tmp}/deep.json"), "{tmp}/deep.json"),
 ], ids=["missing file", "bad JSON", "K = 0", "--dot into a missing directory",
-        "period cap"])
+        "period cap", "deeply nested JSON"])
 def test_error_paths_print_no_result(argv, message, example_file, tmp_path,
                                      capsys):
     (tmp_path / "bad.json").write_text("{not json")
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
     names = {"tmp": str(tmp_path), "example": example_file,
              "over_cap": _period_file(tmp_path, invariants.MAX_PERIOD + 1)}
     code, out, err = run(capsys, *(a.format(**names) for a in argv))

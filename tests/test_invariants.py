@@ -1,13 +1,17 @@
 import random
+import time
+from math import gcd
 
 import pytest
 
-from gtutte import (Arrangement, FGAbelianGroup, GroupSpec, arithmetic_tutte,
-                    beta_coefficients, chen_wang_compare, chromatic_quasi,
-                    first_constituent, g_characteristic, g_tutte, leading_part,
-                    minimal_period, reciprocity_eval, toric_characteristic)
-from gtutte.invariants import HypothesisError
+from gtutte import (Arrangement, FGAbelianGroup, GroupSpec, QuasiPolynomial,
+                    arithmetic_tutte, beta_coefficients, chen_wang_compare,
+                    chromatic_quasi, first_constituent, g_characteristic,
+                    g_tutte, leading_part, minimal_period, reciprocity_eval,
+                    toric_characteristic)
 from gtutte.intlinalg import IntMatrix, hom_enumerate
+from gtutte.invariants import MAX_PERIOD, HypothesisError
+from gtutte.model import CapExceeded
 from gtutte.poly import UniPoly
 
 
@@ -212,6 +216,40 @@ def test_minimal_period_collapses_duplicates(example):
     # duplicated elements change nothing
     dup = Arrangement(example.gamma, list(example.elements) + [[0, 2]])
     assert minimal_period(chromatic_quasi(dup)) == 4
+    # the per-divisor test against the dense scan over every residue
+    from gtutte.oracle import battery_instances
+    zero = Arrangement(FGAbelianGroup(1), [[0], [2], [6]])
+    for arr in battery_instances(0, 60) + [zero]:
+        qp = chromatic_quasi(arr)
+        dense = next(p for p in range(1, qp.period + 1) if qp.period % p == 0
+                     and all(qp.constituents[k] == qp.constituents[k % p]
+                             for k in range(qp.period)))
+        assert minimal_period(qp) == dense, arr
+    qp = chromatic_quasi(zero)
+    assert qp.period == 6 and minimal_period(qp) == 1
+
+
+def test_quasi_polynomial_past_the_dense_cap(monkeypatch):
+    from gtutte import invariants
+    P = 10**12
+    arr = Arrangement(FGAbelianGroup(2), [[P, 0], [0, 1], [1, 1]])
+    qp = QuasiPolynomial(arr)
+    assert qp.period == P
+    ks = (1, 2, 3, 10**6, 2 * P + 2, 5 * 10**11)
+    expected = {k: g_characteristic(arr, GroupSpec.cyclic(gcd(k, P))) for k in ks}
+    calls = []
+    real = invariants.g_characteristic
+    monkeypatch.setattr(invariants, "g_characteristic",
+                        lambda a, spec: calls.append(spec) or real(a, spec))
+    assert all(qp.constituent(k) == expected[k] for k in ks)
+    assert sorted(spec.f_order for spec in calls) == [1, 2, 10**6, 5 * 10**11]
+    # the dense view and everything built on it refuse at once
+    for refused in (lambda: chromatic_quasi(arr), lambda: qp.constituents,
+                    qp.serialize, lambda: minimal_period(QuasiPolynomial(arr))):
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match=f"exceeds the cap {MAX_PERIOD}"):
+            refused()
+        assert time.perf_counter() - start < 1
 
 
 def test_duplicate_element_invariance():

@@ -1,16 +1,19 @@
 import random
+from math import prod
 
 import pytest
 
-from gtutte import Arrangement, FGAbelianGroup, GroupSpec, chromatic_quasi, g_tutte
+from gtutte import (Arrangement, FGAbelianGroup, GroupSpec, chromatic_quasi,
+                    g_characteristic, g_tutte)
 from gtutte import model
 from gtutte.lie import enumerate_lie_layers
 from gtutte.model import CapExceeded
-from gtutte.oracle import (battery_instances, brute_complement_count,
-                           brute_hom_count, brute_mobius, randomized_battery,
-                           reference_g_tutte, reference_strict_downs,
-                           reference_subset_components, run_identity_suite,
-                           shrink_failing)
+from gtutte.oracle import (_desk_sized, battery_instances, brute_complement_count,
+                           brute_hom_count, brute_mobius, random_arrangement,
+                           randomized_battery, reference_g_tutte,
+                           reference_strict_downs, reference_subset_components,
+                           run_identity_suite, shrink_failing)
+from gtutte.poly import UniPoly, substitute_xy
 from gtutte.posets import hasse_records
 from gtutte.toric import enumerate_toric_layers
 
@@ -160,8 +163,39 @@ def test_g_tutte_matches_plain_subset_sum(example, mixed_torsion, torsion_only):
     specs = (GroupSpec.real(), GroupSpec.circle(), GroupSpec.cyclic(6),
              GroupSpec(f_torsion=(2, 4), circles=1))
     for arr in _histogram_cases(example, mixed_torsion, torsion_only):
+        f, r = arr.gamma.free_rank, arr.rank
         for spec in specs:
             assert g_tutte(arr, spec) == reference_g_tutte(arr, spec), (arr, spec)
+            # the characteristic polynomial is the Tutte specialization
+            assert g_characteristic(arr, spec) == UniPoly.monomial(
+                f - r, (-1) ** r) * substitute_xy(g_tutte(arr, spec)), (arr, spec)
+
+
+def _per_mask_desk_sized(arr: Arrangement) -> bool:
+    """The battery size filter as plain per-mask subset sums."""
+    if arr.lcm_period() > 360:
+        return False
+    f = arr.gamma.free_rank
+    toric = sum(prod(arr.subset_data(m).torsion_factors) for m in arr.masks())
+    lines = [sum(model.multiplicity(arr.subset_data(m), GroupSpec.cyclic(e))
+                 * e ** (f - arr.subset_data(m).rank) for m in arr.masks())
+             for e in (2, 3, 4)]
+    return toric <= 2500 and max(lines) <= 12000
+
+
+def test_desk_sized_matches_per_mask_sums():
+    # five zero vectors over Z^3 + Z/4 + Z/4 pass the period and toric caps
+    # but not the line-target cap, which no random candidate below reaches
+    cases = [Arrangement(FGAbelianGroup(3, (4, 4)), [[0] * 5] * 5)]
+    for seed in (0, 1, 2):
+        rng = random.Random(seed)
+        cases += [random_arrangement(rng) for _ in range(300)]
+    sized_out = 0
+    for arr in cases:
+        keep = _desk_sized(arr)
+        assert keep == _per_mask_desk_sized(arr), arr
+        sized_out += not keep and arr.lcm_period() <= 360
+    assert sized_out >= 2
 
 
 def test_battery_counts_and_determinism():
