@@ -1,12 +1,14 @@
 """Independent brute-force ground truth for every identity in the package.
 
 Everything here is deliberately naive: full enumerations of homomorphism
-groups, elementwise complement counting, the plain sum over all 2^n element
-subsets, the textbook Möbius recursion, pairwise containment tests
-between layers and per-subset layer components.  The only code shared with
-the symbolic path is the Arrangement data type and the exact integer
-linear algebra, so agreement between the two sides is meaningful
-differential evidence.
+groups, complement counting that examines every hom (the coordinates
+split into a head and a tail, each element's tail homs read as bitmasks
+out of a residue table: no subset sum, no lattice), the plain sum over
+all 2^n element subsets, the textbook Möbius recursion, pairwise
+containment tests between layers and per-subset layer components.  The
+only code shared with the symbolic path is the Arrangement data type and
+the exact integer linear algebra, so agreement between the two sides is
+meaningful differential evidence.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import product
-from math import comb, gcd, lcm
+from math import comb, gcd, isqrt, lcm, prod
 from operator import mul
 
 from . import model
@@ -34,29 +36,50 @@ def brute_complement_count(arr: Arrangement, q: int, cap: int = ENUM_CAP) -> int
     """Count homs into Z/q that kill no element, by full enumeration.
 
     A free generator maps anywhere; a torsion generator of order e maps to
-    the multiples of q // gcd(e, q).
+    the multiples of q // gcd(e, q).  The coordinates split into a head and
+    a tail, the longest suffix with at most isqrt(total) homs.  Each
+    element's tail homs are evaluated once into `kills`, a table from the
+    residue a head value must have to kill a tail hom to the bitmask of
+    those tail homs; each head hom then ORs one lookup per element and
+    counts the bits left clear.  Every hom is still examined, with no
+    subset sum and no lattice.
     """
     if q < 1:
         raise ValueError("q must be positive")
     gamma = arr.gamma
-    f = gamma.free_rank
-    total = q ** f
-    for e in gamma.torsion:
-        total *= gcd(e, q)
+    ranges = [range(q)] * gamma.free_rank
+    ranges += [range(0, q, q // gcd(e, q)) for e in gamma.torsion]
+    total = prod(map(len, ranges))
     if total > cap:
-        raise CapExceeded(f"{total} homomorphisms exceed the cap {cap}")
-    ranges = [range(q)] * f
-    for e in gamma.torsion:
-        g = gcd(e, q)
-        ranges.append(range(0, q, q // g))
-    elements = arr.elements
-    count = 0
-    for phi in product(*ranges):
-        for vec in elements:
-            if not sum(map(mul, vec, phi)) % q:
-                break
+        raise CapExceeded(
+            f"{arr.describe()}: brute complement count at q={q}: {total} "
+            f"homomorphisms exceed the cap {cap}")
+    split, width, root = len(ranges), 1, isqrt(total)
+    while split and width * len(ranges[split - 1]) <= root:
+        split -= 1
+        width *= len(ranges[split])
+    tail = list(product(*ranges[split:]))
+    base = 0  # tail homs killed by an element that is zero on the head
+    lookups = []
+    for vec in arr.elements:
+        head, rest = vec[:split], vec[split:]
+        kills: dict = {}
+        for j, t in enumerate(tail):
+            r = -sum(map(mul, rest, t)) % q
+            kills[r] = kills.get(r, 0) | 1 << j
+        if any(x % q for x in head):
+            lookups.append((head, kills))
         else:
-            count += 1
+            base |= kills.get(0, 0)
+    alive = width - base.bit_count()
+    if not lookups or not alive:
+        return alive * (total // width)
+    count = 0
+    for phi in product(*ranges[:split]):
+        killed = base
+        for head, kills in lookups:
+            killed |= kills.get(sum(map(mul, head, phi)) % q, 0)
+        count += width - killed.bit_count()
     return count
 
 
@@ -67,10 +90,12 @@ def brute_hom_count(source: FGAbelianGroup, target_torsion,
     if not source.is_finite:
         raise ValueError("source must be finite")
     fs = tuple(int(f) for f in target_torsion)
-    target_elems = list(product(*(range(f) for f in fs)))
-    total = len(target_elems) ** len(source.torsion)
+    total = prod(fs) ** len(source.torsion)
     if total > cap:
-        raise CapExceeded(f"{total} candidate maps exceed the cap {cap}")
+        raise CapExceeded(
+            f"{source}: brute hom count into {fs}: {total} candidate maps "
+            f"exceed the cap {cap}")
+    target_elems = list(product(*(range(f) for f in fs)))
     count = 0
     for images in product(target_elems, repeat=len(source.torsion)):
         ok = True
@@ -442,6 +467,10 @@ def shrink_failing(arr: Arrangement, still_fails) -> Arrangement:
 def randomized_battery(seed: int = 0, count: int = 25,
                        qmax: int = 12) -> OracleReport:
     """Seed-deterministic differential battery over random arrangements."""
+    if count < 0:
+        raise ValueError(f"--count must be nonnegative, got {count}")
+    if qmax < 1:
+        raise ValueError(f"--qmax must be positive, got {qmax}")
     entries: list = []
     for idx, arr in enumerate(battery_instances(seed, count)):
         label = f"#{idx} {arr!r}"

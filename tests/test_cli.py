@@ -212,6 +212,15 @@ def test_verify(capsys):
     assert "total" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--count", "-1"), ("--qmax", "0"),
+                                         ("--qmax", "-3")])
+def test_verify_refuses_vacuous_arguments(capsys, flag, value):
+    # a negative count or a q range with no q would pass with no checks
+    code, out, err = run(capsys, "verify", "--count", "2", flag, value)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and flag in err and value in err
+
+
 def test_reciprocity_beta_compare(example_file, capsys):
     code, out, _ = run(capsys, "reciprocity", example_file, "--k", "1",
                        "--q", "3")

@@ -1,7 +1,11 @@
 import random
-from math import prod
+from itertools import product
+from math import gcd, prod
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtutte import (Arrangement, FGAbelianGroup, GroupSpec, chromatic_quasi,
                     g_characteristic, g_tutte)
@@ -33,17 +37,79 @@ def test_brute_complement_with_torsion(mixed_torsion):
 
 
 def test_brute_complement_cap():
-    arr = Arrangement(FGAbelianGroup(3), [])
-    with pytest.raises(CapExceeded):
+    arr = Arrangement(FGAbelianGroup(3), [], name="cube")
+    with pytest.raises(CapExceeded, match=r"^cube: brute complement count at "
+                       r"q=1000: 1000000000 homomorphisms exceed the cap 1000000$"):
         brute_complement_count(arr, 1000, cap=10**6)
     with pytest.raises(ValueError):
         brute_complement_count(arr, 0)
+
+
+def _plain_complement_count(arr, q):
+    """The complement count one hom at a time: the reference for the
+    head/tail split."""
+    ranges = [range(q)] * arr.gamma.free_rank
+    ranges += [range(0, q, q // gcd(e, q)) for e in arr.gamma.torsion]
+    return sum(all(sum(map(mul, vec, phi)) % q for vec in arr.elements)
+               for phi in product(*ranges))
+
+
+def test_split_complement_count_matches_plain_loop():
+    for arr in battery_instances(0, 60):
+        for q in range(1, 13):
+            assert brute_complement_count(arr, q) == \
+                _plain_complement_count(arr, q), (arr, q)
+
+
+@st.composite
+def _small_arrangements(draw):
+    torsion = draw(st.lists(st.sampled_from((2, 3, 4, 6)), max_size=2))
+    if len(torsion) == 2 and torsion[1] % torsion[0]:
+        torsion = torsion[:1]
+    gamma = FGAbelianGroup(draw(st.integers(0, 3)), tuple(torsion))
+    vector = st.lists(st.integers(-5, 5), min_size=gamma.ngens,
+                      max_size=gamma.ngens)
+    return Arrangement(gamma, draw(st.lists(vector, max_size=5)))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_small_arrangements(), st.integers(1, 12))
+def test_split_complement_count_sweep(arr, q):
+    assert brute_complement_count(arr, q) == _plain_complement_count(arr, q)
+
+
+@pytest.mark.parametrize("arr, q", [
+    (Arrangement(FGAbelianGroup(0), []), 5),
+    (Arrangement(FGAbelianGroup(0), [[]]), 5),
+    (Arrangement(FGAbelianGroup(2, (2,)), [[1, 2, 1], [0, 0, 0]]), 6),
+    # gcd(3, 4) = 1: the torsion coordinate maps to 0 only
+    (Arrangement(FGAbelianGroup(2, (3,)), [[1, 1, 1], [2, 0, 2]]), 4),
+    # Z^1: the one coordinate is longer than isqrt(total), the tail empty
+    (Arrangement(FGAbelianGroup(1), [[2], [3]]), 30),
+    # Z + Z/6 at q = 60: the free coordinate heads a 6-hom tail
+    (Arrangement(FGAbelianGroup(1, (6,)), [[5, 1], [0, 3], [2, 0]]), 60),
+])
+def test_split_complement_count_edge_cases(arr, q):
+    assert brute_complement_count(arr, q) == _plain_complement_count(arr, q)
+
+
+def test_brute_complement_allocates_nothing_sized_by_q():
+    # Z/2 has two homs at any even q
+    arr = Arrangement(FGAbelianGroup(0, (2,)), [[1]])
+    assert brute_complement_count(arr, 10**12) == 1
 
 
 def test_brute_hom_count_examples():
     assert brute_hom_count(FGAbelianGroup(0, (4,)), (6,)) == 2
     assert brute_hom_count(FGAbelianGroup(0), (6, 6)) == 1
     assert brute_hom_count(FGAbelianGroup(0, (2, 2)), (2,)) == 4
+
+
+def test_brute_hom_count_cap_names_the_source():
+    with pytest.raises(CapExceeded, match=r"torsion=\(2, 2, 2\)\): brute hom "
+                       r"count into \(6, 6\): 46656 candidate maps exceed "
+                       r"the cap 1000$"):
+        brute_hom_count(FGAbelianGroup(0, (2, 2, 2)), (6, 6), cap=1000)
 
 
 def chain_leq(n):
