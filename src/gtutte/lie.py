@@ -6,7 +6,8 @@ its saturated span and one homomorphism of the whole ambient group into F.
 The Möbius-weighted dimension sums over the partial and whole posets equal
 the target's characteristic polynomial, of the arrangement and of its
 torsion-stripped part, evaluated at #F * t^g; with F = Z/k the partial sum
-recovers the k-th constituent, split over the surviving components.
+recovers the k-th constituent, split over the surviving components.  The
+size of a job is capped in one place, by the engine's component count.
 
 The zero-dimensional case g = 0 degenerates to component counting and is
 served by invariants.leading_part, not by this module.
@@ -19,21 +20,17 @@ from .model import Arrangement, GroupSpec
 from .poly import UniPoly
 from .posets import LayerPoset, checked_sum, enumerate_layers, partial_subposet
 
-MAX_LAYERS = 50_000
 
-
-def enumerate_lie_layers(arr: Arrangement, g: int, f_torsion=(),
-                         max_layers: int = MAX_LAYERS) -> LayerPoset:
+def enumerate_lie_layers(arr: Arrangement, g: int, f_torsion=()) -> LayerPoset:
     """Enumerate the layers of the (lines)^g x F arrangement.
 
-    The count of each subset's components is checked against
-    multiplicity(S) * #F^(free corank), and max_layers caps the sum of
-    those counts over all subsets.
+    Each lattice's components number multiplicity(<S>) * #F^(free corank);
+    their sum over the distinct lattices is capped by
+    `posets.MAX_COMPONENTS`, and each count is checked on enumeration.
     """
     if g < 1:
         raise ValueError("g must be >= 1; use leading_part for g = 0")
-    return enumerate_layers(arr, GroupSpec(f_torsion=f_torsion, reals=g),
-                            max_layers)
+    return enumerate_layers(arr, GroupSpec(f_torsion=f_torsion, reals=g))
 
 
 def scc(poset: LayerPoset) -> tuple:

@@ -184,8 +184,8 @@ class Arrangement:
     def __init__(self, gamma: FGAbelianGroup, elements, name: str | None = None):
         if len(elements) > MAX_ELEMENTS:
             raise CapExceeded(
-                f"{len(elements)} elements; the subset sweep is capped at "
-                f"{MAX_ELEMENTS} (cost grows as 2^n)")
+                f"{name + ': ' if name else ''}{len(elements)} elements; the "
+                f"subset sweep is capped at {MAX_ELEMENTS} (cost grows as 2^n)")
         f = gamma.free_rank
         reduced = []
         for idx, vec in enumerate(elements):

@@ -303,8 +303,9 @@ def random_arrangement(rng: random.Random) -> Arrangement:
 
 
 def _desk_sized(arr: Arrangement) -> bool:
-    """Keep battery instances inside the layer modules' documented caps,
-    sizing the toric and line-target layer sets off the histogram."""
+    """The battery's own size filter: bounds on the period and on the
+    toric and line-target layer instances, sized off the histogram.  They
+    fix the battery's draw, and are not the layer engine's cap."""
     if arr.lcm_period() > 360:
         return False
     hist = arr.histogram().items()

@@ -13,7 +13,8 @@ the component enumeration, once for all the subsets that span it,
 deduplicates on (span, chi) and records each layer's localization, the set
 of elements whose kernel contains it: the union of the subsets it is a
 component of.  Subsets are visited one by one only if `subset_components`
-is read.
+is read.  One cap, `MAX_COMPONENTS`, bounds the components to enumerate,
+and with them the layers; it is checked before any hom is enumerated.
 
 The order is reverse inclusion.  X contains Y exactly when loc(X) lies in
 loc(Y), so that span(X) lies in span(Y), and Y's character restricted to
@@ -45,7 +46,7 @@ from .invariants import (HypothesisError, IdentityCheckError, checked,
 from .model import Arrangement, CapExceeded, GroupSpec
 from .poly import UniPoly, scale_variable
 
-MAX_LAYER_ELEMENTS = 12
+MAX_COMPONENTS = 50_000  # components per layer job, summed over distinct lattices
 
 
 @dataclass(frozen=True)
@@ -64,43 +65,39 @@ class Layer:
     key: str                 # printed form of (span, chi)
 
 
-def enumerate_layers(arr: Arrangement, spec: GroupSpec,
-                     max_layers: int) -> "LayerPoset":
+def enumerate_layers(arr: Arrangement, spec: GroupSpec) -> "LayerPoset":
     """Enumerate all layers over all element subsets and build the poset.
 
     A subset's components depend on it only through its lattice <S> plus
     the ambient torsion, so the work runs once per distinct lattice of
     `arr.lattice_states()`: its circle values are the characters of the
     finite quotient (saturation mod lattice) into Z/P, and its F-homs those
-    of the quotient by the lattice.  The predicted number of instances,
-    the sum over subsets S of multiplicity(S) * #F^(free rank - rank S), is
-    checked against max_layers before any homomorphism is enumerated, and
-    each lattice's component count is checked against its term on the way.
-    The poset keeps the target as its `spec`.
+    of the quotient by the lattice.  Each lattice's component count,
+    multiplicity(<S>) * #F^(free rank of the quotient), is read off its
+    quotient; their sum is checked against MAX_COMPONENTS before any
+    homomorphism is enumerated, and each count is checked again against
+    the enumeration.  The poset keeps the target as its `spec`.
     """
     if spec.circles > 1:
         raise HypothesisError(
             f"{arr.describe()}: {spec.circles} circle factors; layer posets "
             "take at most one")
-    if arr.n > MAX_LAYER_ELEMENTS:
-        raise CapExceeded(
-            f"{arr.n} elements; layer enumeration is capped at {MAX_LAYER_ELEMENTS}")
     gamma = arr.gamma
     f = gamma.free_rank
     fs = spec.f_torsion
     table = arr.lattice_table()
     expected: dict = {}  # lattice id -> components of each subset spanning it
-    predicted = 0
-    for (lat, _), count in arr.lattice_states().items():
+    for lat, _ in arr.lattice_states():
         if lat not in expected:
             quot = table.quotient(lat)
             cls = model.SubsetClass(f - quot.free_rank, 0, quot.torsion)
             expected[lat] = (model.multiplicity(cls, spec)
                              * spec.f_order ** quot.free_rank)
-        predicted += expected[lat] * count
-    if predicted > max_layers:
+    total = sum(expected.values())
+    if total > MAX_COMPONENTS:
         raise CapExceeded(
-            f"about {predicted} layer instances exceed the cap {max_layers}")
+            f"{arr.describe()}: layer enumeration: {total} components "
+            f"exceed the cap {MAX_COMPONENTS}")
 
     # each lattice's localization, the union of the subsets spanning it:
     # the fold of lattice_states replayed on lattice ids alone.  A lattice

@@ -6,7 +6,8 @@ fractions of P, and its membership in the k-torsion subposet is a
 divisibility test on the character's order.  The Möbius-weighted dimension
 sums over the k-torsion, partial and whole posets equal the constituents
 and the circle characteristic polynomials of the arrangement, with or
-without its torsion elements; each wrapper checks its identity.
+without its torsion elements; each wrapper checks its identity.  The size
+of a job is capped in one place, by the engine's component count.
 """
 
 from __future__ import annotations
@@ -15,16 +16,11 @@ from .invariants import IdentityCheckError
 from .model import Arrangement, GroupSpec
 from .posets import LayerPoset, checked_sum, enumerate_layers, partial_subposet
 
-MAX_LAYERS = 10_000
 
-
-def enumerate_toric_layers(arr: Arrangement, max_layers: int = MAX_LAYERS) -> LayerPoset:
-    """Enumerate all layers over all element subsets and build the poset.
-
-    max_layers caps the predicted number of layer instances, the sum over
-    subsets of the quotient torsion order.
-    """
-    return enumerate_layers(arr, GroupSpec.circle(), max_layers)
+def enumerate_toric_layers(arr: Arrangement) -> LayerPoset:
+    """Enumerate all layers over all element subsets and build the poset,
+    under the engine's one cap, `posets.MAX_COMPONENTS`."""
+    return enumerate_layers(arr, GroupSpec.circle())
 
 
 def k_total_subposet(poset: LayerPoset, k: int) -> tuple:

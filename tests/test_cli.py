@@ -2,8 +2,10 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -329,7 +331,8 @@ def test_large_entries_finish_within_budget(tmp_path):
         brute_complement_count(arr, 4)
     layers = gtutte_cli("toric-layers", str(path))
     assert layers.returncode == 2
-    assert "exceed the cap 10000" in layers.stderr
+    assert re.search(r"layer enumeration: \d+ components exceed the cap 50000",
+                     layers.stderr), layers.stderr
     lines = gtutte_cli("lie-layers", "--g", "1", "--torsion", "2", str(path))
     assert lines.returncode == 0, lines.stderr
 
@@ -640,3 +643,24 @@ def test_dense_periods_are_refused_past_the_cap(tmp_path, capsys):
                 capture_output=True, text=True, env=env, timeout=2)
             assert proc.returncode == 2 and proc.stdout == "", command
             assert f"exceeds the cap {cap}" in proc.stderr, command
+
+
+@pytest.mark.parametrize("n, seed", [(13, 1), (16, 1), (20, 1), (24, 2)])
+def test_layer_commands_past_twelve_elements(n, seed, tmp_path, capsys):
+    # the layer cap counts components over distinct lattices, and a rank-3
+    # input with small entries spans few lattices however many elements it has
+    rng = random.Random(seed)
+    path = tmp_path / "many.json"
+    path.write_text(json.dumps(
+        {"group": {"free_rank": 3, "torsion": []},
+         "vectors": [[rng.randint(-2, 2) for _ in range(3)] for _ in range(n)]}))
+    budget_s = 5.0
+    t0 = time.perf_counter()
+    for argv in (["toric-layers"], ["toric-layers", "--k", "2", "--partial"],
+                 ["lie-layers", "--g", "1", "--torsion", "2"]):
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 0, (argv, err)  # each identity check passed
+        assert json.loads(out)["layer_count"] > 0
+    elapsed = time.perf_counter() - t0
+    assert elapsed < budget_s, f"{elapsed:.2f}s > {budget_s}s"
+

@@ -169,14 +169,17 @@ def test_mobius_against_textbook_recursion(example):
         assert poset.mobius[j] == mu[poset.component_of[j]][j]
 
 
-def test_g_zero_and_caps(example):
+def test_g_zero_and_caps(example, monkeypatch):
     with pytest.raises(ValueError):
         enumerate_lie_layers(example, 0, (2,))
-    with pytest.raises(CapExceeded):
-        enumerate_lie_layers(example, 1, (6,), max_layers=10)
-    with pytest.raises(CapExceeded):
-        enumerate_lie_layers(
-            Arrangement(FGAbelianGroup(1), [[1]] * 13), 1, ())
+    with monkeypatch.context() as patch:
+        patch.setattr(posets, "MAX_COMPONENTS", 10)
+        with pytest.raises(CapExceeded, match="70 components exceed the cap 10"):
+            enumerate_lie_layers(example, 1, (6,))
+    # 13 copies of a generator span two lattices: with F = Z/2 the zero
+    # lattice has 2 components and the whole group 1
+    assert enumerate_lie_layers(
+        Arrangement(FGAbelianGroup(1), [[1]] * 13), 1, (2,)).n == 3
 
 
 def test_empty_arrangement_components_only():

@@ -23,8 +23,13 @@ def test_duplicates_are_kept_in_order():
 
 
 def test_element_cap():
-    with pytest.raises(CapExceeded):
-        Arrangement(FGAbelianGroup(1), [[1]] * (MAX_ELEMENTS + 1))
+    n = MAX_ELEMENTS + 1
+    with pytest.raises(CapExceeded, match=f"^{n} elements; the subset sweep "
+                       f"is capped at {MAX_ELEMENTS}"):
+        Arrangement(FGAbelianGroup(1), [[1]] * n)
+    with pytest.raises(CapExceeded, match=f"^ones: {n} elements; the subset "
+                       f"sweep is capped at {MAX_ELEMENTS}"):
+        Arrangement(FGAbelianGroup(1), [[1]] * n, name="ones")
 
 
 def test_element_cap_is_reachable():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from gtutte import Arrangement, FGAbelianGroup, GroupSpec, chromatic_quasi, posets
@@ -158,13 +160,29 @@ def test_k_must_be_positive(example_poset):
         k_total_subposet(example_poset, -2)
 
 
-def test_layer_cap():
-    arr = Arrangement(FGAbelianGroup(1), [[12]])
-    with pytest.raises(CapExceeded):
-        enumerate_toric_layers(arr, max_layers=5)
-    with pytest.raises(CapExceeded):
-        enumerate_toric_layers(
-            Arrangement(FGAbelianGroup(1), [[1]] * 13))
+def test_layer_cap(monkeypatch):
+    monkeypatch.setattr(posets, "MAX_COMPONENTS", 5)
+    with pytest.raises(CapExceeded, match="13 components exceed the cap 5"):
+        enumerate_toric_layers(Arrangement(FGAbelianGroup(1), [[12]]))
+    # the cap counts components over distinct lattices, not elements: 13
+    # copies of a generator span two lattices with one component each
+    monkeypatch.undo()
+    assert enumerate_toric_layers(
+        Arrangement(FGAbelianGroup(1), [[1]] * 13)).n == 2
+
+
+def test_layer_cap_refuses_before_any_hom(monkeypatch):
+    rng = random.Random(3)
+    arr = Arrangement(FGAbelianGroup(3), [[rng.randint(-20, 20) for _ in range(3)]
+                                          for _ in range(5)], name="wide")
+
+    def no_homs(*args):
+        raise AssertionError("a homomorphism was enumerated")
+
+    monkeypatch.setattr(posets, "hom_enumerate", no_homs)
+    with pytest.raises(CapExceeded, match=r"^wide: layer enumeration: 66543 "
+                       r"components exceed the cap 50000$"):
+        enumerate_toric_layers(arr)
 
 
 def test_export_formats(example, example_poset):
