@@ -7,7 +7,7 @@ The Möbius-weighted dimension sums over the partial and whole posets equal
 the target's characteristic polynomial, of the arrangement and of its
 torsion-stripped part, evaluated at #F * t^g; with F = Z/k the partial sum
 recovers the k-th constituent, split over the surviving components.  The
-size of a job is capped in one place, by the engine's component count.
+size of a job is capped in one place, by the engine's two counts.
 
 The zero-dimensional case g = 0 degenerates to component counting and is
 served by invariants.leading_part, not by this module.
@@ -26,7 +26,9 @@ def enumerate_lie_layers(arr: Arrangement, g: int, f_torsion=()) -> LayerPoset:
 
     Each lattice's components number multiplicity(<S>) * #F^(free corank);
     their sum over the distinct lattices is capped by
-    `posets.MAX_COMPONENTS`, and each count is checked on enumeration.
+    `posets.MAX_COMPONENTS`, and the same sum with each component weighted
+    by 2^rank by `posets.MAX_ORDER_PAIRS`; each count is checked on
+    enumeration.
     """
     if g < 1:
         raise ValueError("g must be >= 1; use leading_part for g = 0")

@@ -8,22 +8,30 @@ values are residues mod the lcm period P on the span rows and the torsion
 generators, `()` without a circle; the F-hom is one homomorphism of the
 whole ambient group into F, the zero hom `((),) * ngens` when F is trivial.
 The real factors only add connectivity, so they need no coordinates.
-`enumerate_layers` runs every lattice of the (lattice, #S) states through
-the component enumeration, once for all the subsets that span it,
-deduplicates on (span, chi) and records each layer's localization, the set
-of elements whose kernel contains it: the union of the subsets it is a
-component of.  Subsets are visited one by one only if `subset_components`
-is read.  One cap, `MAX_COMPONENTS`, bounds the components to enumerate,
-and with them the layers; it is checked before any hom is enumerated.
+`enumerate_layers` runs every distinct lattice <S> through the component
+enumeration, once for all the subsets that span it, deduplicates on
+(span, chi) and records each layer's localization, the set of elements
+whose kernel contains it: the union of the subsets it is a component of.
+Subsets are visited one by one only if `subset_components` is read.
+
+Two caps are counted on each lattice as it is found, before any hom is
+enumerated: `MAX_COMPONENTS` on the components, and with them the layers,
+and `MAX_ORDER_PAIRS` on the components weighted by 2^rank.  A layer of
+rank r lies over at least 2^r layers, itself included (the subsets of r
+independent elements of its localization span distinct layers), so the
+weight grows with the order where the count does not: the unit vectors of
+Z^n have 2^n components and 3^n order pairs, and weight 3^n.
 
 The order is reverse inclusion.  X contains Y exactly when loc(X) lies in
 loc(Y), so that span(X) lies in span(Y), and Y's character restricted to
-span(X) is X's: one bit test plus one residue check.  Each layer lies over
+span(X) is X's: a point of Y, one per layer, takes X's circle values on
+the rows of span(X).  Each layer lies over
 a unique minimal element, the rank-0 root of its component (the connected
 component of the total group containing it), which lies below every layer
 of that component untested.  Above rank 1 the test runs only on layers X
 of the same component exactly one rank below Y whose localization nests in
-loc(Y), and downs(Y) is the root together with each such X and downs(X).
+loc(Y), found by bitsets over the layers one rank below, one per element;
+downs(Y) is the root together with each such X and downs(X).
 Nothing is missed: if X < Y with ranks at least 2 apart, joining loc(X)
 with one element of loc(Y) outside span(X) gives an intersection whose
 component containing Y is a layer Z of rank(X) + 1 with X < Z < Y, so X
@@ -40,13 +48,15 @@ from functools import cached_property
 from math import gcd, lcm
 
 from . import model
-from .intlinalg import FGAbelianGroup, IntMatrix, hnf_solve, hom_enumerate
+from .intlinalg import (FGAbelianGroup, IntMatrix, hermite_normal_form,
+                        hnf_solve, hom_enumerate)
 from .invariants import (HypothesisError, IdentityCheckError, checked,
                          g_characteristic)
 from .model import Arrangement, CapExceeded, GroupSpec
 from .poly import UniPoly, scale_variable
 
 MAX_COMPONENTS = 50_000  # components per layer job, summed over distinct lattices
+MAX_ORDER_PAIRS = 2_000_000  # the same components, each weighted by 2^rank
 
 
 @dataclass(frozen=True)
@@ -69,12 +79,13 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec) -> "LayerPoset":
     """Enumerate all layers over all element subsets and build the poset.
 
     A subset's components depend on it only through its lattice <S> plus
-    the ambient torsion, so the work runs once per distinct lattice of
-    `arr.lattice_states()`: its circle values are the characters of the
-    finite quotient (saturation mod lattice) into Z/P, and its F-homs those
-    of the quotient by the lattice.  Each lattice's component count,
-    multiplicity(<S>) * #F^(free rank of the quotient), is read off its
-    quotient; their sum is checked against MAX_COMPONENTS before any
+    the ambient torsion, so the work runs once per distinct lattice of the
+    fold behind `arr.lattice_states()`: its circle values are the
+    characters of the finite quotient (saturation mod lattice) into Z/P,
+    and its F-homs those of the quotient by the lattice.  Each lattice's
+    component count, multiplicity(<S>) * #F^(free rank of the quotient), is
+    read off its quotient as the fold finds it; the running sums are checked
+    against MAX_COMPONENTS and MAX_ORDER_PAIRS there, before any
     homomorphism is enumerated, and each count is checked again against
     the enumeration.  The poset keeps the target as its `spec`.
     """
@@ -86,27 +97,41 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec) -> "LayerPoset":
     f = gamma.free_rank
     fs = spec.f_torsion
     table = arr.lattice_table()
+    child = table.child
     expected: dict = {}  # lattice id -> components of each subset spanning it
-    for lat, _ in arr.lattice_states():
-        if lat not in expected:
-            quot = table.quotient(lat)
-            cls = model.SubsetClass(f - quot.free_rank, 0, quot.torsion)
-            expected[lat] = (model.multiplicity(cls, spec)
-                             * spec.f_order ** quot.free_rank)
-    total = sum(expected.values())
-    if total > MAX_COMPONENTS:
-        raise CapExceeded(
-            f"{arr.describe()}: layer enumeration: {total} components "
-            f"exceed the cap {MAX_COMPONENTS}")
+    total = weight = 0   # weight: each component counted 2^rank times
+
+    def count(lat):
+        nonlocal total, weight
+        quot = table.quotient(lat)
+        cls = model.SubsetClass(f - quot.free_rank, 0, quot.torsion)
+        expected[lat] = (model.multiplicity(cls, spec)
+                         * spec.f_order ** quot.free_rank)
+        total += expected[lat]
+        weight += expected[lat] << f - quot.free_rank
+        if total > MAX_COMPONENTS:
+            raise CapExceeded(
+                f"{arr.describe()}: layer enumeration: at least {total} "
+                f"components exceed the cap {MAX_COMPONENTS}")
+        if weight > MAX_ORDER_PAIRS:
+            raise CapExceeded(
+                f"{arr.describe()}: layer order: at least {weight} pairs "
+                f"(components times 2^rank) exceed the cap {MAX_ORDER_PAIRS}")
 
     # each lattice's localization, the union of the subsets spanning it:
-    # the fold of lattice_states replayed on lattice ids alone.  A lattice
-    # updated at element i contains it, so it is its own child there.
-    child = table.child
+    # the fold of lattice_states on lattice ids alone.  A lattice updated at
+    # element i contains it, so it is its own child there.  Each lattice is
+    # counted as it is found, and both counts only grow, so the fold stops
+    # at the first one past its cap.
+    count(0)
     locs = {0: 0}
     for i, vec in enumerate(arr.elements):
         for lat in list(locs):
-            c = child[lat, vec]
+            c = child.get((lat, vec))
+            if c is None:
+                c = table.add(lat, vec)
+            if c not in locs:
+                count(c)
             locs[c] = locs.get(c, 0) | locs[lat] | 1 << i
 
     period = arr.lcm_period() if spec.circles else 1
@@ -166,24 +191,40 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec) -> "LayerPoset":
     index = {(lay.span.data, lay.chi): i for i, lay in enumerate(layers)}
     components = {lat: tuple(sorted(index[key] for key in keys))
                   for lat, keys in lattice_keys.items()}
-    coefficients: dict = {}  # (span X, span Y) -> span X rows over span Y
+    inverses: dict = {}  # span rows -> rows u_i with span . u_i = e_i
+    points: dict = {}    # layer key -> a point of the layer mod P
+
+    def point(y):
+        """A point of y mod P: sum_i v_i u_i for its circle values v_i on the
+        span rows.  The span is saturated, so its columns generate Z^r and
+        the HNF of the rows [span column k | e_k] starts with [e_i | u_i]."""
+        key = y.key  # a string, whose hash is kept
+        if key not in points:
+            r = y.span.rows
+            if y.span.data not in inverses:
+                h = hermite_normal_form(IntMatrix.from_rows(
+                    [col + tuple(int(k == c) for c in range(f))
+                     for k, col in enumerate(zip(*y.span.data))], r + f)).data
+                if any(row[i] != 1 for i, row in enumerate(h[:r])):
+                    raise IdentityCheckError(
+                        f"{arr.describe()}: span {list(y.span.data)} is not saturated")
+                inverses[y.span.data] = [row[r:] for row in h[:r]]
+            points[key] = tuple(
+                sum(u[k] * v for u, v in zip(inverses[y.span.data], y.chi[0]))
+                % period for k in range(f))
+        return points[key]
 
     def leq(x, y):
         """x <= y in the poset: x contains y.  Within one component (equal
-        F-homs and torsion-generator values) y's circle values, moved
-        along the spans, must give x's on the span rows of x."""
+        F-homs and torsion-generator values) a point of y must take x's
+        circle values on the span rows of x."""
         if x.localization & ~y.localization or x.component != y.component:
             return False
         if not spec.circles:
             return True
-        pair = (x.span.data, y.span.data)
-        rows = coefficients.get(pair)
-        if rows is None:
-            rows = coefficients[pair] = [hnf_solve(y.span, row)
-                                         for row in x.span.data]
-        circle = y.chi[0]
-        for row, value in zip(rows, x.chi[0]):
-            if sum([c * v for c, v in zip(row, circle)]) % period != value:
+        phi = point(y)
+        for row, value in zip(x.span.data, x.chi[0]):
+            if sum([a * b for a, b in zip(row, phi)]) % period != value:
                 return False
         return True
 
@@ -230,6 +271,7 @@ class LayerPoset:
 
         downs = [frozenset()] * n
         component_of = [None] * n
+        mobius = [1] * n  # mu(component(C), C), set bottom-up
         for idxs in groups.values():
             by_rank: dict = {}
             for i in idxs:
@@ -244,28 +286,39 @@ class LayerPoset:
                 component_of[i] = root
             for j in by_rank.get(1, ()):
                 downs[j] = frozenset((root,))
+                mobius[j] = -1
             for r in range(2, max(by_rank) + 1):
                 lower = by_rank.get(r - 1, ())
+                # bit k of holding[bit]: the element of mask `bit` lies in
+                # the localization of lower[k].  The layers whose
+                # localization nests in loc(Y) are those in no holding[bit]
+                # with the element outside loc(Y).
+                holding: dict = {}
+                for k, i in enumerate(lower):
+                    loc = layers[i].localization
+                    while loc:
+                        bit = loc & -loc
+                        holding[bit] = holding.get(bit, 0) | 1 << k
+                        loc ^= bit
+                everyone = (1 << len(lower)) - 1
                 for j in by_rank.get(r, ()):
                     y = layers[j]
-                    outside = ~y.localization
+                    nested = everyone
+                    for bit, held in holding.items():
+                        if not y.localization & bit:
+                            nested &= ~held
                     down = {root}
-                    for i in lower:
-                        x = layers[i]
-                        if not x.localization & outside and leq_fn(x, y):
-                            down.add(i)
-                            down |= downs[i]
+                    while nested:
+                        k = nested.bit_length() - 1
+                        nested ^= 1 << k
+                        if leq_fn(layers[lower[k]], y):
+                            down.add(lower[k])
+                            down |= downs[lower[k]]
                     downs[j] = frozenset(down)
+                    mobius[j] = -sum(mobius[i] for i in down)
         self.strict_downs = tuple(downs)
         self.component_of = tuple(component_of)
         self.minimal = tuple(sorted(i for i in range(n) if not downs[i]))
-
-        mobius = [0] * n
-        for j in sorted(range(n), key=lambda i: self.layers[i].rank):
-            if not downs[j]:
-                mobius[j] = 1
-            else:
-                mobius[j] = -sum(mobius[i] for i in downs[j])
         self.mobius = tuple(mobius)
         self._check_sign_alternation()
 
@@ -310,12 +363,17 @@ class LayerPoset:
         if indices is None:
             indices = self.all_indices()
         selected = set(indices)
+        layers = self.layers
         pairs = []
         for j in sorted(selected):
-            below = self.strict_downs[j] & selected
-            for i in below:
-                if not any(i in self.strict_downs[m] for m in below):
+            # below j, highest rank first: an element is maximal exactly when
+            # no maximal element met before it lies above it
+            shadowed: set = set()
+            for i in sorted(self.strict_downs[j] & selected,
+                            key=lambda i: -layers[i].rank):
+                if i not in shadowed:
                     pairs.append((i, j))
+                    shadowed |= self.strict_downs[i]
         return sorted(pairs)
 
     def alternating_subset_sums(self) -> list:

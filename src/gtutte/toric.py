@@ -7,7 +7,7 @@ divisibility test on the character's order.  The Möbius-weighted dimension
 sums over the k-torsion, partial and whole posets equal the constituents
 and the circle characteristic polynomials of the arrangement, with or
 without its torsion elements; each wrapper checks its identity.  The size
-of a job is capped in one place, by the engine's component count.
+of a job is capped in one place, by the engine's two counts.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from .posets import LayerPoset, checked_sum, enumerate_layers, partial_subposet
 
 def enumerate_toric_layers(arr: Arrangement) -> LayerPoset:
     """Enumerate all layers over all element subsets and build the poset,
-    under the engine's one cap, `posets.MAX_COMPONENTS`."""
+    under the engine's caps, `posets.MAX_COMPONENTS` and
+    `posets.MAX_ORDER_PAIRS`."""
     return enumerate_layers(arr, GroupSpec.circle())
 
 

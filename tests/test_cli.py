@@ -331,8 +331,8 @@ def test_large_entries_finish_within_budget(tmp_path):
         brute_complement_count(arr, 4)
     layers = gtutte_cli("toric-layers", str(path))
     assert layers.returncode == 2
-    assert re.search(r"layer enumeration: \d+ components exceed the cap 50000",
-                     layers.stderr), layers.stderr
+    assert re.search(r"layer enumeration: at least \d+ components exceed the "
+                     r"cap 50000", layers.stderr), layers.stderr
     lines = gtutte_cli("lie-layers", "--g", "1", "--torsion", "2", str(path))
     assert lines.returncode == 0, lines.stderr
 
@@ -664,3 +664,24 @@ def test_layer_commands_past_twelve_elements(n, seed, tmp_path, capsys):
     elapsed = time.perf_counter() - t0
     assert elapsed < budget_s, f"{elapsed:.2f}s > {budget_s}s"
 
+
+def test_high_rank_layer_jobs_are_refused_within_budget(tmp_path, capsys):
+    # the 15 unit vectors of Z^15 span 32,768 lattices with one component
+    # each, under the component cap, but 3^15 order pairs; with F = Z/2 they
+    # have 3^15 components.  Each is refused as soon as the fold over the
+    # lattices passes a cap, before any hom is enumerated
+    path = tmp_path / "b15.json"
+    path.write_text(json.dumps(
+        {"group": {"free_rank": 15, "torsion": []},
+         "vectors": [[int(i == j) for j in range(15)] for i in range(15)]}))
+    budget_s = 10.0
+    t0 = time.perf_counter()
+    for argv, what in ((["toric-layers"], "layer order: at least"),
+                       (["lie-layers", "--g", "1"], "layer order: at least"),
+                       (["lie-layers", "--g", "1", "--torsion", "2"],
+                        "layer enumeration: at least")):
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == 2, (argv, err)
+        assert what in err and "exceed the cap" in err, (argv, err)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < budget_s, f"{elapsed:.2f}s > {budget_s}s"

@@ -173,9 +173,17 @@ def test_g_zero_and_caps(example, monkeypatch):
     with pytest.raises(ValueError):
         enumerate_lie_layers(example, 0, (2,))
     with monkeypatch.context() as patch:
+        # 70 components: the fold stops at the first lattice past the cap
         patch.setattr(posets, "MAX_COMPONENTS", 10)
-        with pytest.raises(CapExceeded, match="70 components exceed the cap 10"):
+        with pytest.raises(CapExceeded, match="^example: layer enumeration: "
+                           "at least 36 components exceed the cap 10$"):
             enumerate_lie_layers(example, 1, (6,))
+        patch.setattr(posets, "MAX_COMPONENTS", 69)
+        with pytest.raises(CapExceeded, match="at least 70 components exceed "
+                           "the cap 69$"):
+            enumerate_lie_layers(example, 1, (6,))
+        patch.setattr(posets, "MAX_COMPONENTS", 70)
+        enumerate_lie_layers(example, 1, (6,))
     # 13 copies of a generator span two lattices: with F = Z/2 the zero
     # lattice has 2 components and the whole group 1
     assert enumerate_lie_layers(

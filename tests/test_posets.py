@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from gtutte import Arrangement, FGAbelianGroup, GroupSpec, posets
@@ -50,6 +52,29 @@ def test_mixed_targets_match_identities_and_oracle():
         assert poset.subset_components == components, (arr, spec)
         assert tuple(lay.localization for lay in poset.layers) == \
             localizations, (arr, spec)
+
+
+def _pairwise_covers(poset, indices):
+    """Cover pairs by the definition: i below j in the selection, with no
+    selected layer in between."""
+    selected = set(indices)
+    pairs = []
+    for j in selected:
+        below = poset.strict_downs[j] & selected
+        pairs += [(i, j) for i in below
+                  if not any(i in poset.strict_downs[m] for m in below)]
+    return sorted(pairs)
+
+
+def test_covers_match_the_definition_on_any_selection():
+    # random selections are not convex, so a cover may skip ranks there
+    rng = random.Random(5)
+    for arr, poset in _mixed_posets():
+        selections = [poset.all_indices(), partial_subposet(poset)] + [
+            [i for i in range(poset.n) if rng.random() < 0.5] for _ in range(3)]
+        for sel in selections:
+            assert poset.covers(sel) == _pairwise_covers(poset, sel), \
+                (arr, poset.spec, sel)
 
 
 def test_order_tests_only_adjacent_ranks_with_nested_localizations(example):

@@ -39,27 +39,35 @@ def blocks(n: int, localization: int) -> frozenset:
     return frozenset(frozenset(part) for part in parts.values())
 
 
-def test_a5_toric_layers_are_the_set_partitions():
-    # A_5 is unimodular, so its toric layers are its flats: the 203 = Bell(6)
-    # set partitions of six points, each with the Möbius value of the
-    # partition lattice's interval below it
-    arr = type_a(6)
-    assert arr.n == 15
-    budget_s = 3.0
+def check_set_partitions(n: int, bell: int, budget_s: float):
+    """A_{n-1} is unimodular, so its toric layers are its flats: the Bell(n)
+    set partitions of n points, each with the Möbius value of the partition
+    lattice's interval below it."""
+    arr = type_a(n)
+    assert arr.n == n * (n - 1) // 2
     t0 = time.perf_counter()
     poset = enumerate_toric_layers(arr)
     total_characteristic(arr, poset)  # checks the identity on the way
     elapsed = time.perf_counter() - t0
-    assert poset.n == 203
+    assert poset.n == bell
     partitions = set()
     for i, lay in enumerate(poset.layers):
-        part = blocks(6, lay.localization)
+        part = blocks(n, lay.localization)
         partitions.add(part)
-        assert lay.rank == 6 - len(part)
+        assert lay.rank == n - len(part)
         assert poset.mobius[i] == prod((-1) ** (len(b) - 1) * factorial(len(b) - 1)
                                        for b in part), (i, lay.key)
-    assert len(partitions) == 203
+    assert len(partitions) == bell
     assert elapsed < budget_s, f"{elapsed:.2f}s > {budget_s}s"
+
+
+def test_a5_toric_layers_are_the_set_partitions():
+    check_set_partitions(6, 203, 3.0)
+
+
+def test_a6_toric_layers_are_the_set_partitions():
+    # 21 elements of rank 6: under both layer caps
+    check_set_partitions(7, 877, 5.0)
 
 
 def test_a5_chromatic_polynomial_is_the_falling_factorial():

@@ -4,6 +4,7 @@ import pytest
 
 from gtutte import Arrangement, FGAbelianGroup, GroupSpec, chromatic_quasi, posets
 from gtutte.invariants import IdentityCheckError
+from gtutte.lie import enumerate_lie_layers
 from gtutte.model import CapExceeded, multiplicity
 from gtutte.oracle import brute_mobius, poset_leq_matrix
 from gtutte.poly import UniPoly
@@ -162,8 +163,10 @@ def test_k_must_be_positive(example_poset):
 
 def test_layer_cap(monkeypatch):
     monkeypatch.setattr(posets, "MAX_COMPONENTS", 5)
-    with pytest.raises(CapExceeded, match="13 components exceed the cap 5"):
+    with pytest.raises(CapExceeded, match="at least 13 components exceed the cap 5$"):
         enumerate_toric_layers(Arrangement(FGAbelianGroup(1), [[12]]))
+    monkeypatch.setattr(posets, "MAX_COMPONENTS", 13)
+    assert enumerate_toric_layers(Arrangement(FGAbelianGroup(1), [[12]])).n == 13
     # the cap counts components over distinct lattices, not elements: 13
     # copies of a generator span two lattices with one component each
     monkeypatch.undo()
@@ -172,6 +175,8 @@ def test_layer_cap(monkeypatch):
 
 
 def test_layer_cap_refuses_before_any_hom(monkeypatch):
+    # 66,543 components in all; the fold over the lattices stops at the
+    # first one that takes the count past the cap
     rng = random.Random(3)
     arr = Arrangement(FGAbelianGroup(3), [[rng.randint(-20, 20) for _ in range(3)]
                                           for _ in range(5)], name="wide")
@@ -180,9 +185,43 @@ def test_layer_cap_refuses_before_any_hom(monkeypatch):
         raise AssertionError("a homomorphism was enumerated")
 
     monkeypatch.setattr(posets, "hom_enumerate", no_homs)
-    with pytest.raises(CapExceeded, match=r"^wide: layer enumeration: 66543 "
-                       r"components exceed the cap 50000$"):
+    with pytest.raises(CapExceeded, match=r"^wide: layer enumeration: at least "
+                       r"50979 components exceed the cap 50000$"):
         enumerate_toric_layers(arr)
+
+
+def test_order_cap_counts_each_component_by_two_to_its_rank(monkeypatch):
+    # [[1, 0], [0, 1]] spans four lattices with one component each, of ranks
+    # 0, 1, 1, 2: 1 + 2 + 2 + 4 = 9, the pairs X <= Y of its Boolean poset
+    arr = Arrangement(FGAbelianGroup(2), [[1, 0], [0, 1]])
+    monkeypatch.setattr(posets, "MAX_ORDER_PAIRS", 8)
+    with pytest.raises(CapExceeded, match=r"at least 9 pairs \(components "
+                       r"times 2\^rank\) exceed the cap 8$"):
+        enumerate_toric_layers(arr)
+    monkeypatch.setattr(posets, "MAX_ORDER_PAIRS", 9)
+    poset = enumerate_toric_layers(arr)
+    assert sum(len(downs) + 1 for downs in poset.strict_downs) == 9
+
+
+def test_order_cap_refuses_high_rank_before_any_hom(monkeypatch):
+    # the unit vectors of Z^14 span 2^14 lattices with one component each,
+    # under the component cap, but a rank-r layer lies over 2^r layers:
+    # 3^14 order pairs, and the order and its down-sets grow with them.
+    # The fold stops at the first lattice that takes the count past the cap.
+    arr = Arrangement(FGAbelianGroup(14),
+                      [[int(i == j) for j in range(14)] for i in range(14)],
+                      name="B14")
+
+    def no_homs(*args):
+        raise AssertionError("a homomorphism was enumerated")
+
+    monkeypatch.setattr(posets, "hom_enumerate", no_homs)
+    message = (r"^B14: layer order: at least 2000053 pairs \(components "
+               r"times 2\^rank\) exceed the cap 2000000$")
+    with pytest.raises(CapExceeded, match=message):
+        enumerate_toric_layers(arr)
+    with pytest.raises(CapExceeded, match=message):
+        enumerate_lie_layers(arr, 1, ())
 
 
 def test_export_formats(example, example_poset):
