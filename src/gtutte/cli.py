@@ -19,6 +19,7 @@ import functools
 import json
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii
 
 from . import invariants, lie, oracle, toric
 from .intlinalg import FGAbelianGroup
@@ -29,6 +30,85 @@ from .posets import component_shapes, export_hasse, hasse_records
 
 class InputError(ValueError):
     pass
+
+
+class _Unhandled(Exception):
+    """A value that `dumps` leaves to `json.dumps`."""
+
+
+def dumps(payload) -> str:
+    """`json.dumps(payload, sort_keys=True, indent=1)`, byte for byte.
+
+    With `indent`, `json` runs its pure-Python encoder.  Here a list of
+    dicts that share one key set sorts and encodes its keys once and
+    renders each record with one join, and strings go through the C
+    function `json` itself calls.  A float, a non-str dict key or any type
+    but dict, list, tuple, str, int, bool and None hands the whole payload
+    to `json.dumps`.
+    """
+    try:
+        return _render(payload, "\n")
+    except _Unhandled:
+        return json.dumps(payload, sort_keys=True, indent=1)
+
+
+def _render(obj, nl: str) -> str:
+    """`obj` as `json` prints it at the indent that ends `nl`."""
+    t = type(obj)
+    if t is str:
+        return encode_basestring_ascii(obj)
+    if t is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if t is dict:
+        return _records([obj], nl)[0] if obj else "{}"
+    if t is not list and t is not tuple:
+        raise _Unhandled
+    if not obj:
+        return "[]"
+    inner = nl + " "
+    if type(obj[0]) is dict and obj[0]:
+        items = _records(obj, inner)
+    else:
+        items = [int.__repr__(x) if type(x) is int else _render(x, inner)
+                 for x in obj]
+    return "[" + inner + ("," + inner).join(items) + nl + "]"
+
+
+def _records(rows, nl: str) -> list:
+    """The items of a list whose first item is a nonempty dict, at the
+    indent that ends `nl`: each dict with the first one's keys in one
+    join, any other item on its own."""
+    keys = rows[0].keys()
+    if any(type(k) is not str for k in keys):
+        raise _Unhandled
+    inner = nl + " "
+    names = sorted(keys)
+    heads = ["," + inner + encode_basestring_ascii(k) + ": " for k in names]
+    heads[0] = "{" + heads[0][1:]
+    fields = list(zip(heads, names))
+    close = nl + "}"
+    out = []
+    for row in rows:
+        if type(row) is not dict or row.keys() != keys:
+            out.append(_render(row, nl))
+            continue
+        parts = []
+        for head, name in fields:
+            v = row[name]
+            t = type(v)
+            parts.append(head)
+            parts.append(int.__repr__(v) if t is int else
+                         encode_basestring_ascii(v) if t is str else
+                         _render(v, inner))
+        parts.append(close)
+        out.append("".join(parts))
+    return out
 
 
 class ReducedEntryWarning(UserWarning):
@@ -357,7 +437,7 @@ def main(argv=None) -> int:
                 for w in caught:
                     print(f"warning: {w.message}", file=sys.stderr)
         payload, summary, code = args.fn(arr, args)
-        print(json.dumps(payload, sort_keys=True, indent=1))
+        print(dumps(payload))
         print(summary, file=sys.stderr)
     except (InputError, ValueError, OSError) as exc:
         # OSError: an input or --dot path that cannot be opened; its message

@@ -171,10 +171,19 @@ class LatticeTable:
 
     def span(self, lat: int) -> IntMatrix:
         """HNF basis of the lattice's saturated span, in the free quotient
-        (memoized)."""
+        (memoized).  At rank 0 and at full rank, read off the quotient, it
+        is the empty basis or the identity without a saturation."""
         span = self._spans.get(lat)
         if span is None:
-            span = self._spans[lat] = saturation(self.lattices[lat], self.gamma)
+            f = self.gamma.free_rank
+            rank = f - self.quotient(lat).free_rank
+            if rank == 0:
+                span = IntMatrix(0, f, ())
+            elif rank == f:
+                span = IntMatrix.identity(f)
+            else:
+                span = saturation(self.lattices[lat], self.gamma)
+            self._spans[lat] = span
         return span
 
 

@@ -13,6 +13,10 @@ enumeration, once for all the subsets that span it, deduplicates on
 (span, chi) and records each layer's localization, the set of elements
 whose kernel contains it: the union of the subsets it is a component of.
 Subsets are visited one by one only if `subset_components` is read.
+Many layers share a span, an F-hom or a circle value, so each layer's
+printed key and order are put together from pieces formatted once per
+engine run: the rows of each span, the text and order of each F-hom, and
+the reduced fraction v/P of each circle value.
 
 Two caps are counted on each lattice as it is found, before any hom is
 enumerated: `MAX_COMPONENTS` on the components, and with them the layers,
@@ -43,9 +47,9 @@ value mu(component(C), C).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
+from typing import NamedTuple
 
 from . import model
 from .intlinalg import (FGAbelianGroup, IntMatrix, hermite_normal_form,
@@ -59,9 +63,10 @@ MAX_COMPONENTS = 50_000  # components per layer job, summed over distinct lattic
 MAX_ORDER_PAIRS = 2_000_000  # the same components, each weighted by 2^rank
 
 
-@dataclass(frozen=True)
-class Layer:
-    """One connected component: (saturated span, character) with derived data."""
+class Layer(NamedTuple):
+    """One connected component: (saturated span, character) with derived
+    data.  A named tuple, which is cheap to build: an engine run makes one
+    per layer."""
 
     span: IntMatrix          # HNF rows in the free quotient
     chi: tuple               # (circle values mod P, F-hom of the ambient)
@@ -170,35 +175,47 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec) -> "LayerPoset":
         lattice_keys[lat] = [(span.data, chi) for chi in chis]
 
     tmask = arr.torsion_mask()
+    # the pieces of keys and orders, each formatted once
+    span_texts: dict = {}  # span rows -> "[rows]("
+    hom_parts: dict = {}   # F-hom -> (printed form, order of the hom)
+    fractions: dict = {}   # circle value -> reduced fraction mod P
     layers = []
     for span, (circle, hom), rank, loc in raw.values():
-        order = lcm(*(m // gcd(m, *(img[t] for img in hom))
-                      for t, m in enumerate(fs)))
-        texts = []
+        head = span_texts.get(span.data)
+        if head is None:
+            head = span_texts[span.data] = "[" + ";".join(
+                ",".join(map(str, row)) for row in span.data) + "]("
+        part = hom_parts.get(hom)
+        if part is None:
+            text = ""
+            if fs or not spec.circles:  # the trivial F-hom only without a circle
+                text = ",".join("+".join(map(str, img)) or "0" for img in hom)
+            part = hom_parts[hom] = (text, lcm(*(
+                m // gcd(m, *(img[t] for img in hom)) for t, m in enumerate(fs))))
+        text, order = part
         if spec.circles:
+            for v in circle:
+                if v not in fractions:
+                    g = gcd(v, period)
+                    fractions[v] = f"{v // g}/{period // g}" if v else "0"
             order = lcm(order, period // gcd(period, *circle))
-            texts.append(",".join(
-                f"{v // gcd(v, period)}/{period // gcd(v, period)}" if v else "0"
-                for v in circle))
-        if fs or not spec.circles:  # the trivial F-hom only without a circle
-            texts.append(",".join("+".join(str(x) for x in img) or "0"
-                                  for img in hom))
-        rows = ";".join(",".join(str(x) for x in row) for row in span.data)
+            circle_text = ",".join([fractions[v] for v in circle])
+            text = circle_text + "|" + text if fs else circle_text
         layers.append(Layer(span, (circle, hom), rank, spec.dim * (f - rank),
                             not loc & tmask, loc, (circle[span.rows:], hom),
-                            order, f"[{rows}]({'|'.join(texts)})"))
+                            order, head + text + ")"))
     layers.sort(key=lambda lay: (lay.rank, lay.span.data, lay.component, lay.chi))
     index = {(lay.span.data, lay.chi): i for i, lay in enumerate(layers)}
     components = {lat: tuple(sorted(index[key] for key in keys))
                   for lat, keys in lattice_keys.items()}
     inverses: dict = {}  # span rows -> rows u_i with span . u_i = e_i
-    points: dict = {}    # layer key -> a point of the layer mod P
+    points: dict = {}    # id of a layer -> a point of the layer mod P
 
     def point(y):
         """A point of y mod P: sum_i v_i u_i for its circle values v_i on the
         span rows.  The span is saturated, so its columns generate Z^r and
         the HNF of the rows [span column k | e_k] starts with [e_i | u_i]."""
-        key = y.key  # a string, whose hash is kept
+        key = id(y)  # leq is asked only about `layers`, which stay alive
         if key not in points:
             r = y.span.rows
             if y.span.data not in inverses:

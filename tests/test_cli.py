@@ -6,8 +6,11 @@ import re
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gtutte
 from gtutte import cli, invariants
@@ -685,3 +688,58 @@ def test_high_rank_layer_jobs_are_refused_within_budget(tmp_path, capsys):
         assert what in err and "exceed the cap" in err, (argv, err)
     elapsed = time.perf_counter() - t0
     assert elapsed < budget_s, f"{elapsed:.2f}s > {budget_s}s"
+
+
+# -- the stdout printer -------------------------------------------------------
+
+TEXT = st.one_of(st.text(max_size=6), st.sampled_from(
+    ['"', "\\", "\n", "\x00", "\x1f", "\x7f", "é", " ", "\U0001f600", ""]))
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(),
+                    st.integers(-2 ** 1000, 2 ** 1000), TEXT)
+
+
+def _containers(children):
+    keyed = st.dictionaries(TEXT, children, max_size=4)
+    records = st.lists(TEXT, min_size=1, max_size=4, unique=True).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries(
+            {k: st.one_of(SCALARS, st.lists(st.integers(), max_size=3),
+                          children) for k in keys}), min_size=1, max_size=4))
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        keyed,
+        records,
+        st.lists(keyed, min_size=2, max_size=4),
+        st.lists(st.one_of(keyed, SCALARS), min_size=1, max_size=4))
+
+
+# floats and int keys, which the printer hands to json, in half the payloads
+PAYLOADS = st.recursive(SCALARS, _containers, max_leaves=24) | st.recursive(
+    SCALARS | st.floats(), lambda children: _containers(children)
+    | st.dictionaries(st.integers(), children, min_size=1, max_size=3),
+    max_leaves=12)
+
+
+def _needs_json(x) -> bool:
+    """Whether x holds a float or a non-str dict key."""
+    if isinstance(x, float):
+        return True
+    if isinstance(x, dict):
+        return (any(type(k) is not str for k in x)
+                or any(map(_needs_json, x.values())))
+    if isinstance(x, (list, tuple)):
+        return any(map(_needs_json, x))
+    return False
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(PAYLOADS)
+def test_printer_is_json_dumps_byte_for_byte(payload):
+    expected = json.dumps(payload, sort_keys=True, indent=1)
+    handed = []
+    with mock.patch.object(cli.json, "dumps",
+                           lambda *a, **k: handed.append(a) or expected):
+        printed = cli.dumps(payload)
+    assert printed == expected
+    # every type but float and non-str keys is printed without json
+    assert bool(handed) == _needs_json(payload)

@@ -4,6 +4,7 @@ import time
 import pytest
 
 from gtutte import Arrangement, FGAbelianGroup, GroupSpec, multiplicity
+from gtutte.intlinalg import saturation
 from gtutte.model import CapExceeded, MAX_ELEMENTS
 from gtutte.oracle import battery_instances, brute_hom_count
 
@@ -170,3 +171,21 @@ def test_without_torsion_shares_the_lattice_table(mixed_torsion):
             return [a.lattice_table().lattices[a.subset_lattice(mask)]
                     for mask in a.masks()]
         assert lattices(stripped) == lattices(fresh)
+
+
+def test_table_spans_equal_the_saturation(example, mixed_torsion,
+                                          torsion_only):
+    # the table reads rank 0 and full rank off the quotient; every span
+    # must still be the saturation of its lattice
+    ranks = set()
+    for arr in [example, mixed_torsion, torsion_only,
+                Arrangement(FGAbelianGroup(2, (2, 4)),
+                            [[2, 0, 1, 3], [0, 3, 0, 2], [1, 1, 1, 0]])]:
+        arr.lattice_states()
+        table = arr.lattice_table()
+        f = arr.gamma.free_rank
+        for lat, lattice in enumerate(table.lattices):
+            assert table.span(lat) == saturation(lattice, arr.gamma), (arr, lat)
+            rank = table.span(lat).rows
+            ranks.add("zero" if rank == 0 else "full" if rank == f else "part")
+    assert ranks == {"zero", "full", "part"}

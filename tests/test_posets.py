@@ -1,6 +1,9 @@
 import random
+from math import gcd, lcm
 
 import pytest
+from test_oracle import _layer_posets
+from test_root_systems import type_a
 
 from gtutte import Arrangement, FGAbelianGroup, GroupSpec, posets
 from gtutte.invariants import HypothesisError, IdentityCheckError
@@ -120,3 +123,35 @@ def test_identity_errors_name_the_instance(example, monkeypatch):
                         lambda arr, spec: UniPoly([7]))
     with pytest.raises(IdentityCheckError, match="^example: total polynomial"):
         total_characteristic(example, enumerate_toric_layers(example))
+
+
+def _reference_key_and_order(poset, lay):
+    """A layer's printed key and order, each formatted from its own span
+    and character with no shared pieces."""
+    spec, (circle, hom) = poset.spec, lay.chi
+    period = poset.arr.lcm_period() if spec.circles else 1
+    order = lcm(*(m // gcd(m, *(img[t] for img in hom))
+                  for t, m in enumerate(spec.f_torsion)))
+    texts = []
+    if spec.circles:
+        order = lcm(order, period // gcd(period, *circle))
+        texts.append(",".join(
+            f"{v // gcd(v, period)}/{period // gcd(v, period)}" if v else "0"
+            for v in circle))
+    if spec.f_torsion or not spec.circles:
+        texts.append(",".join("+".join(str(x) for x in img) or "0"
+                              for img in hom))
+    rows = ";".join(",".join(str(x) for x in row) for row in lay.span.data)
+    return f"[{rows}]({'|'.join(texts)})", order
+
+
+def test_keys_and_orders_match_the_per_layer_formulas(example, mixed_torsion,
+                                                      torsion_only):
+    # the engine formats each span, F-hom and circle value once and shares
+    # the text between layers
+    built = list(_layer_posets(example, mixed_torsion, torsion_only))
+    built.append(enumerate_toric_layers(type_a(6)))
+    for poset in built:
+        for lay in poset.layers:
+            assert (lay.key, lay.order) == \
+                _reference_key_and_order(poset, lay), (poset.arr, poset.spec)
