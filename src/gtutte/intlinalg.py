@@ -189,20 +189,25 @@ def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
 def hnf_insert(rows: tuple, vec) -> tuple:
     """Canonical HNF rows of the lattice of the canonical HNF `rows` and `vec`.
 
-    `vec` is reduced down the pivot rows: an xgcd step replaces a pivot row
-    only where vec's entry is not a multiple of the pivot, and a nonzero
-    remainder with no pivot in its leading column becomes a new row in
-    place.  Entries above the pivots are then reduced into [0, pivot) from
-    the first changed row down.  When vec already lies in the lattice,
+    A list copy of `vec` is reduced down the pivot rows in place: an xgcd
+    step replaces a pivot row only where vec's entry is not a multiple of
+    the pivot, and a nonzero remainder with no pivot in its leading column
+    becomes a new row in place.  Entries above the pivots are then reduced
+    into [0, pivot) from the first changed row down.  Left of a pivot both
+    rows are zero, so each step touches only the columns from the pivot
+    on.  The parent's row tuples are never written: a row is copied to a
+    list only when it changes.  When vec already lies in the lattice,
     `rows` itself is returned.
     """
+    c = len(vec)
+    v = list(vec)
     out = list(rows)
-    v = vec
+    n = len(out)
     first = None  # index of the first changed row
     i = 0
-    for j in range(len(v)):
+    for j in range(c):
         a = v[j]
-        if i < len(out) and out[i][j]:
+        if i < n and out[i][j]:
             # row i's pivot is in column j
             if a:
                 row = out[i]
@@ -210,16 +215,23 @@ def hnf_insert(rows: tuple, vec) -> tuple:
                 if a % p:
                     g, x, y = xgcd(p, a)
                     b, d = a // g, p // g
-                    out[i] = tuple([x * s + y * t for s, t in zip(row, v)])
-                    v = [d * t - b * s for s, t in zip(row, v)]
+                    out[i] = new = list(row)
+                    for k in range(j, c):
+                        s, t = row[k], v[k]
+                        new[k] = x * s + y * t
+                        v[k] = d * t - b * s
                     if first is None:
                         first = i
                 else:
                     q = a // p
-                    v = [t - q * s for s, t in zip(row, v)]
+                    for k in range(j, c):
+                        v[k] -= q * row[k]
             i += 1
         elif a:
-            out.insert(i, tuple(v) if a > 0 else tuple([-t for t in v]))
+            if a < 0:
+                for k in range(j, c):
+                    v[k] = -v[k]
+            out.insert(i, v)
             if first is None:
                 first = i
             break
@@ -232,10 +244,14 @@ def hnf_insert(rows: tuple, vec) -> tuple:
             j += 1
         p = pivot_row[j]
         for t in range(k):
-            q = out[t][j] // p  # floor division leaves the entry in [0, p)
+            row = out[t]
+            q = row[j] // p  # floor division leaves the entry in [0, p)
             if q:
-                out[t] = tuple([s - q * u for s, u in zip(out[t], pivot_row)])
-    return tuple(out)
+                if type(row) is tuple:  # a parent row: copy before writing
+                    row = out[t] = list(row)
+                for m in range(j, c):
+                    row[m] -= q * pivot_row[m]
+    return tuple(map(tuple, out))
 
 
 def hermite_normal_form(m: IntMatrix) -> IntMatrix:

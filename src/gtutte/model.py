@@ -26,6 +26,7 @@ from .intlinalg import (FGAbelianGroup, IntMatrix, cokernel, hermite_normal_form
                         saturation)
 
 MAX_ELEMENTS = 24  # the subset histogram may meet up to 2^n distinct lattices
+MAX_LATTICES = 100_000  # distinct lattices in one lattice table
 
 
 class CapExceeded(ValueError):
@@ -130,23 +131,29 @@ class LatticeTable:
     """The distinct lattices <S> + ambient torsion relations of one ambient.
 
     Lattices are canonical HNF matrices, numbered in order of discovery;
-    id 0 holds the torsion relations alone.  `child` maps (lattice id,
-    vector) to the id of the lattice that the vector joins: `add` reduces
-    the vector into the parent's HNF rows with `hnf_insert` and looks the
-    resulting rows up, so a matrix is built only for a new lattice.  Each
-    lattice's quotient and saturated span are computed at most once; the
-    quotient's invariant factors are read straight off the canonical HNF
-    rows, with no re-reduction and no SNF.
+    id 0 holds the torsion relations alone.  `child` is
+    {vector: {lattice id: child id}}, the lattice that the vector joins:
+    a fold looks its vector up once and then steps on lattice ids alone
+    (`Arrangement.lattice_states` on int states lat * (n + 1) + #S).
+    `add` reduces the vector into the parent's HNF rows with `hnf_insert`
+    and looks the resulting rows up, so a matrix is built only for a new
+    lattice, and refuses a new lattice past `MAX_LATTICES`: the table
+    bounds the work and memory of every fold over it, as the fold runs.
+    `instance` names the arrangement in that refusal.  Each lattice's
+    quotient and saturated span are computed at most once; the quotient's
+    invariant factors are read straight off the canonical HNF rows, with
+    no re-reduction and no SNF.
     """
 
-    def __init__(self, gamma: FGAbelianGroup):
+    def __init__(self, gamma: FGAbelianGroup, instance: str):
         self.gamma = gamma
+        self.instance = instance
         start = hermite_normal_form(
             presentation_matrix(IntMatrix.from_rows([], gamma.ngens), gamma))
         self._free = FGAbelianGroup(gamma.ngens)
         self.lattices = [start]
         self._ids = {start.data: 0}
-        self.child: dict = {}   # (lattice id, vector) -> lattice id
+        self.child: dict = {}   # vector -> {lattice id: child id}
         self._quotients: dict = {}
         self._spans: dict = {}
 
@@ -155,9 +162,14 @@ class LatticeTable:
         rows = hnf_insert(self.lattices[lat].data, vec)
         c = self._ids.get(rows)
         if c is None:
-            c = self._ids[rows] = len(self.lattices)
+            c = len(self.lattices)
+            if c >= MAX_LATTICES:
+                raise CapExceeded(
+                    f"{self.instance}: lattice fold: {c + 1} lattices "
+                    f"exceed the cap {MAX_LATTICES}")
+            self._ids[rows] = c
             self.lattices.append(IntMatrix(len(rows), self.gamma.ngens, rows))
-        self.child[lat, vec] = c
+        self.child.setdefault(vec, {})[lat] = c
         return c
 
     def quotient(self, lat: int) -> FGAbelianGroup:
@@ -244,7 +256,9 @@ class Arrangement:
     def lattice_table(self) -> LatticeTable:
         """The lattice table that `lattice_states` numbers lattices in."""
         if self._lattice_table is None:
-            self._lattice_table = LatticeTable(self.gamma)
+            # a string, not the bound method: a table holding its
+            # arrangement would make a cycle that only the collector frees
+            self._lattice_table = LatticeTable(self.gamma, self.describe())
         return self._lattice_table
 
     def lattice_states(self) -> dict:
@@ -253,24 +267,29 @@ class Arrangement:
         The elements are folded in one at a time over states (lattice, #S),
         where the lattice is the canonical HNF of <S> plus the ambient
         torsion relations; each state skips or adds the element, and equal
-        states merge their counts.  A child lattice is computed once per
+        states merge their counts.  While folding, a state is the int
+        lat * (n + 1) + #S, and adding an element moves it by
+        (child - lat) * (n + 1) + 1.  A child lattice is computed once per
         (lattice, element vector), so the cost is 2^n steps only when every
         lattice differs.
         """
         if self._lattice_states is None:
             table = self.lattice_table()
-            child = table.child
-            states = {(0, 0): 1}
+            width = self.n + 1  # #S lies in [0, n]
+            states = {0: 1}
             for vec in self.elements:
+                kids = table.child.setdefault(vec, {})
                 folded = dict(states)
-                for (lat, size), count in states.items():
-                    c = child.get((lat, vec))
+                for key, count in states.items():
+                    lat = key // width
+                    c = kids.get(lat)
                     if c is None:
                         c = table.add(lat, vec)
-                    key = (c, size + 1)
+                    key += (c - lat) * width + 1
                     folded[key] = folded.get(key, 0) + count
                 states = folded
-            self._lattice_states = states
+            self._lattice_states = {divmod(key, width): count
+                                    for key, count in states.items()}
         return self._lattice_states
 
     def subset_lattice(self, mask: int) -> int:
@@ -280,7 +299,7 @@ class Arrangement:
         child = self.lattice_table().child
         lat = 0
         for vec in self.mask_elements(mask):
-            lat = child[lat, vec]
+            lat = child[vec][lat]
         return lat
 
     def histogram(self) -> dict:

@@ -309,11 +309,13 @@ def _desk_sized(arr: Arrangement) -> bool:
     if arr.lcm_period() > 360:
         return False
     hist = arr.histogram().items()
-    toric = sum(c * model.multiplicity(k, GroupSpec.circle()) for k, c in hist)
+    circle = GroupSpec.circle()
+    lines = {e: GroupSpec.cyclic(e) for e in (2, 3, 4)}
+    toric = sum(c * model.multiplicity(k, circle) for k, c in hist)
     f = arr.gamma.free_rank
     return toric <= 2500 and all(
-        sum(c * model.multiplicity(k, GroupSpec.cyclic(e)) * e ** (f - k.rank)
-            for k, c in hist) <= 12000 for e in (2, 3, 4))
+        sum(c * model.multiplicity(k, spec) * e ** (f - k.rank)
+            for k, c in hist) <= 12000 for e, spec in lines.items())
 
 
 def battery_instances(seed: int, count: int) -> list:
@@ -385,20 +387,26 @@ def _run_identity_suite(arr, label, qmax, entries):
         _check(entries, label, "constituent_vs_k_partial", f"k={k}",
                qp.constituent(k).coeffs, computed.coeffs)
 
-    # per-subset component counts in the k-torsion subposet, all k <= 2*period
+    # per-subset component counts in the k-torsion subposet, all k <= 2*period;
+    # the comparison depends on a mask only through its component orders and
+    # its torsion factors, so it runs once per distinct pair of them
     specs = [GroupSpec.cyclic(k) for k in range(1, 2 * period + 1)]
+    compared: dict = {}  # (orders, torsion factors) -> mismatches
     for mask in arr.masks():
         orders: dict = {}
         for idx in toric_poset.subset_components[mask]:
             o = toric_poset.layers[idx].order
             orders[o] = orders.get(o, 0) + 1
         data = arr.subset_data(mask)
-        bad = []
-        for k, spec in enumerate(specs, start=1):
-            got = sum(c for o, c in orders.items() if k % o == 0)
-            want = model.multiplicity(data, spec)
-            if got != want:
-                bad.append((k, want, got))
+        pair = (tuple(sorted(orders.items())), data.torsion_factors)
+        bad = compared.get(pair)
+        if bad is None:
+            bad = compared[pair] = []
+            for k, spec in enumerate(specs, start=1):
+                got = sum(c for o, c in orders.items() if k % o == 0)
+                want = model.multiplicity(data, spec)
+                if got != want:
+                    bad.append((k, want, got))
         _check(entries, label, "k_component_count",
                f"S={mask:b},k<={2 * period}", [], bad)
 

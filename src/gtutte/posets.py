@@ -131,8 +131,9 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec) -> "LayerPoset":
     count(0)
     locs = {0: 0}
     for i, vec in enumerate(arr.elements):
+        kids = child.setdefault(vec, {})
         for lat in list(locs):
-            c = child.get((lat, vec))
+            c = kids.get(lat)
             if c is None:
                 c = table.add(lat, vec)
             if c not in locs:

@@ -690,6 +690,25 @@ def test_high_rank_layer_jobs_are_refused_within_budget(tmp_path, capsys):
     assert elapsed < budget_s, f"{elapsed:.2f}s > {budget_s}s"
 
 
+def test_lattice_fold_is_refused_within_budget(tmp_path, capsys):
+    # 24 vectors of {-1, 0, 1}^8 span more than 10^5 distinct lattices: the
+    # histogram fold behind `char` stops at the lattice cap as it runs
+    rng = random.Random(4)
+    path = tmp_path / "cube8.json"
+    path.write_text(json.dumps(
+        {"group": {"free_rank": 8, "torsion": []},
+         "vectors": [[rng.randint(-1, 1) for _ in range(8)]
+                     for _ in range(24)]}))
+    budget_s = 10.0
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "char", str(path), "--torsion", "2")
+    elapsed = time.perf_counter() - t0
+    assert code == 2 and out == "", err
+    assert re.search(r": lattice fold: 100001 lattices exceed the cap 100000$",
+                     err.strip()), err
+    assert elapsed < budget_s, f"{elapsed:.2f}s > {budget_s}s"
+
+
 # -- the stdout printer -------------------------------------------------------
 
 TEXT = st.one_of(st.text(max_size=6), st.sampled_from(

@@ -3,6 +3,8 @@ import time
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtutte.intlinalg import (DimensionMismatch, FGAbelianGroup, IntMatrix,
                               cokernel, determinant, hermite_normal_form,
@@ -223,6 +225,123 @@ def test_hnf_canonical_under_unimodular_row_operations():
         member = tuple(sum(k * row[j] for k, row in zip(coeffs, h.data))
                        for j in range(c))
         assert hnf_insert(h.data, member) is h.data
+
+
+def _reference_hnf_insert(rows: tuple, vec) -> tuple:
+    """The fold step as it was before it reduced in place: whole-row list
+    comprehensions, every changed row rebuilt as a tuple."""
+    out = list(rows)
+    v = vec
+    first = None
+    i = 0
+    for j in range(len(v)):
+        a = v[j]
+        if i < len(out) and out[i][j]:
+            if a:
+                row = out[i]
+                p = row[j]
+                if a % p:
+                    g, x, y = xgcd(p, a)
+                    b, d = a // g, p // g
+                    out[i] = tuple([x * s + y * t for s, t in zip(row, v)])
+                    v = [d * t - b * s for s, t in zip(row, v)]
+                    if first is None:
+                        first = i
+                else:
+                    q = a // p
+                    v = [t - q * s for s, t in zip(row, v)]
+            i += 1
+        elif a:
+            out.insert(i, tuple(v) if a > 0 else tuple([-t for t in v]))
+            if first is None:
+                first = i
+            break
+    if first is None:
+        return rows
+    for k in range(first, len(out)):
+        pivot_row = out[k]
+        j = k
+        while not pivot_row[j]:
+            j += 1
+        p = pivot_row[j]
+        for t in range(k):
+            q = out[t][j] // p
+            if q:
+                out[t] = tuple([s - q * u for s, u in zip(out[t], pivot_row)])
+    return tuple(out)
+
+
+# small entries, and entries near +-1000
+_ENTRIES = st.one_of(st.integers(-6, 6), st.integers(990, 1010),
+                     st.integers(-1010, -990))
+
+
+@st.composite
+def _insertions(draw):
+    """A canonical HNF parent, possibly holding torsion relation rows
+    e * unit vector on trailing columns, and a vector to insert: a random
+    one, the zero vector, a member of the lattice, or one whose leading
+    entry, possibly negative, sits at a chosen column."""
+    c = draw(st.integers(1, 5))
+    gens = draw(st.lists(st.lists(_ENTRIES, min_size=c, max_size=c),
+                         max_size=c + 1))
+    torsion = draw(st.lists(st.sampled_from((2, 3, 4, 6, 1000)), max_size=c))
+    for t, e in enumerate(torsion):
+        gens.append([0] * (c - len(torsion) + t) + [e] + [0] * (len(torsion) - 1 - t))
+    rows = hermite_normal_form(IntMatrix.from_rows(gens, c)).data
+    kind = draw(st.sampled_from(("random", "zero", "member", "lead")))
+    if kind == "zero":
+        vec = (0,) * c
+    elif kind == "member":
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(rows),
+                               max_size=len(rows)))
+        vec = tuple(sum(k * row[j] for k, row in zip(coeffs, rows))
+                    for j in range(c))
+    else:
+        vec = draw(st.lists(_ENTRIES, min_size=c, max_size=c))
+        if kind == "lead":
+            j = draw(st.integers(0, c - 1))
+            lead = draw(_ENTRIES.filter(bool))
+            vec = [0] * j + [lead] + vec[j + 1:]
+        vec = tuple(vec)
+    return rows, vec
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(_insertions())
+def test_hnf_insert_matches_the_reference(case):
+    rows, vec = case
+    before = [tuple(row) for row in rows]
+    got = hnf_insert(rows, vec)
+    want = _reference_hnf_insert(rows, vec)
+    assert got == want
+    assert list(rows) == before  # the parent's rows are left as they were
+    assert type(got) is tuple and all(type(row) is tuple for row in got)
+    assert (got is rows) == (want is rows)
+    _assert_canonical_hnf(IntMatrix(len(got), len(vec), got))
+    member = hnf_solve(IntMatrix(len(rows), len(vec), rows), vec) is not None
+    assert (got is rows) == member
+
+
+def test_hnf_insert_edge_cases():
+    # a new first pivot, under which every row is reduced again; an xgcd
+    # step on a middle pivot, with a row above it to reduce; a full-rank
+    # parent whose last pivot shrinks
+    for rows, vec in ((((0, 2, 1), (0, 0, 3)), (1, 5, 7)),
+                      (((1, 1, 5), (0, 4, 2)), (0, -6, 1)),
+                      (((1, 1, 2), (0, 2, 1), (0, 0, 9)), (0, 0, 6))):
+        got = hnf_insert(rows, vec)
+        assert got == _reference_hnf_insert(rows, vec), (rows, vec)
+        _assert_canonical_hnf(IntMatrix(len(got), 3, got))
+    assert hnf_insert(((1, 1, 5), (0, 4, 2)), (0, -6, 1)) == \
+        ((1, 1, 5), (0, 2, 5), (0, 0, 8))
+    # a negative leading entry is negated into a positive pivot
+    assert hnf_insert(((1, 0),), (0, -3)) == ((1, 0), (0, 3))
+    empty = ()
+    assert hnf_insert(empty, (0, 0, 0)) is empty
+    assert hnf_insert(empty, (-2, 4, 0)) == ((2, -4, 0),)
+    parent = ((2, 0), (0, 3))
+    assert hnf_insert(parent, (4, -9)) is parent
 
 
 def test_cokernel_examples():

@@ -1,11 +1,14 @@
 import random
 import time
+from collections import Counter
 
 import pytest
 
-from gtutte import Arrangement, FGAbelianGroup, GroupSpec, multiplicity
-from gtutte.intlinalg import saturation
+from gtutte import Arrangement, FGAbelianGroup, GroupSpec, model, multiplicity
+from gtutte.intlinalg import (hermite_normal_form, hnf_insert,
+                              presentation_matrix, saturation)
 from gtutte.model import CapExceeded, MAX_ELEMENTS
+from gtutte.toric import enumerate_toric_layers
 from gtutte.oracle import battery_instances, brute_hom_count
 
 
@@ -47,6 +50,51 @@ def test_element_cap_is_reachable():
     assert sum(arr.histogram().values()) == 2 ** MAX_ELEMENTS
     assert arr.rank == 3
     assert elapsed < budget_s, f"{elapsed:.2f}s > {budget_s}s"
+
+
+def test_lattice_states_match_per_mask_hnfs(mixed_torsion):
+    # the fold keys its states by lat * (n + 1) + #S; the states it returns,
+    # the lattice each mask reads off `child` and every child edge must
+    # agree with the canonical HNF of <S> plus the torsion relations,
+    # computed mask by mask
+    rng = random.Random(9)
+    quasi_like = Arrangement(FGAbelianGroup(2, (2, 6)), [
+        [rng.randint(-4, 4), rng.randint(-4, 4), rng.randrange(2),
+         rng.randrange(6)] for _ in range(8)])
+    for arr in [mixed_torsion, quasi_like] + battery_instances(0, 60):
+        states = arr.lattice_states()
+        table = arr.lattice_table()
+        ids = {lattice.data: lat for lat, lattice in enumerate(table.lattices)}
+        assert len(ids) == len(table.lattices), arr  # no lattice twice
+        want = Counter()
+        for mask in arr.masks():
+            rows = hermite_normal_form(
+                presentation_matrix(arr.subset_matrix(mask), arr.gamma)).data
+            assert arr.subset_lattice(mask) == ids[rows], (arr, mask)
+            want[ids[rows], bin(mask).count("1")] += 1
+        assert states == dict(want), arr
+        for vec, kids in table.child.items():
+            for lat, c in kids.items():
+                assert table.lattices[c].data == hnf_insert(
+                    table.lattices[lat].data, vec), (arr, vec, lat)
+
+
+def test_lattice_cap(monkeypatch):
+    def example():  # 6 lattices
+        return Arrangement(FGAbelianGroup(2), [[-1, 1], [0, 2], [0, 4]],
+                           name="example")
+    monkeypatch.setattr(model, "MAX_LATTICES", 5)
+    message = "^example: lattice fold: 6 lattices exceed the cap 5$"
+    with pytest.raises(CapExceeded, match=message):
+        example().histogram()
+    # the layer engine folds over the same table, under the same cap
+    with pytest.raises(CapExceeded, match=message):
+        enumerate_toric_layers(example())
+    monkeypatch.setattr(model, "MAX_LATTICES", 6)
+    arr = example()
+    assert sum(arr.histogram().values()) == 8
+    assert len(arr.lattice_table().lattices) == 6
+    assert enumerate_toric_layers(example()).n > 0
 
 
 def test_subset_data_example(example):
