@@ -182,25 +182,17 @@ class LatticeTable:
         return quot
 
     def span(self, lat: int) -> IntMatrix:
-        """HNF basis of the lattice's saturated span, in the free quotient
-        (memoized).  At rank 0 and at full rank, read off the quotient, it
-        is the empty basis or the identity without a saturation."""
+        """HNF basis of the lattice's saturated span, in the free quotient:
+        `saturation` of the lattice, memoized."""
         span = self._spans.get(lat)
         if span is None:
-            f = self.gamma.free_rank
-            rank = f - self.quotient(lat).free_rank
-            if rank == 0:
-                span = IntMatrix(0, f, ())
-            elif rank == f:
-                span = IntMatrix.identity(f)
-            else:
-                span = saturation(self.lattices[lat], self.gamma)
-            self._spans[lat] = span
+            span = self._spans[lat] = saturation(self.lattices[lat], self.gamma)
         return span
 
 
 class Arrangement:
-    """Immutable (group, element multiset) pair with memoized subset data."""
+    """Immutable (group, element multiset) pair with its lattice table,
+    lattice states and histogram memoized."""
 
     def __init__(self, gamma: FGAbelianGroup, elements, name: str | None = None):
         if len(elements) > MAX_ELEMENTS:
@@ -220,19 +212,13 @@ class Arrangement:
         self.gamma = gamma
         self.elements = tuple(reduced)
         self.name = name
-        self._subset_cache: dict[int, SubsetData] = {}
         self._lattice_table: LatticeTable | None = None
         self._lattice_states: dict | None = None
         self._histogram: dict[SubsetClass, int] | None = None
-        self._lcm_period: int | None = None
 
     @property
     def n(self) -> int:
         return len(self.elements)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
 
     def masks(self):
         return range(1 << self.n)
@@ -244,14 +230,10 @@ class Arrangement:
         return IntMatrix.from_rows(self.mask_elements(mask), self.gamma.ngens)
 
     def subset_data(self, mask: int) -> SubsetData:
-        """Rank and quotient torsion factors of the masked subset (memoized)."""
-        data = self._subset_cache.get(mask)
-        if data is None:
-            quot = cokernel(self.subset_matrix(mask), self.gamma)
-            data = SubsetData(mask, self.gamma.free_rank - quot.free_rank,
-                              quot.torsion)
-            self._subset_cache[mask] = data
-        return data
+        """Rank and quotient torsion factors of the masked subset."""
+        quot = cokernel(self.subset_matrix(mask), self.gamma)
+        return SubsetData(mask, self.gamma.free_rank - quot.free_rank,
+                          quot.torsion)
 
     def lattice_table(self) -> LatticeTable:
         """The lattice table that `lattice_states` numbers lattices in."""
@@ -333,11 +315,8 @@ class Arrangement:
 
     def lcm_period(self) -> int:
         """lcm over all subsets of the largest quotient torsion factor."""
-        if self._lcm_period is None:
-            self._lcm_period = lcm(*(key.torsion_factors[-1]
-                                     for key in self.histogram()
-                                     if key.torsion_factors))
-        return self._lcm_period
+        return lcm(*(key.torsion_factors[-1] for key in self.histogram()
+                     if key.torsion_factors))
 
     def without_torsion(self) -> "Arrangement":
         """The arrangement with all torsion elements dropped; itself when it

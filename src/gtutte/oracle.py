@@ -40,9 +40,9 @@ def brute_complement_count(arr: Arrangement, q: int, cap: int = ENUM_CAP) -> int
     a tail, the longest suffix with at most isqrt(total) homs.  Each
     element's tail homs are evaluated once into `kills`, a table from the
     residue a head value must have to kill a tail hom to the bitmask of
-    those tail homs; each head hom then ORs one lookup per element and
-    counts the bits left clear.  Every hom is still examined, with no
-    subset sum and no lattice.
+    those tail homs; each head hom then ORs one lookup per element, an
+    element zero on the head included, and counts the bits left clear.
+    Every hom is examined, with no subset sum and no lattice.
     """
     if q < 1:
         raise ValueError("q must be positive")
@@ -59,7 +59,6 @@ def brute_complement_count(arr: Arrangement, q: int, cap: int = ENUM_CAP) -> int
         split -= 1
         width *= len(ranges[split])
     tail = list(product(*ranges[split:]))
-    base = 0  # tail homs killed by an element that is zero on the head
     lookups = []
     for vec in arr.elements:
         head, rest = vec[:split], vec[split:]
@@ -67,16 +66,10 @@ def brute_complement_count(arr: Arrangement, q: int, cap: int = ENUM_CAP) -> int
         for j, t in enumerate(tail):
             r = -sum(map(mul, rest, t)) % q
             kills[r] = kills.get(r, 0) | 1 << j
-        if any(x % q for x in head):
-            lookups.append((head, kills))
-        else:
-            base |= kills.get(0, 0)
-    alive = width - base.bit_count()
-    if not lookups or not alive:
-        return alive * (total // width)
+        lookups.append((head, kills))
     count = 0
     for phi in product(*ranges[:split]):
-        killed = base
+        killed = 0
         for head, kills in lookups:
             killed |= kills.get(sum(map(mul, head, phi)) % q, 0)
         count += width - killed.bit_count()
@@ -111,7 +104,7 @@ def brute_hom_count(source: FGAbelianGroup, target_torsion,
 def reference_g_tutte(arr: Arrangement, spec: GroupSpec) -> BiPoly:
     """The G-Tutte subset sum taken mask by mask over all 2^n subsets,
     with per-subset data and no histogram."""
-    r_full = arr.subset_data(arr.full_mask).rank
+    r_full = arr.subset_data((1 << arr.n) - 1).rank
     terms: dict = {}
     for mask in arr.masks():
         data = arr.subset_data(mask)
@@ -337,11 +330,14 @@ def _check(entries, instance, check, param, expected, computed):
 
 def run_identity_suite(arr: Arrangement, label: str, qmax: int = 12,
                        entries: list | None = None) -> list:
-    """Run the full differential identity suite on one arrangement."""
+    """Run the full differential identity suite on one arrangement.  A
+    `CapExceeded` propagates: a refused size is no failed identity."""
     if entries is None:
         entries = []
     try:
         _run_identity_suite(arr, label, qmax, entries)
+    except CapExceeded:
+        raise
     except Exception as exc:  # a crash is a failure, not an abort
         entries.append(CheckEntry(label, "exception", type(exc).__name__,
                                   None, str(exc), False))

@@ -32,10 +32,11 @@ span(X) is X's: a point of Y, one per layer, takes X's circle values on
 the rows of span(X).  Each layer lies over
 a unique minimal element, the rank-0 root of its component (the connected
 component of the total group containing it), which lies below every layer
-of that component untested.  Above rank 1 the test runs only on layers X
-of the same component exactly one rank below Y whose localization nests in
-loc(Y), found by bitsets over the layers one rank below, one per element;
-downs(Y) is the root together with each such X and downs(X).
+of that component untested.  The test runs only on layers X of the same
+component exactly one rank below Y whose localization nests in loc(Y),
+found by bitsets over the layers one rank below, one per element (at rank
+1 the root is the one such X); downs(Y) is the root together with each
+such X and downs(X).
 Nothing is missed: if X < Y with ranks at least 2 apart, joining loc(X)
 with one element of loc(Y) outside span(X) gives an intersection whose
 component containing Y is a layer Z of rank(X) + 1 with X < Z < Y, so X
@@ -54,8 +55,8 @@ from typing import NamedTuple
 from . import model
 from .intlinalg import (FGAbelianGroup, IntMatrix, hermite_normal_form,
                         hnf_solve, hom_enumerate)
-from .invariants import (HypothesisError, IdentityCheckError, checked,
-                         g_characteristic)
+from .invariants import (HypothesisError, IdentityCheckError, check_degree,
+                         checked, g_characteristic)
 from .model import Arrangement, CapExceeded, GroupSpec
 from .poly import UniPoly, scale_variable
 
@@ -100,6 +101,7 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec) -> "LayerPoset":
             "take at most one")
     gamma = arr.gamma
     f = gamma.free_rank
+    check_degree(arr, spec.dim * f, "layer polynomial")
     fs = spec.f_torsion
     table = arr.lattice_table()
     child = table.child
@@ -233,12 +235,11 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec) -> "LayerPoset":
         return points[key]
 
     def leq(x, y):
-        """x <= y in the poset: x contains y.  Within one component (equal
-        F-homs and torsion-generator values) a point of y must take x's
-        circle values on the span rows of x."""
-        if x.localization & ~y.localization or x.component != y.component:
-            return False
-        if not spec.circles:
+        """x <= y in the poset: x contains y.  Asked only about x in y's
+        component whose localization nests in y's (see `LayerPoset`), where
+        a point of y must take x's circle values on the span rows of x; the
+        root, with no span rows, needs no point."""
+        if not spec.circles or not x.span.rows:
             return True
         phi = point(y)
         for row, value in zip(x.span.data, x.chi[0]):
@@ -302,10 +303,7 @@ class LayerPoset:
             root = roots[0]
             for i in idxs:
                 component_of[i] = root
-            for j in by_rank.get(1, ()):
-                downs[j] = frozenset((root,))
-                mobius[j] = -1
-            for r in range(2, max(by_rank) + 1):
+            for r in range(1, max(by_rank) + 1):
                 lower = by_rank.get(r - 1, ())
                 # bit k of holding[bit]: the element of mask `bit` lies in
                 # the localization of lower[k].  The layers whose

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from unittest import mock
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gtutte
-from gtutte import cli, invariants
+from gtutte import cli, invariants, oracle
 from gtutte.oracle import brute_complement_count
 
 
@@ -224,6 +225,18 @@ def test_verify_refuses_vacuous_arguments(capsys, flag, value):
     code, out, err = run(capsys, "verify", "--count", "2", flag, value)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and flag in err and value in err
+
+
+def test_verify_refuses_past_the_oracle_cap(capsys):
+    # at q = 172 the first instance has over 10^7 homs to count: the oracle
+    # refuses the size, which is no failed identity and nothing to shrink
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "verify", "--count", "2", "--qmax", "300")
+    elapsed = time.perf_counter() - t0
+    assert code == 2 and out == "", err
+    assert err.startswith("error: ") and "q=172" in err
+    assert f"exceed the cap {oracle.ENUM_CAP}" in err
+    assert elapsed < 10.0, f"{elapsed:.2f}s > 10.0s"
 
 
 def test_reciprocity_beta_compare(example_file, capsys):
@@ -707,6 +720,130 @@ def test_lattice_fold_is_refused_within_budget(tmp_path, capsys):
     assert re.search(r": lattice fold: 100001 lattices exceed the cap 100000$",
                      err.strip()), err
     assert elapsed < budget_s, f"{elapsed:.2f}s > {budget_s}s"
+
+
+PAPER_EXAMPLE = {"group": {"free_rank": 2, "torsion": []},
+                 "vectors": [[-1, 1], [0, 2], [0, 4]]}
+
+
+def test_dense_polynomials_are_refused_past_the_degree_cap(tmp_path, capsys):
+    # a free rank or a line count of a few bytes would name a polynomial of
+    # any degree; each is refused before one coefficient is allocated
+    huge = tmp_path / "huge_rank.json"
+    huge.write_text(json.dumps({"group": {"free_rank": 10 ** 9, "torsion": []},
+                                "vectors": []}))
+    paper = tmp_path / "paper.json"
+    paper.write_text(json.dumps(PAPER_EXAMPLE))
+    cap = invariants.MAX_DEGREE
+    for argv, degree in ((["char", str(huge)], 10 ** 9),
+                         (["lie-layers", str(paper), "--g", "3000000"],
+                          6_000_000)):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        elapsed = time.perf_counter() - t0
+        assert code == 2 and out == "", argv
+        assert f"degree {degree} exceeds the cap {cap}" in err, err
+        assert elapsed < 2.0, f"{argv}: {elapsed:.2f}s > 2.0s"
+    # the cap is on the degree, not on the free rank: tutte and char over
+    # R^N build no polynomial of degree N
+    code, out, _ = run(capsys, "tutte", str(huge))
+    assert code == 0 and json.loads(out)["triples"] == [[0, 0, 1]]
+    code, out, _ = run(capsys, "char", str(paper), "--q", "3000000")
+    assert code == 0 and json.loads(out)["coefficients"] == [1, -2, 1]
+    for rank in (cap, cap + 1):
+        path = tmp_path / f"rank-{rank}.json"
+        path.write_text(json.dumps({"group": {"free_rank": rank, "torsion": []},
+                                    "vectors": []}))
+        code, out, _ = run(capsys, "char", str(path))
+        if rank == cap:
+            assert code == 0 and json.loads(out)["coefficients"] == [0] * cap + [1]
+        else:
+            assert code == 2 and out == ""
+
+
+REFUSAL_INPUTS = {
+    "empty": {"group": {"free_rank": 2, "torsion": []}, "vectors": []},
+    "zero vector": {"group": {"free_rank": 2, "torsion": []},
+                    "vectors": [[0, 0], [1, 2]]},
+    "torsion only": {"group": {"free_rank": 1, "torsion": [2, 4]},
+                     "vectors": [[0, 1, 2], [0, 0, 3]]},
+    "free rank 10^9": {"group": {"free_rank": 10 ** 9, "torsion": []},
+                       "vectors": []},
+    "period over the cap": {
+        "group": {"free_rank": 2, "torsion": []},
+        "vectors": [[invariants.MAX_PERIOD + 1, 0], [0, 1], [1, 1]]},
+    "unit vectors of Z^15": {
+        "group": {"free_rank": 15, "torsion": []},
+        "vectors": [[int(i == j) for j in range(15)] for i in range(15)]},
+}
+# every subcommand that reads a file, with small options; the paper example
+# runs with 3,000,000 lines or real factors instead, and verify reads no file
+REFUSAL_COMMANDS = [
+    ["info"], ["tutte", "--p", "1"], ["arith-tutte"],
+    ["char", "--torsion", "2"], ["quasi"], ["constituent", "3"],
+    ["toric-layers"], ["lie-layers", "--g", "1", "--torsion", "2"],
+    ["reciprocity", "--k", "2", "--q", "3"], ["beta", "--q", "2"],
+    ["compare", "--a", "1", "--b", "2"]]
+REFUSAL_CASES = [(name, [cmd[0], "{file}", *cmd[1:]])
+                 for name in REFUSAL_INPUTS for cmd in REFUSAL_COMMANDS] + [
+    ("paper example", ["lie-layers", "{file}", "--g", "3000000"]),
+    ("paper example", ["char", "{file}", "--q", "3000000"]),
+    ("paper example", ["tutte", "{file}", "--q", "3000000"]),
+    ("no file", ["verify", "--count", "1", "--qmax", "2"])]
+
+
+@pytest.mark.parametrize("name, argv", REFUSAL_CASES,
+                         ids=[f"{name}: {' '.join(argv[:1] + argv[2:])}"
+                              for name, argv in REFUSAL_CASES])
+def test_every_command_answers_or_refuses(name, argv, tmp_path, capsys):
+    # exit 0, or exit 2 with a message and no result; never a traceback or
+    # an identity failure, and within a budget per call
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(REFUSAL_INPUTS.get(name, PAPER_EXAMPLE)))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *(a.format(file=path) for a in argv))
+    elapsed = time.perf_counter() - t0
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.startswith("error: "), err
+    else:
+        json.loads(out)
+    assert elapsed < 3.0, f"{elapsed:.2f}s > 3.0s"
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=12)
+
+
+def _mostly(valid):
+    """`valid` three times in four, any JSON value otherwise."""
+    return st.integers(0, 3).flatmap(lambda i: valid if i else JSON_VALUES)
+
+
+# documents close to valid ones, so that each check of the loader is reached
+DOCUMENTS = st.fixed_dictionaries({
+    "group": _mostly(st.fixed_dictionaries({
+        "free_rank": _mostly(st.integers(-1, 2)),
+        "torsion": _mostly(st.lists(_mostly(st.integers(-1, 6)), max_size=2))})),
+    "vectors": _mostly(st.lists(_mostly(st.lists(
+        _mostly(st.integers(-3, 7)), min_size=1, max_size=3)), max_size=3)),
+}, optional={"name": _mostly(st.text(max_size=3))})
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(_mostly(DOCUMENTS))
+def test_loader_returns_an_arrangement_or_an_input_error(doc):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", cli.ReducedEntryWarning)
+        try:
+            arr = cli.arrangement_from_document(doc)
+        except cli.InputError:
+            return
+    assert isinstance(arr, gtutte.Arrangement)
 
 
 # -- the stdout printer -------------------------------------------------------

@@ -6,9 +6,13 @@ so they check answers at element counts where no hom enumeration can.
 
 import time
 from itertools import combinations
-from math import factorial, prod
+from math import comb, factorial, perm, prod
 
-from gtutte import Arrangement, FGAbelianGroup, UniPoly, chromatic_quasi
+import pytest
+
+from gtutte import (Arrangement, FGAbelianGroup, GroupSpec, UniPoly,
+                    arithmetic_tutte, chromatic_quasi, g_tutte, minimal_period)
+from gtutte.lie import enumerate_lie_layers
 from gtutte.toric import enumerate_toric_layers, total_characteristic
 
 
@@ -75,3 +79,85 @@ def test_a5_chromatic_polynomial_is_the_falling_factorial():
     assert qp.period == 1
     assert qp.constituent(1) == prod((UniPoly([-i, 1]) for i in range(6)),
                                      start=UniPoly([1]))
+
+
+def signed_pairs(n: int) -> list:
+    """e_i - e_j and e_i + e_j for i < j over Z^n."""
+    return [[(k == i) + sign * (k == j) for k in range(n)]
+            for i, j in combinations(range(n), 2) for sign in (-1, 1)]
+
+
+def type_b(n: int) -> Arrangement:
+    """B_n = {e_i, e_i +- e_j} over Z^n."""
+    units = [[int(k == i) for k in range(n)] for i in range(n)]
+    return Arrangement(FGAbelianGroup(n), units + signed_pairs(n), name=f"B_{n}")
+
+
+def type_c(n: int) -> Arrangement:
+    """C_n = {2e_i, e_i +- e_j} over Z^n."""
+    doubles = [[2 * (k == i) for k in range(n)] for i in range(n)]
+    return Arrangement(FGAbelianGroup(n), doubles + signed_pairs(n), name=f"C_{n}")
+
+
+def type_d(n: int) -> Arrangement:
+    """D_n = {e_i +- e_j} over Z^n."""
+    return Arrangement(FGAbelianGroup(n), signed_pairs(n), name=f"D_{n}")
+
+
+def linear(*roots) -> UniPoly:
+    """prod (t - r) over the roots."""
+    return prod((UniPoly([-r, 1]) for r in roots), start=UniPoly([1]))
+
+
+def d_even(n: int) -> UniPoly:
+    """D_n's even constituent: of the residues mod q, 0 and q/2 are their
+    own negatives and the other q - 2 form m = (q - 2)/2 pairs {a, -a}.  A
+    point off every hyperplane puts its coordinates in distinct classes, k
+    of them on the two self-inverse ones, so it counts
+    sum_k C(n, k) * (2)_k * (m)_(n-k) * 2^(n-k), and
+    (m)_j * 2^j = (q - 2)(q - 4)...(q - 2j)."""
+    return sum((UniPoly([comb(n, k) * perm(2, k)])
+                * linear(*range(2, 2 * (n - k) + 1, 2)) for k in range(3)),
+               UniPoly())
+
+
+# name -> (arrangement, odd constituent, even constituent, toric layers,
+# layers over R x Z/2); the constituents by the finite field method
+ROOT_SYSTEMS = {
+    "B_4": (type_b(4), linear(1, 3, 5, 7), linear(4, 2, 4, 6), 161, 548),
+    "C_4": (type_c(4), linear(1, 3, 5, 7), linear(2, 4, 6, 8), 257, 832),
+    "D_5": (type_d(5), linear(4, 1, 3, 5, 7), d_even(5), 599, 2726),
+}
+
+
+@pytest.mark.parametrize("name", ROOT_SYSTEMS)
+def test_root_system_constituents_and_periods(name):
+    arr, odd, even, _, _ = ROOT_SYSTEMS[name]
+    t0 = time.perf_counter()
+    qp = chromatic_quasi(arr)
+    assert qp.period == 2 and minimal_period(qp) == 2
+    for q in range(1, 13):
+        assert qp.constituent(q) == (even if q % 2 == 0 else odd), q
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 2.0, f"{elapsed:.2f}s > 2.0s"
+
+
+@pytest.mark.parametrize("name", ROOT_SYSTEMS)
+def test_root_system_layer_counts(name):
+    arr, _, even, toric_count, line_count = ROOT_SYSTEMS[name]
+    t0 = time.perf_counter()
+    poset = enumerate_toric_layers(arr)
+    assert poset.n == toric_count
+    assert total_characteristic(arr, poset) == even
+    assert enumerate_lie_layers(arr, 1, (2,)).n == line_count
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 5.0, f"{elapsed:.2f}s > 5.0s"
+
+
+def test_a6_arithmetic_tutte_is_the_real_tutte():
+    # A_6 is unimodular: every multiplicity is 1
+    arr = type_a(7)
+    t0 = time.perf_counter()
+    assert arithmetic_tutte(arr) == g_tutte(arr, GroupSpec.real())
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 2.0, f"{elapsed:.2f}s > 2.0s"
