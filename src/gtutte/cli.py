@@ -25,7 +25,7 @@ from . import invariants, lie, oracle, toric
 from .intlinalg import FGAbelianGroup
 from .model import Arrangement, GroupSpec
 from .poly import UniPoly
-from .posets import component_shapes, export_hasse, hasse_records
+from .posets import component_shapes, export_hasse, hasse_records, layer_sum
 
 
 class InputError(ValueError):
@@ -283,20 +283,7 @@ def _layers_payload(poset, indices, pairs, p, dot, **fields) -> dict:
 
 def cmd_toric_layers(arr, args):
     poset = toric.enumerate_toric_layers(arr)
-    indices = list(poset.all_indices())
-    if args.k is not None:
-        indices = [i for i in toric.k_total_subposet(poset, args.k)]
-    if args.partial:
-        partial = set(toric.partial_subposet(poset))
-        indices = [i for i in indices if i in partial]
-    if args.k is not None and args.partial:
-        p = toric.k_partial_characteristic(arr, args.k, poset)
-    elif args.k is not None:
-        p = toric.k_total_characteristic(arr, args.k, poset)
-    elif args.partial:
-        p = toric.partial_characteristic(arr, poset)
-    else:
-        p = toric.total_characteristic(arr, poset)
+    indices, p = layer_sum(poset, args.k, args.partial)
     pairs = poset.covers(indices)
     payload = _layers_payload(poset, indices, pairs, p, args.dot,
                               cover_count=len(pairs))
@@ -305,14 +292,8 @@ def cmd_toric_layers(arr, args):
 
 
 def cmd_lie_layers(arr, args):
-    fs = _parse_torsion(args.torsion)
-    poset = lie.enumerate_lie_layers(arr, args.g, fs)
-    if args.partial:
-        indices = list(lie.partial_subposet(poset))
-        p = lie.partial_characteristic(arr, args.g, fs, poset)
-    else:
-        indices = list(poset.all_indices())
-        p = lie.total_characteristic(arr, args.g, fs, poset)
+    poset = lie.enumerate_lie_layers(arr, args.g, _parse_torsion(args.torsion))
+    indices, p = layer_sum(poset, partial=args.partial)
     pairs = poset.covers(indices)
     shapes = component_shapes(poset, indices, pairs)
     payload = _layers_payload(

@@ -467,9 +467,11 @@ def saturation(generators: IntMatrix, ambient: FGAbelianGroup) -> IntMatrix:
             f"generators have {generators.cols} coordinates, ambient needs {n}")
     f = ambient.free_rank
     # reduced to HNF first, as in cokernel, so the transforms stay small;
-    # the HNF rows are independent, so their number r is the rank
-    B = hermite_normal_form(
-        IntMatrix.from_rows([row[:f] for row in generators.data], f))
+    # the HNF rows are independent, so their number r is the rank.  Rows
+    # with a zero free part are dropped, so that the free parts of a
+    # canonical HNF stay one and skip the reduction.
+    B = hermite_normal_form(IntMatrix.from_rows(
+        [row[:f] for row in generators.data if any(row[:f])], f))
     r = B.rows
     if r == f:  # full rank: the saturation is all of Z^f
         return IntMatrix.identity(f)

@@ -42,8 +42,9 @@ class IdentityCheckError(AssertionError):
 
 
 def check_degree(arr: Arrangement, degree: int, what: str):
-    """Refuse a dense polynomial of degree past `MAX_DEGREE`, before it is
-    allocated."""
+    """Refuse a degree past `MAX_DEGREE` before the work it sizes: that of
+    a dense polynomial, or the circle count p, the degree of m(S) in each
+    torsion factor d, which it raises to d^p."""
     if degree > MAX_DEGREE:
         raise model.CapExceeded(
             f"{arr.describe()}: {what}: degree {degree} exceeds the cap "
@@ -60,6 +61,7 @@ def checked(value: UniPoly, expected: UniPoly, what: str) -> UniPoly:
 def g_tutte(arr: Arrangement, spec: GroupSpec) -> BiPoly:
     """Subset sum of m(S) * (x-1)^(rank(A)-rank(S)) * (y-1)^(#S-rank(S)),
     taken over the classes of the subset histogram."""
+    check_degree(arr, spec.circles, "circle count")
     r_full = arr.rank
     weights: dict = {}  # (rank(A)-rank(S), #S-rank(S)) -> summed m(S)
     for key, count in arr.histogram().items():
@@ -85,6 +87,7 @@ def g_characteristic(arr: Arrangement, spec: GroupSpec) -> UniPoly:
     the classes of the subset histogram."""
     f = arr.gamma.free_rank
     check_degree(arr, f, "characteristic polynomial")
+    check_degree(arr, spec.circles, "circle count")
     coeffs = [0] * (f + 1)
     for key, count in arr.histogram().items():
         m = count * model.multiplicity(key, spec)

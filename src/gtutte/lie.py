@@ -3,11 +3,12 @@ and their identities.
 
 The layers come from the engine in posets.py with no circle: a layer is
 its saturated span and one homomorphism of the whole ambient group into F.
-The Möbius-weighted dimension sums over the partial and whole posets equal
-the target's characteristic polynomial, of the arrangement and of its
-torsion-stripped part, evaluated at #F * t^g; with F = Z/k the partial sum
-recovers the k-th constituent, split over the surviving components.  The
-size of a job is capped in one place, by the engine's two counts.
+`posets.layer_sum` checks the Möbius-weighted dimension sums over the
+partial and whole posets against the target's characteristic polynomial,
+of the arrangement and of its torsion-stripped part, evaluated at
+#F * t^g; with F = Z/k the partial sum recovers the k-th constituent,
+split over the surviving components.  The size of a job is capped in one
+place, by the engine's two counts.
 
 The zero-dimensional case g = 0 degenerates to component counting and is
 served by invariants.leading_part, not by this module.
@@ -18,7 +19,8 @@ from __future__ import annotations
 from .invariants import checked
 from .model import Arrangement, GroupSpec
 from .poly import UniPoly
-from .posets import LayerPoset, checked_sum, enumerate_layers, partial_subposet
+from .posets import (LayerPoset, checked_sum, enumerate_layers, layer_sum,
+                     partial_subposet)
 
 
 def enumerate_lie_layers(arr: Arrangement, g: int, f_torsion=()) -> LayerPoset:
@@ -46,24 +48,22 @@ def scc(poset: LayerPoset) -> tuple:
 
 def partial_characteristic(arr: Arrangement, g: int, f_torsion=(),
                            poset: LayerPoset | None = None) -> UniPoly:
-    """Möbius-weighted dimension sum over the partial poset; equals the
-    target-group characteristic polynomial evaluated at #F * t^g."""
+    """Möbius-weighted dimension sum over the partial poset, built when
+    none is given; equals the target-group characteristic polynomial
+    evaluated at #F * t^g (`posets.layer_sum`)."""
     if poset is None:
         poset = enumerate_lie_layers(arr, g, f_torsion)
-    return checked_sum(poset, partial_subposet(poset), arr,
-                       GroupSpec(f_torsion=f_torsion, reals=g),
-                       "partial polynomial vs rescaled characteristic")
+    return layer_sum(poset, partial=True)[1]
 
 
 def total_characteristic(arr: Arrangement, g: int, f_torsion=(),
                          poset: LayerPoset | None = None) -> UniPoly:
-    """Möbius-weighted dimension sum over the whole poset; equals the
-    rescaled characteristic polynomial of the torsion-stripped arrangement."""
+    """Möbius-weighted dimension sum over the whole poset, built when none
+    is given; equals the rescaled characteristic polynomial of the
+    torsion-stripped arrangement (`posets.layer_sum`)."""
     if poset is None:
         poset = enumerate_lie_layers(arr, g, f_torsion)
-    return checked_sum(poset, None, arr.without_torsion(),
-                       GroupSpec(f_torsion=f_torsion, reals=g),
-                       "total polynomial vs rescaled stripped characteristic")
+    return layer_sum(poset)[1]
 
 
 def key_lie_sums(poset: LayerPoset) -> list:

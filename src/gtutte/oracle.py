@@ -32,7 +32,7 @@ from .toric import enumerate_toric_layers
 ENUM_CAP = 10_000_000
 
 
-def brute_complement_count(arr: Arrangement, q: int, cap: int = ENUM_CAP) -> int:
+def brute_complement_count(arr: Arrangement, q: int) -> int:
     """Count homs into Z/q that kill no element, by full enumeration.
 
     A free generator maps anywhere; a torsion generator of order e maps to
@@ -50,10 +50,10 @@ def brute_complement_count(arr: Arrangement, q: int, cap: int = ENUM_CAP) -> int
     ranges = [range(q)] * gamma.free_rank
     ranges += [range(0, q, q // gcd(e, q)) for e in gamma.torsion]
     total = prod(map(len, ranges))
-    if total > cap:
+    if total > ENUM_CAP:
         raise CapExceeded(
             f"{arr.describe()}: brute complement count at q={q}: {total} "
-            f"homomorphisms exceed the cap {cap}")
+            f"homomorphisms exceed the cap {ENUM_CAP}")
     split, width, root = len(ranges), 1, isqrt(total)
     while split and width * len(ranges[split - 1]) <= root:
         split -= 1
@@ -76,18 +76,17 @@ def brute_complement_count(arr: Arrangement, q: int, cap: int = ENUM_CAP) -> int
     return count
 
 
-def brute_hom_count(source: FGAbelianGroup, target_torsion,
-                    cap: int = ENUM_CAP) -> int:
+def brute_hom_count(source: FGAbelianGroup, target_torsion) -> int:
     """Count homs from a finite group into a finite group by trying every
     tuple of images and checking the defining relations."""
     if not source.is_finite:
         raise ValueError("source must be finite")
     fs = tuple(int(f) for f in target_torsion)
     total = prod(fs) ** len(source.torsion)
-    if total > cap:
+    if total > ENUM_CAP:
         raise CapExceeded(
             f"{source}: brute hom count into {fs}: {total} candidate maps "
-            f"exceed the cap {cap}")
+            f"exceed the cap {ENUM_CAP}")
     target_elems = list(product(*(range(f) for f in fs)))
     count = 0
     for images in product(target_elems, repeat=len(source.torsion)):

@@ -428,6 +428,48 @@ def partial_subposet(poset: LayerPoset) -> tuple:
     return chosen
 
 
+def k_total_subposet(poset: LayerPoset, k: int) -> tuple:
+    """Layers containing a k-torsion point: character order divides k.
+
+    The result is an order ideal (downward closed), which is checked.
+    """
+    if k < 1:
+        raise ValueError("k must be positive (nonpositive k is undefined here)")
+    chosen = tuple(i for i, lay in enumerate(poset.layers) if k % lay.order == 0)
+    inside = set(chosen)
+    for j in chosen:
+        if not poset.strict_downs[j] <= inside:
+            raise IdentityCheckError(f"k-torsion subposet not downward closed at {j}")
+    return chosen
+
+
+def layer_sum(poset: LayerPoset, k: int | None = None,
+              partial: bool = False) -> tuple:
+    """(indices, polynomial): the selected layers and their Möbius-weighted
+    dimension sum, checked against the characteristic polynomial.
+
+    The selection is every layer, or with `k` the k-torsion subposet, which
+    only the circle target has, cut to the partial subposet with `partial`.
+    The check is over Z/k with `k` and over the poset's target without it,
+    on the arrangement with `partial` and on its torsion-stripped part
+    without it.
+    """
+    arr, spec = poset.arr, poset.spec
+    if k is not None and spec != GroupSpec.circle():
+        raise HypothesisError(
+            f"{arr.describe()}: k-torsion subposet over {spec}; its identity "
+            "holds only over the circle")
+    indices = poset.all_indices() if k is None else k_total_subposet(poset, k)
+    if partial:
+        inside = set(partial_subposet(poset))
+        indices = tuple(i for i in indices if i in inside)
+    return indices, checked_sum(
+        poset, indices, arr if partial else arr.without_torsion(),
+        spec if k is None else GroupSpec.cyclic(k),
+        ("partial" if partial else "total") + " polynomial vs characteristic"
+        + ("" if k is None else f" at k={k}"))
+
+
 def _surviving_component_count(arr: Arrangement, spec: GroupSpec) -> int:
     """Components of Hom(gamma, target) that kill no torsion element.
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import warnings
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gtutte
-from gtutte import cli, invariants, oracle
+from gtutte import cli, invariants, oracle, posets
 from gtutte.oracle import brute_complement_count
 
 
@@ -759,6 +760,52 @@ def test_dense_polynomials_are_refused_past_the_degree_cap(tmp_path, capsys):
             assert code == 0 and json.loads(out)["coefficients"] == [0] * cap + [1]
         else:
             assert code == 2 and out == ""
+
+
+def test_circle_counts_are_refused_past_the_degree_cap(example_file, capsys):
+    # m(S) raises each torsion factor d to d^p: a circle count of 10^8 is
+    # refused before any multiplicity is computed
+    cap = invariants.MAX_DEGREE
+    for command in ("tutte", "char"):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, command, example_file, "--p", "100000000")
+        elapsed = time.perf_counter() - t0
+        assert code == 2 and out == "", command
+        assert (f"example: circle count: degree 100000000 exceeds the cap "
+                f"{cap}") in err, err
+        assert elapsed < 2.0, f"{command}: {elapsed:.2f}s > 2.0s"
+
+
+# (surviving component counts, k-torsion subposets) each command computes
+SELECTIONS = [
+    (["toric-layers"], (0, 0)),
+    (["toric-layers", "--partial"], (1, 0)),
+    (["toric-layers", "--k", "2"], (0, 1)),
+    (["toric-layers", "--k", "2", "--partial"], (1, 1)),
+    (["lie-layers", "--g", "1", "--torsion", "2"], (0, 0)),
+    (["lie-layers", "--g", "1", "--torsion", "2", "--partial"], (1, 0))]
+
+
+@pytest.mark.parametrize("argv, calls", SELECTIONS,
+                         ids=[" ".join(argv) for argv, _ in SELECTIONS])
+def test_layer_commands_check_each_selection_once(argv, calls, example_file,
+                                                  capsys, monkeypatch):
+    seen = Counter()
+
+    def counting(name):
+        fn = getattr(posets, name)
+
+        def wrapper(*args):
+            seen[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("_surviving_component_count", "k_total_subposet"):
+        monkeypatch.setattr(posets, name, counting(name))
+    code, _, _ = run(capsys, argv[0], example_file, *argv[1:])
+    assert code == 0
+    assert (seen["_surviving_component_count"],
+            seen["k_total_subposet"]) == calls
 
 
 REFUSAL_INPUTS = {

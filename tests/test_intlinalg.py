@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gtutte import intlinalg
 from gtutte.intlinalg import (DimensionMismatch, FGAbelianGroup, IntMatrix,
                               cokernel, determinant, hermite_normal_form,
                               hnf_insert, hnf_invariant_factors, hnf_solve,
                               hom_enumerate,
                               presentation_matrix, saturation,
                               smith_normal_form, xgcd)
-from gtutte.model import hom_count
+from gtutte.model import LatticeTable, hom_count
 from gtutte.oracle import battery_instances
 
 Z2 = FGAbelianGroup(2)
@@ -372,6 +373,26 @@ def test_saturation_examples():
     assert saturation(rows([0, -3], [0, 6]), Z2).data == ((0, 1),)
     # full rank of index 6 is all of Z^2
     assert saturation(rows([2, 0], [0, 3]), Z2) == IntMatrix.identity(2)
+
+
+def test_saturation_of_table_lattices_skips_the_reduction(monkeypatch):
+    # a table lattice is a canonical HNF over Z^2 + Z/2; once the rows with
+    # a zero free part are dropped, its free parts are one as well
+    gamma = FGAbelianGroup(2, (2,))
+    table = LatticeTable(gamma, "table")
+    rank1 = table.add(0, (1, 1, 1))
+    full = table.add(rank1, (0, 1, 0))
+    inserted = []
+
+    def counting(rows, vec):
+        inserted.append(vec)
+        return hnf_insert(rows, vec)
+
+    monkeypatch.setattr(intlinalg, "hnf_insert", counting)
+    spans = [saturation(table.lattices[lat], gamma).data
+             for lat in (0, rank1, full)]
+    assert spans == [(), ((1, 1),), ((1, 0), (0, 1))]
+    assert inserted == []
 
 
 def test_saturation_contains_rows_and_gives_free_quotient():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gtutte import (Arrangement, FGAbelianGroup, GroupSpec, chromatic_quasi,
                     g_characteristic, g_tutte)
-from gtutte import model
+from gtutte import model, oracle
 from gtutte.lie import enumerate_lie_layers
 from gtutte.model import CapExceeded
 from gtutte.oracle import (_desk_sized, battery_instances, brute_complement_count,
@@ -36,11 +36,12 @@ def test_brute_complement_with_torsion(mixed_torsion):
         assert brute_complement_count(mixed_torsion, q) == qp(q)
 
 
-def test_brute_complement_cap():
+def test_brute_complement_cap(monkeypatch):
     arr = Arrangement(FGAbelianGroup(3), [], name="cube")
+    monkeypatch.setattr(oracle, "ENUM_CAP", 10**6)
     with pytest.raises(CapExceeded, match=r"^cube: brute complement count at "
                        r"q=1000: 1000000000 homomorphisms exceed the cap 1000000$"):
-        brute_complement_count(arr, 1000, cap=10**6)
+        brute_complement_count(arr, 1000)
     with pytest.raises(ValueError):
         brute_complement_count(arr, 0)
 
@@ -105,11 +106,12 @@ def test_brute_hom_count_examples():
     assert brute_hom_count(FGAbelianGroup(0, (2, 2)), (2,)) == 4
 
 
-def test_brute_hom_count_cap_names_the_source():
+def test_brute_hom_count_cap_names_the_source(monkeypatch):
+    monkeypatch.setattr(oracle, "ENUM_CAP", 1000)
     with pytest.raises(CapExceeded, match=r"torsion=\(2, 2, 2\)\): brute hom "
                        r"count into \(6, 6\): 46656 candidate maps exceed "
                        r"the cap 1000$"):
-        brute_hom_count(FGAbelianGroup(0, (2, 2, 2)), (6, 6), cap=1000)
+        brute_hom_count(FGAbelianGroup(0, (2, 2, 2)), (6, 6))
 
 
 def chain_leq(n):

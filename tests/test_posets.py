@@ -12,9 +12,9 @@ from gtutte.model import multiplicity
 from gtutte.oracle import (battery_instances, brute_mobius, poset_leq_matrix,
                            reference_strict_downs, reference_subset_components)
 from gtutte.poly import UniPoly
-from gtutte.posets import (checked_sum, enumerate_layers, mobius_all,
-                           partial_subposet)
-from gtutte.toric import enumerate_toric_layers, total_characteristic
+from gtutte.posets import (checked_sum, enumerate_layers, layer_sum,
+                           mobius_all, partial_subposet)
+from gtutte.toric import enumerate_toric_layers
 
 MIXED = (GroupSpec(f_torsion=(2,), circles=1),
          GroupSpec(f_torsion=(2, 2), circles=1),
@@ -55,6 +55,25 @@ def test_mixed_targets_match_identities_and_oracle():
         assert poset.subset_components == components, (arr, spec)
         assert tuple(lay.localization for lay in poset.layers) == \
             localizations, (arr, spec)
+
+
+def test_layer_sum_matches_the_explicit_target_on_mixed_targets():
+    for arr, poset in _mixed_posets():
+        for partial in (False, True):
+            indices, poly = layer_sum(poset, partial=partial)
+            assert indices == (partial_subposet(poset) if partial
+                               else poset.all_indices()), (arr, poset.spec)
+            assert poly == checked_sum(
+                poset, indices, arr if partial else arr.without_torsion(),
+                poset.spec, "explicit target"), (arr, poset.spec, partial)
+
+
+def test_layer_sum_refuses_k_off_the_circle(example):
+    # the k-torsion identity is proved only over S^1
+    for spec in MIXED + (GroupSpec.real(), GroupSpec(f_torsion=(2,), reals=1)):
+        poset = enumerate_layers(example, spec)
+        with pytest.raises(HypothesisError, match="^example: k-torsion"):
+            layer_sum(poset, 2)
 
 
 def _pairwise_covers(poset, indices):
@@ -122,7 +141,7 @@ def test_identity_errors_name_the_instance(example, monkeypatch):
     monkeypatch.setattr(posets, "g_characteristic",
                         lambda arr, spec: UniPoly([7]))
     with pytest.raises(IdentityCheckError, match="^example: total polynomial"):
-        total_characteristic(example, enumerate_toric_layers(example))
+        layer_sum(enumerate_toric_layers(example))
 
 
 def _reference_key_and_order(poset, lay):

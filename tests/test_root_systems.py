@@ -13,7 +13,8 @@ import pytest
 from gtutte import (Arrangement, FGAbelianGroup, GroupSpec, UniPoly,
                     arithmetic_tutte, chromatic_quasi, g_tutte, minimal_period)
 from gtutte.lie import enumerate_lie_layers
-from gtutte.toric import enumerate_toric_layers, total_characteristic
+from gtutte.posets import layer_sum
+from gtutte.toric import enumerate_toric_layers
 
 
 def type_a(n: int) -> Arrangement:
@@ -51,7 +52,7 @@ def check_set_partitions(n: int, bell: int, budget_s: float):
     assert arr.n == n * (n - 1) // 2
     t0 = time.perf_counter()
     poset = enumerate_toric_layers(arr)
-    total_characteristic(arr, poset)  # checks the identity on the way
+    layer_sum(poset)  # checks the identity on the way
     elapsed = time.perf_counter() - t0
     assert poset.n == bell
     partitions = set()
@@ -148,7 +149,7 @@ def test_root_system_layer_counts(name):
     t0 = time.perf_counter()
     poset = enumerate_toric_layers(arr)
     assert poset.n == toric_count
-    assert total_characteristic(arr, poset) == even
+    assert layer_sum(poset)[1] == even
     assert enumerate_lie_layers(arr, 1, (2,)).n == line_count
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"{elapsed:.2f}s > 5.0s"

@@ -8,11 +8,9 @@ from gtutte.lie import enumerate_lie_layers
 from gtutte.model import CapExceeded, multiplicity
 from gtutte.oracle import brute_mobius, poset_leq_matrix
 from gtutte.poly import UniPoly
-from gtutte.posets import export_hasse, hasse_records
+from gtutte.posets import export_hasse, hasse_records, layer_sum
 from gtutte.toric import (enumerate_toric_layers, k_partial_characteristic,
-                          k_total_characteristic, k_total_subposet,
-                          partial_subposet, total_characteristic,
-                          partial_characteristic)
+                          k_total_subposet, partial_subposet)
 
 
 @pytest.fixture
@@ -95,8 +93,8 @@ def test_k_subposets_nest_along_divisibility(example_poset):
 
 def test_partial_is_everything_when_ambient_free(example, example_poset):
     assert partial_subposet(example_poset) == example_poset.all_indices()
-    assert partial_characteristic(example, example_poset).coeffs == (4, -5, 1)
-    assert total_characteristic(example, example_poset).coeffs == (4, -5, 1)
+    assert layer_sum(example_poset, partial=True)[1].coeffs == (4, -5, 1)
+    assert layer_sum(example_poset)[1].coeffs == (4, -5, 1)
 
 
 def test_partial_with_ambient_torsion(mixed_torsion):
@@ -113,7 +111,7 @@ def test_k_total_equals_stripped_constituent(mixed_torsion):
     stripped = mixed_torsion.without_torsion()
     qp = chromatic_quasi(stripped)
     for k in range(1, 7):
-        got = k_total_characteristic(mixed_torsion, k, poset)
+        got = layer_sum(poset, k)[1]
         assert got == qp.constituent(k)
 
 
@@ -121,7 +119,7 @@ def test_zero_element_empties_partial_subposet():
     arr = Arrangement(FGAbelianGroup(2), [[0, 0], [1, 1]])
     poset = enumerate_toric_layers(arr)
     assert partial_subposet(poset) == ()
-    assert partial_characteristic(arr, poset).coeffs == ()
+    assert layer_sum(poset, partial=True)[1].coeffs == ()
 
 
 def test_torsion_only_group(torsion_only):
@@ -280,19 +278,20 @@ def test_mobius_all_recompute(example_poset):
     assert mobius_all(example_poset) is example_poset
 
 
-@pytest.mark.parametrize("wrapper, args", [
-    (k_partial_characteristic, (2,)),
-    (k_total_characteristic, (2,)),
-    (total_characteristic, ()),
-    (partial_characteristic, ()),
-])
+@pytest.mark.parametrize("call", [
+    lambda arr, poset: k_partial_characteristic(arr, 2, poset),
+    lambda arr, poset: layer_sum(poset, 2),
+    lambda arr, poset: layer_sum(poset),
+    lambda arr, poset: layer_sum(poset, partial=True),
+], ids=["k_partial_characteristic-args0", "k_total_characteristic-args1",
+        "total_characteristic-args2", "partial_characteristic-args3"])
 def test_identity_check_failure_raises(example, example_poset, monkeypatch,
-                                       wrapper, args):
-    # a wrong independent polynomial must make every wrapper raise
+                                       call):
+    # a wrong independent polynomial must make every layer sum raise
     monkeypatch.setattr(posets, "g_characteristic",
                         lambda arr, spec: UniPoly([7]))
     with pytest.raises(IdentityCheckError):
-        wrapper(example, *args, example_poset)
+        call(example, example_poset)
 
 
 def test_k_partial_unchecked_skips_identity(example, example_poset,
