@@ -218,8 +218,7 @@ def cmd_info(arr, args):
     tmask = arr.torsion_mask()
     payload = {
         "name": arr.name,
-        "group": {"free_rank": arr.gamma.free_rank,
-                  "torsion": list(arr.gamma.torsion)},
+        "group": emit_arrangement(arr)["group"],
         "element_count": arr.n,
         "rank": arr.rank,
         "torsion_elements": [i for i in range(arr.n) if tmask >> i & 1],

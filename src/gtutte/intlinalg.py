@@ -6,8 +6,8 @@ floating point and no overflow anywhere.  Two normal forms do all the work:
 * Row-style Hermite normal form (positive pivots, entries above each pivot
   reduced into [0, pivot)), whose uniqueness makes it the canonical key for
   sublattices.  `hnf_insert` reduces one vector into a canonical HNF, and
-  `hermite_normal_form` is a fold of it that returns a canonical HNF as it
-  is.
+  `hermite_normal_form` is a fold of it.  Canonicity is known from how a
+  matrix was built (`IntMatrix._from_hnf`), never re-scanned.
 * Smith normal form, by one elimination (`_smith`) on a list of rows.
   A caller that reads a transform borders the block with identity rows or
   columns, which the same operations turn into U or V.
@@ -63,6 +63,7 @@ class IntMatrix:
     rows: int
     cols: int
     data: tuple
+    _canonical = False  # not a field: set only by `_from_hnf`
 
     def __post_init__(self):
         if len(self.data) != self.rows:
@@ -79,6 +80,14 @@ class IntMatrix:
                 raise DimensionMismatch("cols required for a 0-row matrix")
             cols = len(rows[0])
         return IntMatrix(len(rows), cols, tuple(rows))
+
+    @classmethod
+    def _from_hnf(cls, cols: int, rows: tuple) -> IntMatrix:
+        """Tuple rows that are a canonical HNF by construction, unchecked and
+        marked so that `hermite_normal_form` returns the matrix as it is."""
+        m = object.__new__(cls)
+        m.__dict__.update(rows=len(rows), cols=cols, data=rows, _canonical=True)
+        return m
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -259,35 +268,14 @@ def hermite_normal_form(m: IntMatrix) -> IntMatrix:
 
     Pivots are positive, entries above each pivot lie in [0, pivot), and
     all-zero rows are dropped, so equal lattices give byte-equal results.
-    The rows are folded in one at a time with `hnf_insert`; rows that are
-    a canonical HNF already come back as they are.
-    """
-    if _is_canonical_hnf(m.data):
+    A matrix built by `IntMatrix._from_hnf` comes back as it is; any other
+    is folded in row by row with `hnf_insert`."""
+    if m._canonical:
         return m
     rows = ()
     for vec in m.data:
         rows = hnf_insert(rows, vec)
-    return IntMatrix(len(rows), m.cols, rows)
-
-
-def _is_canonical_hnf(rows) -> bool:
-    """Whether `rows` are a canonical HNF: nonzero rows whose positive pivots
-    move right, with the entries above each pivot in [0, pivot)."""
-    last = -1
-    for k, row in enumerate(rows):
-        j = last + 1
-        if any(row[:j]):
-            return False
-        while j < len(row) and not row[j]:
-            j += 1
-        if j == len(row) or row[j] < 0:
-            return False
-        p = row[j]
-        for above in rows[:k]:
-            if not 0 <= above[j] < p:
-                return False
-        last = j
-    return True
+    return IntMatrix._from_hnf(m.cols, rows)
 
 
 def hnf_invariant_factors(rows: tuple) -> tuple:
@@ -433,13 +421,10 @@ def presentation_matrix(generators: IntMatrix, ambient: FGAbelianGroup) -> IntMa
             f"generators have {generators.cols} coordinates, ambient needs {n}")
     if not ambient.torsion:
         return generators
-    rows = [list(r) for r in generators.data]
     f = ambient.free_rank
-    for i, e in enumerate(ambient.torsion):
-        rel = [0] * n
-        rel[f + i] = e
-        rows.append(rel)
-    return IntMatrix.from_rows(rows, n)
+    relations = [[e if j == f + i else 0 for j in range(n)]
+                 for i, e in enumerate(ambient.torsion)]
+    return IntMatrix.from_rows(list(generators.data) + relations, n)
 
 
 def cokernel(generators: IntMatrix, ambient: FGAbelianGroup) -> FGAbelianGroup:
@@ -449,7 +434,7 @@ def cokernel(generators: IntMatrix, ambient: FGAbelianGroup) -> FGAbelianGroup:
     column, whose invariant factors `hnf_invariant_factors` reads.
     """
     rel = hermite_normal_form(presentation_matrix(generators, ambient))
-    return FGAbelianGroup._from_chain(ambient.ngens - rel.rows,
+    return FGAbelianGroup._from_chain(rel.cols - rel.rows,
                                       hnf_invariant_factors(rel.data))
 
 
@@ -468,10 +453,12 @@ def saturation(generators: IntMatrix, ambient: FGAbelianGroup) -> IntMatrix:
     f = ambient.free_rank
     # reduced to HNF first, as in cokernel, so the transforms stay small;
     # the HNF rows are independent, so their number r is the rank.  Rows
-    # with a zero free part are dropped, so that the free parts of a
-    # canonical HNF stay one and skip the reduction.
-    B = hermite_normal_form(IntMatrix.from_rows(
-        [row[:f] for row in generators.data if any(row[:f])], f))
+    # with a zero free part are dropped: those of a canonical HNF are its
+    # last rows, so the free parts of the others are a canonical HNF too.
+    free_parts = tuple(part for part in (row[:f] for row in generators.data)
+                       if any(part))
+    B = IntMatrix._from_hnf(f, free_parts) if generators._canonical else \
+        hermite_normal_form(IntMatrix.from_rows(free_parts, f))
     r = B.rows
     if r == f:  # full rank: the saturation is all of Z^f
         return IntMatrix.identity(f)
@@ -479,7 +466,7 @@ def saturation(generators: IntMatrix, ambient: FGAbelianGroup) -> IntMatrix:
         return B
     if r == 1:  # a primitive row with a positive pivot is a canonical HNF
         g = gcd(*B.data[0])
-        return IntMatrix(1, f, (tuple(x // g for x in B.data[0]),))
+        return IntMatrix._from_hnf(f, (tuple(x // g for x in B.data[0]),))
     A = [list(row) + [int(i == k) for k in range(r)]
          for i, row in enumerate(B.data)]
     _smith(A, r, f)

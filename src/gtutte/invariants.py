@@ -16,8 +16,9 @@ independent cross-check.
 
 from __future__ import annotations
 
+import sys
 from functools import cached_property
-from math import comb, gcd
+from math import comb, floor, gcd, log10, prod
 
 from . import model
 from .model import Arrangement, GroupSpec
@@ -43,12 +44,27 @@ class IdentityCheckError(AssertionError):
 
 def check_degree(arr: Arrangement, degree: int, what: str):
     """Refuse a degree past `MAX_DEGREE` before the work it sizes: that of
-    a dense polynomial, or the circle count p, the degree of m(S) in each
-    torsion factor d, which it raises to d^p."""
+    a dense polynomial, or the circle count p, which raises each torsion
+    factor d of m(S) to d^p."""
     if degree > MAX_DEGREE:
         raise model.CapExceeded(
             f"{arr.describe()}: {what}: degree {degree} exceeds the cap "
             f"{MAX_DEGREE}")
+
+
+def check_circles(arr: Arrangement, spec: GroupSpec):
+    """`check_degree` on the circle count p, then the interpreter's
+    int-to-string limit on a bound of every coefficient, 8^n times the
+    largest m(S) <= T^(p + #F factors), T the quotient torsion order."""
+    check_degree(arr, spec.circles, "circle count")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none
+    if spec.circles and limit:
+        top = max(prod(key.torsion_factors) for key in arr.histogram())
+        digits = 1 + floor(log10(top) * (spec.circles + len(spec.f_torsion))
+                           + log10(8) * arr.n)
+        if digits > limit:
+            raise model.CapExceeded(f"{arr.describe()}: circle count: coefficients "
+                                    f"may reach {digits} digits, past the cap {limit}")
 
 
 def checked(value: UniPoly, expected: UniPoly, what: str) -> UniPoly:
@@ -61,7 +77,7 @@ def checked(value: UniPoly, expected: UniPoly, what: str) -> UniPoly:
 def g_tutte(arr: Arrangement, spec: GroupSpec) -> BiPoly:
     """Subset sum of m(S) * (x-1)^(rank(A)-rank(S)) * (y-1)^(#S-rank(S)),
     taken over the classes of the subset histogram."""
-    check_degree(arr, spec.circles, "circle count")
+    check_circles(arr, spec)
     r_full = arr.rank
     weights: dict = {}  # (rank(A)-rank(S), #S-rank(S)) -> summed m(S)
     for key, count in arr.histogram().items():
@@ -87,7 +103,7 @@ def g_characteristic(arr: Arrangement, spec: GroupSpec) -> UniPoly:
     the classes of the subset histogram."""
     f = arr.gamma.free_rank
     check_degree(arr, f, "characteristic polynomial")
-    check_degree(arr, spec.circles, "circle count")
+    check_circles(arr, spec)
     coeffs = [0] * (f + 1)
     for key, count in arr.histogram().items():
         m = count * model.multiplicity(key, spec)

@@ -133,16 +133,15 @@ class LatticeTable:
     Lattices are canonical HNF matrices, numbered in order of discovery;
     id 0 holds the torsion relations alone.  `child` is
     {vector: {lattice id: child id}}, the lattice that the vector joins:
-    a fold looks its vector up once and then steps on lattice ids alone
-    (`Arrangement.lattice_states` on int states lat * (n + 1) + #S).
-    `add` reduces the vector into the parent's HNF rows with `hnf_insert`
-    and looks the resulting rows up, so a matrix is built only for a new
-    lattice, and refuses a new lattice past `MAX_LATTICES`: the table
-    bounds the work and memory of every fold over it, as the fold runs.
-    `instance` names the arrangement in that refusal.  Each lattice's
-    quotient and saturated span are computed at most once; the quotient's
-    invariant factors are read straight off the canonical HNF rows, with
-    no re-reduction and no SNF.
+    a fold looks its vector's dict up once and then steps on lattice ids
+    alone (`Arrangement.lattice_states` on int states lat * (n + 1) + #S).
+    `add` reduces the vector into the parent's HNF rows with `hnf_insert`,
+    looks the rows up and records the edge in that dict.  A new lattice's
+    matrix is built once, canonical by construction (`IntMatrix._from_hnf`),
+    and refused past `MAX_LATTICES`: the table bounds the work and memory
+    of every fold over it, as the fold runs.  `instance` names the
+    arrangement in that refusal.  `cokernel` and `saturation` take each
+    lattice's rows as they are, once per lattice, with no re-scan.
     """
 
     def __init__(self, gamma: FGAbelianGroup, instance: str):
@@ -157,8 +156,9 @@ class LatticeTable:
         self._quotients: dict = {}
         self._spans: dict = {}
 
-    def add(self, lat: int, vec: tuple) -> int:
-        """Id of lattice `lat` joined by `vec`, recorded in `child`."""
+    def add(self, lat: int, vec: tuple, kids: dict) -> int:
+        """Id of lattice `lat` joined by `vec`, recorded in `child[vec]`,
+        which the fold passes as `kids`."""
         rows = hnf_insert(self.lattices[lat].data, vec)
         c = self._ids.get(rows)
         if c is None:
@@ -168,14 +168,13 @@ class LatticeTable:
                     f"{self.instance}: lattice fold: {c + 1} lattices "
                     f"exceed the cap {MAX_LATTICES}")
             self._ids[rows] = c
-            self.lattices.append(IntMatrix(len(rows), self.gamma.ngens, rows))
-        self.child.setdefault(vec, {})[lat] = c
+            self.lattices.append(IntMatrix._from_hnf(len(vec), rows))
+        kids[lat] = c
         return c
 
     def quotient(self, lat: int) -> FGAbelianGroup:
         """gamma modulo the lattice (memoized).  The lattice holds the
-        torsion relations already, so its canonical HNF rows present the
-        quotient of the free group on gamma's generators as they are."""
+        torsion relations, so its rows present it over a free group."""
         quot = self._quotients.get(lat)
         if quot is None:
             quot = self._quotients[lat] = cokernel(self.lattices[lat], self._free)
@@ -195,9 +194,9 @@ class Arrangement:
     lattice states and histogram memoized."""
 
     def __init__(self, gamma: FGAbelianGroup, elements, name: str | None = None):
-        if len(elements) > MAX_ELEMENTS:
+        if (n := len(elements)) > MAX_ELEMENTS:
             raise CapExceeded(
-                f"{name + ': ' if name else ''}{len(elements)} elements; the "
+                f"{name or _unnamed(gamma, f'{n} elements')}: {n} elements; the "
                 f"subset sweep is capped at {MAX_ELEMENTS} (cost grows as 2^n)")
         f = gamma.free_rank
         reduced = []
@@ -266,7 +265,7 @@ class Arrangement:
                     lat = key // width
                     c = kids.get(lat)
                     if c is None:
-                        c = table.add(lat, vec)
+                        c = table.add(lat, vec, kids)
                     key += (c - lat) * width + 1
                     folded[key] = folded.get(key, 0) + count
                 states = folded
@@ -331,9 +330,13 @@ class Arrangement:
         return stripped
 
     def __repr__(self):
-        return (f"Arrangement(Z^{self.gamma.free_rank}"
-                + "".join(f"+Z/{e}" for e in self.gamma.torsion)
-                + f", {list(self.elements)})")
+        return _unnamed(self.gamma, list(self.elements))
 
     def describe(self) -> str:
         return self.name or repr(self)
+
+
+def _unnamed(gamma: FGAbelianGroup, elements) -> str:
+    """An arrangement without a name, by its ambient and its elements."""
+    return (f"Arrangement(Z^{gamma.free_rank}"
+            + "".join(f"+Z/{e}" for e in gamma.torsion) + f", {elements})")

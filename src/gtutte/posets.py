@@ -137,7 +137,7 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec) -> "LayerPoset":
         for lat in list(locs):
             c = kids.get(lat)
             if c is None:
-                c = table.add(lat, vec)
+                c = table.add(lat, vec, kids)
             if c not in locs:
                 count(c)
             locs[c] = locs.get(c, 0) | locs[lat] | 1 << i
@@ -363,16 +363,11 @@ class LayerPoset:
         """Sum of mu(component(C), C) * t^dim(C) over the selected layers."""
         if indices is None:
             indices = self.all_indices()
-        coeffs: dict = {}
+        coeffs = [0] * (1 + max((self.layers[i].dim for i in indices),
+                                default=-1))
         for i in indices:
-            d = self.layers[i].dim
-            coeffs[d] = coeffs.get(d, 0) + self.mobius[i]
-        if not coeffs:
-            return UniPoly()
-        out = [0] * (max(coeffs) + 1)
-        for d, c in coeffs.items():
-            out[d] = c
-        return UniPoly(out)
+            coeffs[self.layers[i].dim] += self.mobius[i]
+        return UniPoly(coeffs)
 
     def covers(self, indices=None) -> list:
         """Induced Hasse cover pairs (lower, upper) within the selection."""

@@ -776,6 +776,26 @@ def test_circle_counts_are_refused_past_the_degree_cap(example_file, capsys):
         assert elapsed < 2.0, f"{command}: {elapsed:.2f}s > 2.0s"
 
 
+def test_circle_counts_are_refused_past_the_digit_limit(example_file, capsys):
+    # the paper example's characteristic polynomial over (S^1)^p is
+    # t^2 - (4^p + 1) t + 4^p, and 4^10000 has 6,021 digits: past the
+    # interpreter's int-to-string limit, refused before it is computed
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for command in ("tutte", "char"):
+            code, out, err = run(capsys, command, example_file, "--p", "10000")
+            assert code == 2 and out == "", command
+            assert re.search(r"^error: example: circle count: coefficients "
+                             r"may reach \d+ digits, past the cap 4300$",
+                             err, re.M), err
+        code, out, _ = run(capsys, "char", example_file, "--p", "5000")
+        assert code == 0
+        assert json.loads(out)["coefficients"] == [4**5000, -4**5000 - 1, 1]
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 # (surviving component counts, k-torsion subposets) each command computes
 SELECTIONS = [
     (["toric-layers"], (0, 0)),

@@ -13,7 +13,7 @@ from gtutte.intlinalg import (DimensionMismatch, FGAbelianGroup, IntMatrix,
                               hom_enumerate,
                               presentation_matrix, saturation,
                               smith_normal_form, xgcd)
-from gtutte.model import LatticeTable, hom_count
+from gtutte.model import Arrangement, LatticeTable, hom_count
 from gtutte.oracle import battery_instances
 
 Z2 = FGAbelianGroup(2)
@@ -380,8 +380,8 @@ def test_saturation_of_table_lattices_skips_the_reduction(monkeypatch):
     # a zero free part are dropped, its free parts are one as well
     gamma = FGAbelianGroup(2, (2,))
     table = LatticeTable(gamma, "table")
-    rank1 = table.add(0, (1, 1, 1))
-    full = table.add(rank1, (0, 1, 0))
+    rank1 = table.add(0, (1, 1, 1), table.child.setdefault((1, 1, 1), {}))
+    full = table.add(rank1, (0, 1, 0), table.child.setdefault((0, 1, 0), {}))
     inserted = []
 
     def counting(rows, vec):
@@ -393,6 +393,30 @@ def test_saturation_of_table_lattices_skips_the_reduction(monkeypatch):
              for lat in (0, rank1, full)]
     assert spans == [(), ((1, 1),), ((1, 0), (0, 1))]
     assert inserted == []
+
+
+def test_table_lattices_are_canonical_by_construction():
+    # a table lattice is built as a canonical HNF and never re-scanned, so
+    # it must be the canonical HNF of a fresh copy of its rows, and
+    # cokernel and saturation must not tell it from that copy
+    rng = random.Random(21)
+    chains = [(), (2,), (3,), (4,), (6,), (2, 2), (2, 4), (2, 6), (3, 3),
+              (3, 6), (4, 4), (6, 6)]
+    for _ in range(80):
+        gamma = FGAbelianGroup(rng.randint(0, 4), rng.choice(chains))
+        arr = Arrangement(gamma, [
+            [rng.randint(-3, 3) for _ in range(gamma.ngens)]
+            for _ in range(rng.randint(0, 7))])
+        arr.lattice_states()
+        table = arr.lattice_table()
+        free = FGAbelianGroup(gamma.ngens)
+        for lat, lattice in enumerate(table.lattices):
+            copy = IntMatrix.from_rows(lattice.data, gamma.ngens)
+            assert hermite_normal_form(copy) == lattice, (arr, lattice)
+            assert cokernel(lattice, gamma) == cokernel(copy, gamma)
+            assert table.quotient(lat) == cokernel(copy, free), (arr, lattice)
+            assert saturation(lattice, gamma) == saturation(copy, gamma)
+            assert table.span(lat) == saturation(copy, gamma), (arr, lattice)
 
 
 def test_saturation_contains_rows_and_gives_free_quotient():

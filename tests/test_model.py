@@ -27,10 +27,14 @@ def test_duplicates_are_kept_in_order():
 
 
 def test_element_cap():
+    # an arrangement without a name is named by its ambient and its count
     n = MAX_ELEMENTS + 1
-    with pytest.raises(CapExceeded, match=f"^{n} elements; the subset sweep "
-                       f"is capped at {MAX_ELEMENTS}"):
+    with pytest.raises(CapExceeded, match=rf"^Arrangement\(Z\^1, {n} elements\): "
+                       f"{n} elements; the subset sweep is capped at {MAX_ELEMENTS}"):
         Arrangement(FGAbelianGroup(1), [[1]] * n)
+    with pytest.raises(CapExceeded, match=rf"^Arrangement\(Z\^2\+Z/2\+Z/6, {n} "
+                       rf"elements\): {n} elements; the subset sweep"):
+        Arrangement(FGAbelianGroup(2, (2, 6)), [[1, 0, 1, 5]] * n)
     with pytest.raises(CapExceeded, match=f"^ones: {n} elements; the subset "
                        f"sweep is capped at {MAX_ELEMENTS}"):
         Arrangement(FGAbelianGroup(1), [[1]] * n, name="ones")
