@@ -140,8 +140,8 @@ class LatticeTable:
     matrix is built once, canonical by construction (`IntMatrix._from_hnf`),
     and refused past `MAX_LATTICES`: the table bounds the work and memory
     of every fold over it, as the fold runs.  `instance` names the
-    arrangement in that refusal.  `cokernel` and `saturation` take each
-    lattice's rows as they are, once per lattice, with no re-scan.
+    arrangement in that refusal.  `cokernel` takes each lattice's rows as
+    they are, once per lattice, and `saturation` those `span` needs.
     """
 
     def __init__(self, gamma: FGAbelianGroup, instance: str):
@@ -155,6 +155,7 @@ class LatticeTable:
         self.child: dict = {}   # vector -> {lattice id: child id}
         self._quotients: dict = {}
         self._spans: dict = {}
+        self._unit = None  # Z^f, built by `span` on first use
 
     def add(self, lat: int, vec: tuple, kids: dict) -> int:
         """Id of lattice `lat` joined by `vec`, recorded in `child[vec]`,
@@ -181,11 +182,23 @@ class LatticeTable:
         return quot
 
     def span(self, lat: int) -> IntMatrix:
-        """HNF basis of the lattice's saturated span, in the free quotient:
-        `saturation` of the lattice, memoized."""
+        """HNF basis of the lattice's saturated span in the free quotient,
+        memoized.  A quotient without torsion means a saturated lattice,
+        whose leading rows cut to the free columns are its span (canonical,
+        see `saturation`; the lattice itself in a free ambient).  A finite
+        quotient means Z^f, one identity per table; any other, `saturation`."""
         span = self._spans.get(lat)
         if span is None:
-            span = self._spans[lat] = saturation(self.lattices[lat], self.gamma)
+            quot, lattice = self.quotient(lat), self.lattices[lat]
+            f = self.gamma.free_rank
+            if not quot.torsion:
+                span = lattice if f == lattice.cols else IntMatrix._from_hnf(
+                    f, tuple(row[:f] for row in lattice.data[:f - quot.free_rank]))
+            elif quot.free_rank:
+                span = saturation(lattice, self.gamma)
+            else:
+                span = self._unit = self._unit or IntMatrix.identity(f)
+            self._spans[lat] = span
         return span
 
 

@@ -13,6 +13,9 @@ enumeration, once for all the subsets that span it, deduplicates on
 (span, chi) and records each layer's localization, the set of elements
 whose kernel contains it: the union of the subsets it is a component of.
 Subsets are visited one by one only if `subset_components` is read.
+A lattice whose quotient has no torsion is saturated: its span is its own
+rows and its one character zero.  A finite quotient means span Z^f, whose
+coordinates the rows already are.  Only the rest are saturated and solved.
 Many layers share a span, an F-hom or a circle value, so each layer's
 printed key and order are put together from pieces formatted once per
 engine run: the rows of each span, the text and order of each F-hom, and
@@ -149,18 +152,22 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec) -> "LayerPoset":
     raw: dict = {}  # (span rows, chi) -> [span, chi, rank, localization]
     lattice_keys: dict = {}  # lattice id -> its components' (span rows, chi)
     for lat in expected:
-        lattice, span = table.lattices[lat], table.span(lat)
-        rank = f - table.quotient(lat).free_rank
+        lattice, quot = table.lattices[lat], table.quotient(lat)
+        span, rank = table.span(lat), f - quot.free_rank
         values = [()]
-        if spec.circles:
-            gens = []
-            for row in lattice.data:
-                coeffs = hnf_solve(span, row[:f])
-                if coeffs is None:
-                    raise IdentityCheckError(
-                        f"{arr.describe()}: lattice row escaped its own saturation")
-                gens.append(coeffs + row[f:])
-            gens_m = IntMatrix.from_rows(gens, span.rows + len(gamma.torsion))
+        if spec.circles and not quot.torsion:  # saturated: the zero character
+            values = [(0,) * (span.rows + len(gamma.torsion))]
+        elif spec.circles:
+            gens_m = lattice  # span Z^f: the rows are their own coordinates
+            if rank < f:
+                gens = []
+                for row in lattice.data:
+                    coeffs = hnf_solve(span, row[:f])
+                    if coeffs is None:
+                        raise IdentityCheckError(f"{arr.describe()}: lattice "
+                                                 "row escaped its own saturation")
+                    gens.append(coeffs + row[f:])
+                gens_m = IntMatrix.from_rows(gens, span.rows + len(gamma.torsion))
             # the torsion relations are lattice rows already, so gens_m
             # presents the quotient of the free group on the span and
             # torsion generators

@@ -1,11 +1,13 @@
+import json
 import random
 from math import gcd, lcm
 
 import pytest
+from test_cli import run
 from test_oracle import _layer_posets
 from test_root_systems import type_a
 
-from gtutte import Arrangement, FGAbelianGroup, GroupSpec, posets
+from gtutte import Arrangement, FGAbelianGroup, GroupSpec, model, posets
 from gtutte.invariants import HypothesisError, IdentityCheckError
 from gtutte.lie import enumerate_lie_layers
 from gtutte.model import multiplicity
@@ -174,3 +176,70 @@ def test_keys_and_orders_match_the_per_layer_formulas(example, mixed_torsion,
         for lay in poset.layers:
             assert (lay.key, lay.order) == \
                 _reference_key_and_order(poset, lay), (poset.arr, poset.spec)
+
+
+def _counted(monkeypatch, module, name):
+    """Count the calls of module.name, which still runs."""
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("group, vectors, layer_count, solves", [
+    # every lattice of the unit vectors of Z^5 is saturated
+    ({"free_rank": 5, "torsion": []},
+     [[int(i == j) for j in range(5)] for i in range(5)], 32, False),
+    # a finite ambient: every quotient is finite, every span Z^0, and the
+    # 12 points of Hom(Z/2 + Z/6, S^1) are the layers
+    ({"free_rank": 0, "torsion": [2, 6]}, [[1, 3], [0, 2], [1, 0]], 12, False),
+    # the paper example: <(0, 2)> has quotient Z + Z/2, so it is solved
+    ({"free_rank": 2, "torsion": []}, [[-1, 1], [0, 2], [0, 4]], 10, True),
+])
+def test_finite_and_torsion_free_quotients_settle_spans_and_characters(
+        group, vectors, layer_count, solves, tmp_path, capsys, monkeypatch):
+    saturations = _counted(monkeypatch, model, "saturation")
+    solved = _counted(monkeypatch, posets, "hnf_solve")
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps({"group": group, "vectors": vectors}))
+    code, out, err = run(capsys, "toric-layers", str(path))
+    assert code == 0, err
+    assert json.loads(out)["layer_count"] == layer_count
+    assert bool(saturations) == bool(solved) == solves, (saturations, solved)
+
+
+def _quotient_case(quot) -> str:
+    return ("torsion-free" if not quot.torsion
+            else "finite" if not quot.free_rank else "neither")
+
+
+def test_spans_and_characters_off_the_quotient_match_the_per_mask_reference():
+    # the engine reads the span and the circle characters of a lattice with
+    # a finite or torsion-free quotient off that quotient; the reference
+    # saturates and solves every subset on its own elements
+    rng = random.Random(22)
+    chains = [(2,), (3,), (4,), (6,), (2, 2), (2, 4), (2, 6), (3, 6)]
+    seen = set()
+    for i in range(40):
+        torsion = rng.choice(chains) if i % 2 else ()
+        gamma = FGAbelianGroup(rng.randint(0, 4), torsion)
+        arr = Arrangement(gamma, [
+            [rng.randint(-2, 2) for _ in range(gamma.ngens)]
+            for _ in range(rng.randint(1, 5))])
+        poset = enumerate_toric_layers(arr)
+        table = arr.lattice_table()
+        seen |= {(bool(torsion), _quotient_case(table.quotient(lat)))
+                 for lat in poset.lattice_components}
+        assert poset.strict_downs == reference_strict_downs(poset), arr
+        components, localizations = reference_subset_components(poset)
+        assert poset.subset_components == components, arr
+        assert tuple(lay.localization for lay in poset.layers) == \
+            localizations, arr
+    # each case occurs in free and in torsion ambients
+    assert seen == {(torsion, case) for torsion in (False, True)
+                    for case in ("finite", "torsion-free", "neither")}

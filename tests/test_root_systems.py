@@ -6,7 +6,7 @@ so they check answers at element counts where no hom enumeration can.
 
 import time
 from itertools import combinations
-from math import comb, factorial, perm, prod
+from math import comb, factorial, gcd, lcm, perm, prod
 
 import pytest
 
@@ -162,3 +162,61 @@ def test_a6_arithmetic_tutte_is_the_real_tutte():
     assert arithmetic_tutte(arr) == g_tutte(arr, GroupSpec.real())
     elapsed = time.perf_counter() - t0
     assert elapsed < 2.0, f"{elapsed:.2f}s > 2.0s"
+
+
+def positive_roots(cartan) -> list:
+    """Positive roots in simple-root coordinates, height by height, from the
+    Cartan matrix cartan[i][j] = <alpha_i, alpha_j^vee>.  By the alpha_j
+    string through a root beta, beta + alpha_j is a root exactly when
+    p - <beta, alpha_j^vee> > 0, p the largest with beta - p alpha_j a root."""
+    r = len(cartan)
+    level = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    roots = set(level)
+    while level:
+        above = []
+        for beta in level:
+            for j in range(r):
+                p = 0
+                while tuple(b - (p + 1) * (k == j)
+                            for k, b in enumerate(beta)) in roots:
+                    p += 1
+                up = tuple(b + (k == j) for k, b in enumerate(beta))
+                if p > sum(b * cartan[i][j] for i, b in enumerate(beta)) \
+                        and up not in roots:
+                    roots.add(up)
+                    above.append(up)
+        level = above
+    return sorted(roots, key=lambda beta: (sum(beta), beta))
+
+
+# name -> (Cartan matrix, number of positive roots, highest root, Coxeter
+# exponents, toric layers).  The layer counts are this engine's own
+# output, pinned as regression values only.
+EXCEPTIONAL = {
+    "G_2": ([[2, -1], [-3, 2]], 6, (3, 2), (1, 5), 13),
+    "F_4": ([[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+            24, (2, 3, 4, 2), (1, 5, 7, 11), 441),
+}
+
+
+@pytest.mark.parametrize("name", EXCEPTIONAL)
+def test_exceptional_root_systems(name):
+    """At k prime to the period, the constituent factors over the Coxeter
+    exponents (Orlik-Solomon, Terao); the minimal period is the lcm of the
+    highest root's coefficients (Kamiya, Takemura and Terao)."""
+    cartan, count, highest, exponents, toric_count = EXCEPTIONAL[name]
+    roots = positive_roots(cartan)
+    assert len(roots) == count and roots[-1] == highest
+    arr = Arrangement(FGAbelianGroup(len(cartan)), roots, name=name)
+    t0 = time.perf_counter()
+    qp = chromatic_quasi(arr)
+    period = lcm(*highest)
+    assert qp.period == period and minimal_period(qp) == period
+    for k in range(1, 2 * period):
+        if gcd(k, period) == 1:
+            assert qp.constituent(k) == linear(*exponents), k
+    poset = enumerate_toric_layers(arr)
+    layer_sum(poset)  # checks the identity on the way
+    assert poset.n == toric_count
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 3.0, f"{elapsed:.2f}s > 3.0s"
