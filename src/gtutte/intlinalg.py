@@ -9,21 +9,19 @@ floating point and no overflow anywhere.  Two normal forms do all the work:
   `hermite_normal_form` is a fold of it.  Canonicity is known from how a
   matrix was built (`IntMatrix._from_hnf`), never re-scanned.
 * Smith normal form, by one elimination (`_smith`) on a list of rows.
-  A caller that reads a transform borders the block with identity rows or
-  columns, which the same operations turn into U or V.
+  `smith_normal_form` borders the block with identity rows and columns,
+  which the same operations turn into U and V.
 
 Matrices are tiny (a handful of rows/columns), and the hot path is the
 lattice fold of `model.LatticeTable`, on plain row tuples.
 `hnf_invariant_factors` reads the invariant factors of a quotient straight
 off the canonical HNF of its relations, by closed forms where the shape
 allows and by the elimination without borders otherwise, so `cokernel`
-tracks no transforms.  Two callers still border `_smith`:
-`smith_normal_form` with both borders, and `saturation` with the U border,
-on the HNF of its input so the transforms stay small, and only for a rank
-strictly between 1 and the free rank; a full-rank HNF saturates to the
-identity and a single row to itself over its gcd.  `hom_images` runs no
-elimination: it solves the canonical HNF of the relations by
-back-substitution, one target factor at a time.
+tracks no transforms.  Only `smith_normal_form` borders `_smith`.  A
+kernel is read off the canonical HNF of a bordered matrix instead, and
+`saturation` is the kernel of a kernel.  `hom_images` runs no elimination:
+it solves the canonical HNF of the relations by back-substitution, one
+target factor at a time.
 """
 
 from __future__ import annotations
@@ -438,47 +436,38 @@ def cokernel(generators: IntMatrix, ambient: FGAbelianGroup) -> FGAbelianGroup:
                                       hnf_invariant_factors(rel.data))
 
 
+def _bordered_hnf(rows: tuple, c: int) -> tuple:
+    """Canonical HNF of [rows transposed | identity], whose row lattice is
+    {(rows . y, y) : y in Z^c}.  Its rows with a zero left part come last,
+    and cut to their right part they are a canonical HNF of the kernel
+    {y : rows . y = 0}.  If the columns of `rows` generate Z^m (m rows, a
+    saturated span), its first m rows are [e_i | u_i], rows . u_i = e_i."""
+    h = ()
+    for k in range(c):
+        unit = [int(j == k) for j in range(c)]
+        h = hnf_insert(h, [row[k] for row in rows] + unit)
+    return h
+
+
 def saturation(generators: IntMatrix, ambient: FGAbelianGroup) -> IntMatrix:
     """Canonical HNF basis of the saturation of <rows> + torsion.
 
     The result lives in the free quotient (columns = ambient.free_rank); the
     full subgroup is this lattice together with all of the ambient torsion,
     which is exactly the smallest subgroup containing the rows with free
-    quotient group.
+    quotient group.  In Z^f it is the kernel of the kernel of the rows'
+    free parts, each read off a `_bordered_hnf`: canonical by construction.
     """
     n = ambient.ngens
     if generators.cols != n:
         raise DimensionMismatch(
             f"generators have {generators.cols} coordinates, ambient needs {n}")
     f = ambient.free_rank
-    # reduced to HNF first, as in cokernel, so the transforms stay small;
-    # the HNF rows are independent, so their number r is the rank.  Rows
-    # with a zero free part are dropped: those of a canonical HNF are its
-    # last rows, so the free parts of the others are a canonical HNF too.
-    free_parts = tuple(part for part in (row[:f] for row in generators.data)
-                       if any(part))
-    B = IntMatrix._from_hnf(f, free_parts) if generators._canonical else \
-        hermite_normal_form(IntMatrix.from_rows(free_parts, f))
-    r = B.rows
-    if r == f:  # full rank: the saturation is all of Z^f
-        return IntMatrix.identity(f)
-    if r == 0:
-        return B
-    if r == 1:  # a primitive row with a positive pivot is a canonical HNF
-        g = gcd(*B.data[0])
-        return IntMatrix._from_hnf(f, (tuple(x // g for x in B.data[0]),))
-    A = [list(row) + [int(i == k) for k in range(r)]
-         for i, row in enumerate(B.data)]
-    _smith(A, r, f)
-    # U B V = D, so U B = D V^-1: row i of V^-1 is row i of U B over d_i.
-    # The first r rows of V^-1, part of a basis of Z^f, span the rational
-    # row space of B, hence their Z-span is the saturation.
-    Vinv = []
-    for i, row in enumerate(A):
-        d = row[i]
-        Vinv.append([sum(u * b[j] for u, b in zip(row[f:], B.data)) // d
-                     for j in range(f)])
-    return hermite_normal_form(IntMatrix.from_rows(Vinv, f))
+    rows = tuple(row[:f] for row in generators.data)
+    for _ in range(2):
+        m = len(rows)
+        rows = tuple(row[m:] for row in _bordered_hnf(rows, f) if not any(row[:m]))
+    return IntMatrix._from_hnf(f, rows)
 
 
 def hom_images(relations: IntMatrix, target_torsion) -> list:

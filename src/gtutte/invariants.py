@@ -52,19 +52,24 @@ def check_degree(arr: Arrangement, degree: int, what: str):
             f"{MAX_DEGREE}")
 
 
-def check_circles(arr: Arrangement, spec: GroupSpec):
-    """`check_degree` on the circle count p, then the interpreter's
-    int-to-string limit on a bound of every coefficient, 8^n times the
-    largest m(S) <= T^(p + #F factors), T the quotient torsion order."""
-    check_degree(arr, spec.circles, "circle count")
+def check_digits(arr: Arrangement, what: str, digits: int):
+    """Refuse a result of up to `digits` digits past Python's int-to-string
+    limit, which printing it would hit."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none
-    if spec.circles and limit:
+    if limit and digits > limit:
+        raise model.CapExceeded(f"{arr.describe()}: {what} may reach {digits} "
+                                f"digits, past the cap {limit}")
+
+
+def check_circles(arr: Arrangement, spec: GroupSpec):
+    """`check_degree` on the circle count p, then `check_digits` on a bound
+    of every coefficient, 8^n times the largest m(S) <= T^(p + #F factors),
+    T the quotient torsion order."""
+    check_degree(arr, spec.circles, "circle count")
+    if spec.circles:
         top = max(prod(key.torsion_factors) for key in arr.histogram())
-        digits = 1 + floor(log10(top) * (spec.circles + len(spec.f_torsion))
-                           + log10(8) * arr.n)
-        if digits > limit:
-            raise model.CapExceeded(f"{arr.describe()}: circle count: coefficients "
-                                    f"may reach {digits} digits, past the cap {limit}")
+        check_digits(arr, "circle count: coefficients", 1 + floor(
+            log10(top) * (spec.circles + len(spec.f_torsion)) + log10(8) * arr.n))
 
 
 def checked(value: UniPoly, expected: UniPoly, what: str) -> UniPoly:
@@ -217,10 +222,13 @@ def chen_wang_compare(arr: Arrangement, a: int, b: int) -> list:
 def reciprocity_eval(arr: Arrangement, k: int, q: int,
                      qp: QuasiPolynomial | None = None) -> int:
     """(-1)^rank(gamma) * constituent_k(-q); nonnegative for every k, q >= 1,
-    since it equals sum_j beta_j(k) * q^j."""
+    since it equals sum_j beta_j(k) * q^j <= sum_j |c_j| * q^rank(gamma), c_j
+    the coefficients: a bound that goes through `check_digits` first."""
     if q < 1:
         raise ValueError("q must be positive")
     c = (QuasiPolynomial(arr) if qp is None else qp).constituent(k)
+    check_digits(arr, "reciprocity: the value", 2 + floor(log10(
+        max(1, sum(map(abs, c.coeffs)))) + arr.gamma.free_rank * log10(q)))
     val = (-1) ** arr.gamma.free_rank * c(-q)
     if val < 0:
         raise IdentityCheckError(
@@ -241,9 +249,9 @@ def minimal_period(qp: QuasiPolynomial) -> int:
     the least p with constituent(d) == constituent(gcd(d, p)) for every
     divisor d (by the Chinese remainder theorem, some j = d mod p has
     gcd(j, period) = gcd(d, p)).  The dense view's cap applies."""
-    qp.constituents  # fills every divisor's constituent
-    divisors = sorted(qp._by_divisor)
+    dense = qp.constituents
+    divisors = [d for d in range(1, qp.period + 1) if qp.period % d == 0]
     for p in divisors:
-        if all(qp.constituent(d) == qp.constituent(gcd(d, p)) for d in divisors):
+        if all(dense[d - 1] == dense[gcd(d, p) - 1] for d in divisors):
             return p
     return qp.period

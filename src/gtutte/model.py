@@ -184,8 +184,11 @@ class LatticeTable:
     def span(self, lat: int) -> IntMatrix:
         """HNF basis of the lattice's saturated span in the free quotient,
         memoized.  A quotient without torsion means a saturated lattice,
-        whose leading rows cut to the free columns are its span (canonical,
-        see `saturation`; the lattice itself in a free ambient).  A finite
+        whose leading rows cut to the free columns are its span (the lattice
+        itself in a free ambient).  That slice is canonical: a canonical HNF
+        lists first its rows with a nonzero free part, f minus the
+        quotient's free rank of them, and cut to the free columns these keep
+        their pivots and their reduced entries above them.  A finite
         quotient means Z^f, one identity per table; any other, `saturation`."""
         span = self._spans.get(lat)
         if span is None:

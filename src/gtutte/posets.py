@@ -56,8 +56,8 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from . import model
-from .intlinalg import (FGAbelianGroup, IntMatrix, hermite_normal_form,
-                        hnf_solve, hom_enumerate)
+from .intlinalg import (FGAbelianGroup, IntMatrix, _bordered_hnf, hnf_solve,
+                        hom_enumerate)
 from .invariants import (HypothesisError, IdentityCheckError, check_degree,
                          checked, g_characteristic)
 from .model import Arrangement, CapExceeded, GroupSpec
@@ -224,14 +224,12 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec) -> "LayerPoset":
     def point(y):
         """A point of y mod P: sum_i v_i u_i for its circle values v_i on the
         span rows.  The span is saturated, so its columns generate Z^r and
-        the HNF of the rows [span column k | e_k] starts with [e_i | u_i]."""
+        its `_bordered_hnf` starts with [e_i | u_i], span . u_i = e_i."""
         key = id(y)  # leq is asked only about `layers`, which stay alive
         if key not in points:
             r = y.span.rows
             if y.span.data not in inverses:
-                h = hermite_normal_form(IntMatrix.from_rows(
-                    [col + tuple(int(k == c) for c in range(f))
-                     for k, col in enumerate(zip(*y.span.data))], r + f)).data
+                h = _bordered_hnf(y.span.data, f)
                 if any(row[i] != 1 for i, row in enumerate(h[:r])):
                     raise IdentityCheckError(
                         f"{arr.describe()}: span {list(y.span.data)} is not saturated")

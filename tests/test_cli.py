@@ -796,6 +796,28 @@ def test_circle_counts_are_refused_past_the_digit_limit(example_file, capsys):
         sys.set_int_max_str_digits(old)
 
 
+def test_reciprocity_is_refused_past_the_digit_limit(example_file, capsys):
+    # the paper example's value at k = 1 is (q + 1)^2: at q = 10^2200 it has
+    # 4,401 digits, refused before the evaluation; at 10^2140 it is printed
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "reciprocity", example_file, "--k", "1",
+                             "--q", str(10**2200))
+        elapsed = time.perf_counter() - t0
+        assert code == 2 and out == ""
+        assert re.search(r"^error: example: reciprocity: the value may reach "
+                         r"\d+ digits, past the cap 4300$", err, re.M), err
+        assert elapsed < 2.0, f"{elapsed:.2f}s > 2.0s"
+        q = 10**2140
+        code, out, _ = run(capsys, "reciprocity", example_file, "--k", "1",
+                           "--q", str(q))
+        assert code == 0 and json.loads(out)["value"] == (q + 1) ** 2
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 # (surviving component counts, k-torsion subposets) each command computes
 SELECTIONS = [
     (["toric-layers"], (0, 0)),

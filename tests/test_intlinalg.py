@@ -392,7 +392,8 @@ def test_saturation_of_table_lattices_skips_the_reduction(monkeypatch):
     spans = [saturation(table.lattices[lat], gamma).data
              for lat in (0, rank1, full)]
     assert spans == [(), ((1, 1),), ((1, 0), (0, 1))]
-    assert inserted == []
+    assert not _smith_calls(monkeypatch, lambda: [
+        saturation(table.lattices[lat], gamma) for lat in (0, rank1, full)])
 
 
 def test_table_lattices_are_canonical_by_construction():
@@ -482,6 +483,76 @@ def test_saturation_contains_rows_and_gives_free_quotient():
             [[rng.randint(-1000, 1000) for _ in range(gamma.ngens)]
              for _ in range(rng.randint(free + 1, 7))], gamma.ngens), gamma)
     assert time.perf_counter() - start < 2.0
+
+
+def _smith_calls(monkeypatch, work) -> int:
+    """How many times `work()` runs the Smith elimination."""
+    calls = []
+    real = intlinalg._smith
+
+    def counting(A, r, c):
+        calls.append((r, c))
+        return real(A, r, c)
+
+    monkeypatch.setattr(intlinalg, "_smith", counting)
+    work()
+    return len(calls)
+
+
+def test_saturation_runs_no_smith_elimination(monkeypatch):
+    # every lattice of a free rank 4 table, those of rank strictly between
+    # 1 and 4 included, is saturated as a kernel of a kernel
+    rng = random.Random(8)
+    gamma = FGAbelianGroup(4, (2,))
+    arr = Arrangement(gamma, [[rng.randint(-3, 3) for _ in range(4)]
+                              + [rng.randint(0, 1)] for _ in range(6)])
+    arr.lattice_states()
+    table = arr.lattice_table()
+    spans = []
+    assert not _smith_calls(monkeypatch, lambda: spans.extend(
+        saturation(lattice, gamma) for lattice in table.lattices))
+    assert {span.rows for span in spans} == {0, 1, 2, 3, 4}
+
+
+def test_saturation_and_right_inverse_on_random_generators():
+    # free rank 0-8 over torsion chains from {2, 3, 4, 6}; independent rows
+    # with entries up to 1000, integer combinations of them and zero rows
+    chains = [(), (2,), (3,), (4,), (6,), (2, 2), (2, 4), (2, 6), (3, 6),
+              (6, 6)]
+    rng = random.Random(23)
+    start = time.perf_counter()
+    for trial in range(500):
+        free = trial % 9
+        gamma = FGAbelianGroup(free, rng.choice(chains))
+        bound = rng.choice((1, 3, 30, 1000))
+        gens = [[rng.randint(-bound, bound) for _ in range(free)]
+                for _ in range(rng.randint(0, free + 1))]
+        for _ in range(rng.randint(0, 2)):
+            coeffs = [rng.randint(-3, 3) for _ in gens]
+            gens.append([sum(c * vec[j] for c, vec in zip(coeffs, gens))
+                         for j in range(free)])
+        gens += [[0] * free for _ in range(rng.randint(0, 1))]
+        rng.shuffle(gens)
+        m = IntMatrix.from_rows(
+            [vec + [rng.randint(0, e - 1) for e in gamma.torsion]
+             for vec in gens], gamma.ngens)
+        sat = saturation(m, gamma)
+        assert sat.cols == free
+        for row in m.data:
+            assert hnf_solve(sat, row[:free]) is not None, m
+        assert sat.rows == hermite_normal_form(
+            IntMatrix.from_rows(gens, free)).rows, m
+        assert cokernel(sat, FGAbelianGroup(free)).torsion == (), m
+        assert hermite_normal_form(IntMatrix.from_rows(sat.data, free)) == sat
+        # the bordered HNF of a saturated span starts with [e_i | u_i]
+        r = sat.rows
+        h = intlinalg._bordered_hnf(sat.data, free)
+        assert all(row[:r] == tuple(int(i == j) for j in range(r))
+                   for i, row in enumerate(h[:r])), m
+        inverse = [row[r:] for row in h[:r]]
+        assert [[sum(a * b for a, b in zip(s, u)) for u in inverse]
+                for s in sat.data] == [list(e) for e in IntMatrix.identity(r).data], m
+    assert time.perf_counter() - start < 10.0
 
 
 def test_hom_count_examples():

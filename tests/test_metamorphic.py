@@ -3,14 +3,20 @@
 Appending a copy of an element e, or of -e, adds no new intersection of
 kernels, and permuting the elements only relabels them.  So neither changes
 a characteristic polynomial, the toric layers' printed keys or their Möbius
-values.  Each check compares the engine with itself on two inputs, not
-with the brute-force oracle, so it holds at any size.
+values.  A direct sum A1 + A2 in gamma1 + gamma2 has Hom(gamma1 + gamma2, G)
+= Hom(gamma1, G) x Hom(gamma2, G), so its polynomials are products and its
+layer poset is the product poset.  Each check compares the engine with
+itself on derived inputs, not with the brute-force oracle, so it holds at
+any size.
 """
 
 import random
 import time
+from collections import Counter
+from math import lcm
 
-from gtutte import Arrangement, FGAbelianGroup, GroupSpec, g_characteristic
+from gtutte import (Arrangement, FGAbelianGroup, GroupSpec, QuasiPolynomial,
+                    g_characteristic, g_tutte)
 from gtutte.toric import enumerate_toric_layers
 
 TARGETS = (GroupSpec.circle(), GroupSpec.real(), GroupSpec.cyclic(4),
@@ -64,4 +70,58 @@ def test_parallel_elements_and_permutations_change_nothing():
             checks += len(found)
     elapsed = time.perf_counter() - t0
     assert checks == 30 * 2 * (len(TARGETS) + 2)
+    assert elapsed < 6.0, f"{elapsed:.2f}s > 6.0s"
+
+
+def direct_sum(a1: Arrangement, a2: Arrangement) -> Arrangement:
+    """A1 + A2 in gamma1 + gamma2, coordinates (free1, free2, torsion1,
+    torsion2); the torsion chains must concatenate to a divisibility
+    chain."""
+    g1, g2 = a1.gamma, a2.gamma
+    f1, f2 = g1.free_rank, g2.free_rank
+    gamma = FGAbelianGroup(f1 + f2, g1.torsion + g2.torsion)
+    pad1, pad2 = (0,) * len(g1.torsion), (0,) * len(g2.torsion)
+    return Arrangement(gamma, [
+        v[:f1] + (0,) * f2 + v[f1:] + pad2 for v in a1.elements] + [
+        (0,) * f1 + v[:f2] + pad1 + v[f2:] for v in a2.elements])
+
+
+def small_instance(rng: random.Random, torsion: tuple) -> Arrangement:
+    gamma = FGAbelianGroup(rng.randint(0, 2), torsion)
+    return Arrangement(gamma, [[rng.randint(-3, 3) for _ in range(gamma.ngens)]
+                               for _ in range(rng.randint(0, 3))])
+
+
+def test_direct_sums_multiply():
+    rng = random.Random(5)
+    checks = 0
+    t0 = time.perf_counter()
+    for _ in range(40):
+        while True:
+            t1, t2 = rng.choice(CHAINS), rng.choice(CHAINS)
+            chain = t1 + t2
+            if all(b % a == 0 for a, b in zip(chain, chain[1:])):
+                break
+        a1, a2 = small_instance(rng, t1), small_instance(rng, t2)
+        both = direct_sum(a1, a2)
+        for spec in TARGETS:
+            assert g_characteristic(both, spec) == \
+                g_characteristic(a1, spec) * g_characteristic(a2, spec), both
+        spec = GroupSpec.circle()
+        assert g_tutte(both, spec) == g_tutte(a1, spec) * g_tutte(a2, spec)
+        period = both.lcm_period()
+        assert period == lcm(a1.lcm_period(), a2.lcm_period()), both
+        q, q1, q2 = QuasiPolynomial(both), QuasiPolynomial(a1), \
+            QuasiPolynomial(a2)
+        for k in range(1, 2 * period + 1):
+            assert q.constituent(k) == q1.constituent(k) * q2.constituent(k)
+        p, p1, p2 = (enumerate_toric_layers(a) for a in (both, a1, a2))
+        assert p.n == p1.n * p2.n, both
+        assert Counter(p.mobius) == Counter(
+            m1 * m2 for m1 in p1.mobius for m2 in p2.mobius), both
+        assert len(p.covers()) == \
+            p1.n * len(p2.covers()) + len(p1.covers()) * p2.n, both
+        checks += len(TARGETS) + 2 * period + 5
+    elapsed = time.perf_counter() - t0
+    assert checks >= 40 * (len(TARGETS) + 7)
     assert elapsed < 6.0, f"{elapsed:.2f}s > 6.0s"
