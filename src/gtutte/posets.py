@@ -32,14 +32,23 @@ Z^n have 2^n components and 3^n order pairs, and weight 3^n.
 The order is reverse inclusion.  X contains Y exactly when loc(X) lies in
 loc(Y), so that span(X) lies in span(Y), and Y's character restricted to
 span(X) is X's: a point of Y, one per layer, takes X's circle values on
-the rows of span(X).  Each layer lies over
-a unique minimal element, the rank-0 root of its component (the connected
-component of the total group containing it), which lies below every layer
-of that component untested.  The test runs only on layers X of the same
-component exactly one rank below Y whose localization nests in loc(Y),
-found by bitsets over the layers one rank below, one per element (at rank
-1 the root is the one such X); downs(Y) is the root together with each
-such X and downs(X).
+the rows of span(X).  Each layer lies over a unique minimal element, the
+rank-0 root of its component (the connected component of the total group
+containing it), which lies below every layer of that component unasked.
+The covers of Y above rank 0 are found by lookup, not by test.  Bitsets
+over the layers one rank below, one per element, give the candidates: the
+layers X of Y's component whose localization nests in loc(Y).  Every
+element of loc(X) vanishes on Y, so Y lies in one component of the
+intersection of their kernels; that component is the layer of span(X) in
+Y's component that contains Y, and it covers Y.  Layers of one span and
+one component are disjoint, so Y has exactly one cover per distinct span
+among its candidates, and the lookup runs once per such span: without a
+circle it is the candidate itself, since a span then carries one layer per
+component; with a circle it restricts a point of Y to the rows of the span
+and reads an index on (component, span, circle values on the span rows),
+built once per run.  A miss breaks that argument and raises
+IdentityCheckError.  downs(Y) is the root together with each cover Z and
+downs(Z).
 Nothing is missed: if X < Y with ranks at least 2 apart, joining loc(X)
 with one element of loc(Y) outside span(X) gives an intersection whose
 component containing Y is a layer Z of rank(X) + 1 with X < Z < Y, so X
@@ -53,6 +62,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 from . import model
@@ -149,8 +159,9 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec) -> "LayerPoset":
     # the lattice holds the torsion relations, so it presents its quotient
     # of the free group on gamma's generators
     free = FGAbelianGroup(gamma.ngens)
-    raw: dict = {}  # (span rows, chi) -> [span, chi, rank, localization]
-    lattice_keys: dict = {}  # lattice id -> its components' (span rows, chi)
+    # (span rows, chi) -> [span, chi, rank, localization, first-seen order]
+    raw: dict = {}
+    lattice_entries: dict = {}  # lattice id -> its components' raw entries
     for lat in expected:
         lattice, quot = table.lattices[lat], table.quotient(lat)
         span, rank = table.span(lat), f - quot.free_rank
@@ -179,22 +190,27 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec) -> "LayerPoset":
             raise IdentityCheckError(
                 f"{arr.describe()}: lattice {list(lattice.data)} "
                 f"has {len(chis)} components, expected {expected[lat]}")
-        for chi in chis:
-            entry = raw.setdefault((span.data, chi), [span, chi, rank, 0])
+        entries = lattice_entries[lat] = [
+            raw.setdefault((span.data, chi), [span, chi, rank, 0, len(raw)])
+            for chi in chis]
+        for entry in entries:
             entry[3] |= locs[lat]
-        lattice_keys[lat] = [(span.data, chi) for chi in chis]
 
     tmask = arr.torsion_mask()
-    # the pieces of keys and orders, each formatted once
-    span_texts: dict = {}  # span rows -> "[rows]("
+    # the pieces of keys and orders, each formatted once.  Equal spans, and
+    # with a circle equal components, are shared objects, which the order
+    # looks up by identity
+    span_texts: dict = {}  # span rows -> (shared span, "[rows](")
     hom_parts: dict = {}   # F-hom -> (printed form, order of the hom)
     fractions: dict = {}   # circle value -> reduced fraction mod P
+    shared: dict = {}      # component -> the shared component
     layers = []
-    for span, (circle, hom), rank, loc in raw.values():
-        head = span_texts.get(span.data)
-        if head is None:
-            head = span_texts[span.data] = "[" + ";".join(
-                ",".join(map(str, row)) for row in span.data) + "]("
+    for span, (circle, hom), rank, loc, _ in raw.values():
+        entry = span_texts.get(span.data)
+        if entry is None:
+            entry = span_texts[span.data] = (span, "[" + ";".join(
+                ",".join(map(str, row)) for row in span.data) + "](")
+        span, head = entry
         part = hom_parts.get(hom)
         if part is None:
             text = ""
@@ -203,6 +219,7 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec) -> "LayerPoset":
             part = hom_parts[hom] = (text, lcm(*(
                 m // gcd(m, *(img[t] for img in hom)) for t, m in enumerate(fs))))
         text, order = part
+        component = (circle[span.rows:], hom)
         if spec.circles:
             for v in circle:
                 if v not in fractions:
@@ -211,48 +228,70 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec) -> "LayerPoset":
             order = lcm(order, period // gcd(period, *circle))
             circle_text = ",".join([fractions[v] for v in circle])
             text = circle_text + "|" + text if fs else circle_text
+            component = shared.setdefault(component, component)
         layers.append(Layer(span, (circle, hom), rank, spec.dim * (f - rank),
-                            not loc & tmask, loc, (circle[span.rows:], hom),
-                            order, head + text + ")"))
-    layers.sort(key=lambda lay: (lay.rank, lay.span.data, lay.component, lay.chi))
-    index = {(lay.span.data, lay.chi): i for i, lay in enumerate(layers)}
-    components = {lat: tuple(sorted(index[key] for key in keys))
-                  for lat, keys in lattice_keys.items()}
-    inverses: dict = {}  # span rows -> rows u_i with span . u_i = e_i
-    points: dict = {}    # id of a layer -> a point of the layer mod P
+                            not loc & tmask, loc, component, order,
+                            head + text + ")"))
+    ranked = sorted(range(len(layers)), key=lambda t: (
+        layers[t].rank, layers[t].span.data, layers[t].component, layers[t].chi))
+    layers = [layers[t] for t in ranked]
+    index = [0] * len(ranked)  # first-seen order -> sorted index
+    for i, t in enumerate(ranked):
+        index[t] = i
+    components = {lat: tuple(sorted(index[entry[4]] for entry in entries))
+                  for lat, entries in lattice_entries.items()}
 
-    def point(y):
-        """A point of y mod P: sum_i v_i u_i for its circle values v_i on the
-        span rows.  The span is saturated, so its columns generate Z^r and
-        its `_bordered_hnf` starts with [e_i | u_i], span . u_i = e_i."""
-        key = id(y)  # leq is asked only about `layers`, which stay alive
-        if key not in points:
-            r = y.span.rows
-            if y.span.data not in inverses:
-                h = _bordered_hnf(y.span.data, f)
-                if any(row[i] != 1 for i, row in enumerate(h[:r])):
-                    raise IdentityCheckError(
-                        f"{arr.describe()}: span {list(y.span.data)} is not saturated")
-                inverses[y.span.data] = [row[r:] for row in h[:r]]
-            points[key] = tuple(
-                sum(u[k] * v for u, v in zip(inverses[y.span.data], y.chi[0]))
-                % period for k in range(f))
-        return points[key]
+    if not spec.circles:
+        def restrict(x, y):
+            """Without a circle a span carries one layer per component, so
+            the candidate x is the layer of its span that contains y."""
+            return x
+    else:
+        # (component, span, circle values on the span rows) -> the layer,
+        # the first two by identity
+        found = {(id(lay.component), id(lay.span), lay.chi[0][:lay.span.rows]):
+                 lay for lay in layers}
+        columns: dict = {}  # id of a span -> columns of its right inverse
+        points: dict = {}   # id of a layer -> a point of the layer mod P
 
-    def leq(x, y):
-        """x <= y in the poset: x contains y.  Asked only about x in y's
-        component whose localization nests in y's (see `LayerPoset`), where
-        a point of y must take x's circle values on the span rows of x; the
-        root, with no span rows, needs no point."""
-        if not spec.circles or not x.span.rows:
-            return True
-        phi = point(y)
-        for row, value in zip(x.span.data, x.chi[0]):
-            if sum([a * b for a, b in zip(row, phi)]) % period != value:
-                return False
-        return True
+        def point(y):
+            """A point of y mod P: sum_i v_i u_i for its circle values v_i on
+            the span rows.  The span is saturated, so its columns generate
+            Z^r and its `_bordered_hnf` starts with [e_i | u_i], span . u_i =
+            e_i; coordinate k of the point is column k of the u_i times v."""
+            key = id(y)  # asked only about `layers`, which stay alive
+            if key not in points:
+                span = y.span
+                if id(span) not in columns:
+                    r = span.rows
+                    h = _bordered_hnf(span.data, f)
+                    if any(row[i] != 1 for i, row in enumerate(h[:r])):
+                        raise IdentityCheckError(
+                            f"{arr.describe()}: span {list(span.data)} is not "
+                            "saturated")
+                    columns[id(span)] = list(zip(*[row[r:] for row in h[:r]]))
+                values = y.chi[0]
+                points[key] = [sum(map(mul, col, values)) % period
+                               for col in columns[id(span)]]
+            return points[key]
 
-    poset = LayerPoset(arr, layers, components, leq)
+        def restrict(x, y):
+            """The layer with x's span, in y's component, that contains y:
+            the one whose circle values on the span rows are those of a
+            point of y.  Asked only about x one rank below y, in y's
+            component, with loc(x) in loc(y) (see `LayerPoset`), where that
+            layer exists and covers y, so a miss is a fault."""
+            phi = point(y)
+            values = tuple([sum(map(mul, row, phi)) % period
+                            for row in x.span.data])
+            z = found.get((id(y.component), id(x.span), values))
+            if z is None:
+                raise IdentityCheckError(
+                    f"{arr.describe()}: layer order: no layer of span "
+                    f"{list(x.span.data)} contains {y.key}")
+            return z
+
+    poset = LayerPoset(arr, layers, components, restrict)
     poset.spec = spec
     return poset
 
@@ -275,20 +314,30 @@ class LayerPoset:
 
     layers[i] is a Layer; lattice_components maps each lattice id of the
     arrangement's states to its subsets' sorted component indices; and
-    leq_fn(x, y) says whether x contains y.  It is asked only about pairs
-    of one component, one rank apart, whose localizations nest; the rest
-    of the order (strict_downs) follows from those answers, see the module
-    docstring.  The poset adds the order, Möbius values and the component
-    map.
+    cover_fn(x, y), asked only about a candidate x of y (one rank below y
+    and above rank 0, in y's component, with loc(x) in loc(y)), returns
+    the layer of x's span, in y's component, that contains y: an element
+    of `layers`, and a cover of y.  It is asked once per upper layer and
+    distinct span among its candidates, spans compared by identity, so
+    equal spans should be one object.  The rest of the order
+    (strict_downs) follows from those answers, see the module docstring.
+    The poset adds the order, Möbius values and the component map.
     """
 
-    def __init__(self, arr, layers, lattice_components, leq_fn):
+    def __init__(self, arr, layers, lattice_components, cover_fn):
         self.arr = arr
         self.layers = tuple(layers)
         n = len(self.layers)
         self.lattice_components = dict(lattice_components)
 
         layers = self.layers
+        position: dict = {}  # id of a layer -> its index, filled on first use
+
+        def where(found):
+            if not position:
+                position.update((id(lay), i) for i, lay in enumerate(layers))
+            return position[id(found)]
+
         groups: dict = {}
         for i, lay in enumerate(layers):
             groups.setdefault(lay.component, []).append(i)
@@ -308,19 +357,27 @@ class LayerPoset:
             root = roots[0]
             for i in idxs:
                 component_of[i] = root
-            for r in range(1, max(by_rank) + 1):
+            for j in by_rank.get(1, ()):
+                downs[j] = frozenset((root,))
+                mobius[j] = -1
+            for r in range(2, max(by_rank) + 1):
                 lower = by_rank.get(r - 1, ())
                 # bit k of holding[bit]: the element of mask `bit` lies in
                 # the localization of lower[k].  The layers whose
                 # localization nests in loc(Y) are those in no holding[bit]
-                # with the element outside loc(Y).
+                # with the element outside loc(Y).  same_span[k]: the
+                # layers of lower[k]'s span, which is asked about once.
                 holding: dict = {}
+                by_span: dict = {}
                 for k, i in enumerate(lower):
-                    loc = layers[i].localization
+                    lay = layers[i]
+                    by_span[id(lay.span)] = by_span.get(id(lay.span), 0) | 1 << k
+                    loc = lay.localization
                     while loc:
                         bit = loc & -loc
                         holding[bit] = holding.get(bit, 0) | 1 << k
                         loc ^= bit
+                same_span = [by_span[id(layers[i].span)] for i in lower]
                 everyone = (1 << len(lower)) - 1
                 for j in by_rank.get(r, ()):
                     y = layers[j]
@@ -331,10 +388,12 @@ class LayerPoset:
                     down = {root}
                     while nested:
                         k = nested.bit_length() - 1
-                        nested ^= 1 << k
-                        if leq_fn(layers[lower[k]], y):
-                            down.add(lower[k])
-                            down |= downs[lower[k]]
+                        nested &= ~same_span[k]
+                        x = layers[lower[k]]
+                        z = cover_fn(x, y)
+                        i = lower[k] if z is x else where(z)
+                        down.add(i)
+                        down |= downs[i]
                     downs[j] = frozenset(down)
                     mobius[j] = -sum(mobius[i] for i in down)
         self.strict_downs = tuple(downs)

@@ -3,7 +3,9 @@
 Appending a copy of an element e, or of -e, adds no new intersection of
 kernels, and permuting the elements only relabels them.  So neither changes
 a characteristic polynomial, the toric layers' printed keys or their Möbius
-values.  A direct sum A1 + A2 in gamma1 + gamma2 has Hom(gamma1 + gamma2, G)
+values.  A change of basis of the free part is an automorphism of the
+ambient, so it changes no invariant and leaves the layer posets
+isomorphic, though their printed keys move.  A direct sum A1 + A2 in gamma1 + gamma2 has Hom(gamma1 + gamma2, G)
 = Hom(gamma1, G) x Hom(gamma2, G), so its polynomials are products and its
 layer poset is the product poset.  Each check compares the engine with
 itself on derived inputs, not with the brute-force oracle, so it holds at
@@ -17,6 +19,7 @@ from math import lcm
 
 from gtutte import (Arrangement, FGAbelianGroup, GroupSpec, QuasiPolynomial,
                     g_characteristic, g_tutte)
+from gtutte.lie import enumerate_lie_layers
 from gtutte.toric import enumerate_toric_layers
 
 TARGETS = (GroupSpec.circle(), GroupSpec.real(), GroupSpec.cyclic(4),
@@ -124,4 +127,54 @@ def test_direct_sums_multiply():
         checks += len(TARGETS) + 2 * period + 5
     elapsed = time.perf_counter() - t0
     assert checks >= 40 * (len(TARGETS) + 7)
+    assert elapsed < 6.0, f"{elapsed:.2f}s > 6.0s"
+
+
+def change_of_basis(arr: Arrangement, rng: random.Random) -> Arrangement:
+    """arr under a seeded GL_f(Z) matrix on the free coordinates (three
+    elementary column operations, then a sign), its elements permuted."""
+    f = arr.gamma.free_rank
+    rows = [list(vec) for vec in arr.elements]
+    for _ in range(3 if f > 1 else 0):
+        a, b = rng.sample(range(f), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        for row in rows:
+            row[b] += c * row[a]
+    sign = rng.randrange(f)
+    for row in rows:
+        row[sign] = -row[sign]
+    rng.shuffle(rows)
+    return Arrangement(arr.gamma, rows)
+
+
+def poset_shape(poset) -> tuple:
+    """What an isomorphism keeps: layer count, cover count, Möbius
+    multiset."""
+    return poset.n, len(poset.covers()), sorted(poset.mobius)
+
+
+def symmetric_invariants(arr: Arrangement) -> list:
+    return [g_characteristic(arr, spec) for spec in TARGETS] + [
+        arr.lcm_period(), poset_shape(enumerate_toric_layers(arr)),
+        poset_shape(enumerate_lie_layers(arr, 1, (2,)))]
+
+
+def test_a_change_of_basis_changes_nothing():
+    rng = random.Random(7)
+    checks = 0
+    t0 = time.perf_counter()
+    for _ in range(30):
+        gamma = FGAbelianGroup(rng.randint(1, 3),
+                               rng.choice(((), (2,), (2, 6), (4,))))
+        arr = Arrangement(gamma, [
+            [rng.randint(-3, 3) for _ in range(gamma.ngens)]
+            for _ in range(rng.randint(1, 5))])
+        derived = change_of_basis(arr, rng)
+        expected, found = symmetric_invariants(arr), \
+            symmetric_invariants(derived)
+        for i, (want, got) in enumerate(zip(expected, found)):
+            assert got == want, (arr, derived.elements, i)
+        checks += len(found)
+    elapsed = time.perf_counter() - t0
+    assert checks == 30 * (len(TARGETS) + 3)
     assert elapsed < 6.0, f"{elapsed:.2f}s > 6.0s"

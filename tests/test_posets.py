@@ -117,8 +117,12 @@ def test_order_tests_only_adjacent_ranks_with_nested_localizations(example):
         asked = []
 
         def leq(x, y):
+            # the layer with x's span that lies below y
             asked.append((x, y))
-            return index[id(x)] in reference[index[id(y)]]
+            found = [poset.layers[i] for i in reference[index[id(y)]]
+                     if poset.layers[i].span.data == x.span.data]
+            assert len(found) == 1, (x.key, y.key)
+            return found[0]
 
         rebuilt = posets.LayerPoset(poset.arr, poset.layers,
                                     poset.lattice_components, leq)
@@ -128,6 +132,63 @@ def test_order_tests_only_adjacent_ranks_with_nested_localizations(example):
             assert y.rank == x.rank + 1, (x.key, y.key)
             assert not x.localization & ~y.localization, (x.key, y.key)
             assert x.component == y.component, (x.key, y.key)
+        pairs = [(id(y), x.span.data) for x, y in asked]
+        assert len(set(pairs)) == len(pairs), poset.arr
+
+
+def _order_calls(monkeypatch):
+    """Wrap the fourth argument of every LayerPoset built from now on in a
+    pass-through that records (x, y, answer), as the benchmark's tracer
+    wraps it; the unwrapped functions are kept too."""
+    calls, functions = [], []
+    real = posets.LayerPoset.__init__
+
+    def init(self, arr, layers, lattice_components, cover_fn):
+        functions.append(cover_fn)
+
+        def counted(x, y):
+            found = cover_fn(x, y)
+            calls.append((x, y, found))
+            return found
+
+        real(self, arr, layers, lattice_components, counted)
+
+    monkeypatch.setattr(posets.LayerPoset, "__init__", init)
+    return calls, functions
+
+
+@pytest.mark.parametrize("gamma, vectors, spec, covers_above_rank_1", [
+    # the benchmark's large_period base: 97,477 nested candidates
+    (FGAbelianGroup(3),
+     [[-2, -3, 1], [9, -3, -1], [-7, 3, 9], [-1, -3, 3], [0, 5, 5],
+      [0, -6, 4]], GroupSpec.circle(), 10_550),
+    (FGAbelianGroup(2, (2,)),
+     [[1, 0, 1], [0, 2, 0], [1, 1, 0], [1, -1, 1], [2, 1, 1]],
+     GroupSpec(f_torsion=(2,), circles=1), 166),
+])
+def test_every_order_call_finds_a_cover(gamma, vectors, spec,
+                                        covers_above_rank_1, monkeypatch):
+    calls, _ = _order_calls(monkeypatch)
+    poset = enumerate_layers(Arrangement(gamma, vectors), spec)
+    index = {id(lay): i for i, lay in enumerate(poset.layers)}
+    above = [(i, j) for i, j in poset.covers() if poset.layers[j].rank > 1]
+    assert len(calls) == len(above) == covers_above_rank_1
+    assert sorted((index[id(found)], index[id(y)])
+                  for _, y, found in calls) == above
+
+
+def test_an_order_lookup_miss_names_the_instance(monkeypatch):
+    # [0,1](0) does not nest in [1,1](1/2): a point of the latter takes
+    # the value 1/2 on (0, 1), where no layer of span (0, 1) lies
+    _, functions = _order_calls(monkeypatch)
+    arr = Arrangement(FGAbelianGroup(2), [[2, 2], [1, 0], [0, 1]], name="miss")
+    poset = enumerate_toric_layers(arr)
+    by_key = {lay.key: lay for lay in poset.layers}
+    x, y = by_key["[0,1](0)"], by_key["[1,1](1/2)"]
+    assert x.localization & ~y.localization
+    with pytest.raises(IdentityCheckError,
+                       match=r"^miss: layer order: .*\[\(0, 1\)\]"):
+        functions[0](x, y)
 
 
 def test_two_circles_are_refused(example):
