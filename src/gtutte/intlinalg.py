@@ -17,9 +17,13 @@ lattice fold of `model.LatticeTable`, on plain row tuples.
 `hnf_invariant_factors` reads the invariant factors of a quotient straight
 off the canonical HNF of its relations, by closed forms where the shape
 allows and by the elimination without borders otherwise, so `cokernel`
-tracks no transforms.  Only `smith_normal_form` borders `_smith`.  A
-kernel is read off the canonical HNF of a bordered matrix instead, and
-`saturation` is the kernel of a kernel.  `hom_images` runs no elimination:
+tracks no transforms.  Each unit pivot splits off with its row, and at
+full rank (a finite quotient) with its column too, which leaves a square
+upper-triangular core on the non-unit pivots: cores up to 4x4 are read
+off their determinantal divisors in closed form.  Only
+`smith_normal_form` borders `_smith`.  A kernel is read off the
+canonical HNF of a bordered matrix instead, and `saturation` is the
+kernel of a kernel.  `hom_images` runs no elimination:
 it solves the canonical HNF of the relations by back-substitution, one
 target factor at a time.
 """
@@ -29,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import gcd
+from operator import itemgetter
 
 
 class DimensionMismatch(ValueError):
@@ -277,40 +282,78 @@ def hermite_normal_form(m: IntMatrix) -> IntMatrix:
 
 
 def hnf_invariant_factors(rows: tuple) -> tuple:
-    """Invariant factors > 1 of Z^c / <rows>, for canonical HNF `rows`.
+    """Invariant factors > 1 of Z^n / <rows>, for canonical HNF `rows`.
 
-    A unit pivot is alone in its column (the entries above it lie in
-    [0, 1)), so column operations clear the rest of its row and it splits
-    off a trivial factor: those rows are dropped first.  One row left gives
-    the gcd of its entries.  Two rows, or a full-rank 3x3 (upper
-    triangular) block, give their determinantal divisors D1 = gcd of the
-    entries, D2 = gcd of the 2x2 minors and D3 = the product of the pivots,
-    and the invariant factors D1, D2/D1, D3/D2.  Any other shape is
-    diagonalized by `_smith`, with no border.
+    They are read off the determinantal divisors D1 = gcd of the entries,
+    D2 = gcd of the 2x2 minors, ..., as D1, D2/D1, D3/D2, ...  A unit
+    pivot is alone in its column: the entries above it lie in [0, 1) and
+    those below it are 0.  So column operations clear the rest of its row,
+    and it splits off a trivial factor with its row, which is dropped.
+    At full rank (a finite quotient) every column holds a pivot, so a unit
+    pivot splits off with its column too: cut to the non-unit pivot
+    columns, the rows left keep all their nonzero entries and form a
+    square upper-triangular core, whose diagonal is the non-unit pivots
+    and whose last divisor is their product.
+
+    One row left gives the gcd of its entries (at full rank, its pivot).
+    A core of size 2 to 4 is read off closed forms in its nonzero minors,
+    and two rows below full rank give D1 and D2 from all their minors.
+    Any other shape, a core of size 5 or more or three rows or more below
+    full rank, is diagonalized by `_smith`, with no border.
     """
     kept = []
-    j = 0
+    pivots = []
+    col = 0
     for row in rows:
-        while not row[j]:  # the pivots move right
-            j += 1
-        if row[j] != 1:
+        while not row[col]:  # the pivots move right
+            col += 1
+        if row[col] != 1:
             kept.append(row)
-    rows = kept
-    if len(rows) <= 1:
-        d = gcd(*rows[0]) if rows else 1
+            pivots.append(col)
+    k = len(kept)
+    if k <= 1:
+        d = gcd(*kept[0]) if kept else 1
         return (d,) if d > 1 else ()
-    c = len(rows[0])
-    if len(rows) == 2 or len(rows) == c == 3:
-        d1 = gcd(*(x for row in rows for x in row))
-        d2 = gcd(*(r[i] * s[j] - r[j] * s[i] for r, s in combinations(rows, 2)
-                   for i, j in combinations(range(c), 2)))
-        factors = [d1, d2 // d1]
-        if len(rows) == 3:
-            factors.append(rows[0][0] * rows[1][1] * rows[2][2] // d2)
-        return tuple(d for d in factors if d > 1)
-    A = [list(row) for row in rows]
-    _smith(A, len(A), c)  # the rows are independent: the rank is len(A)
-    return tuple(row[i] for i, row in enumerate(A) if row[i] > 1)
+    n = len(rows[0])
+    if len(rows) < n:
+        if k == 2:
+            r, s = kept
+            d1 = gcd(*r, *s)
+            d2 = gcd(*(r[i] * s[j] - r[j] * s[i]
+                       for i, j in combinations(range(n), 2)))
+            factors = (d1, d2 // d1)
+        else:
+            A = [list(row) for row in kept]
+            _smith(A, k, n)  # the rows are independent: the rank is k
+            factors = [row[i] for i, row in enumerate(A)]
+        return tuple([d for d in factors if d > 1])
+    core = list(map(itemgetter(*pivots), kept))  # full rank: the square core
+    if k == 2:
+        (a, b), (_, d) = core
+        d1 = gcd(a, b, d)
+        factors = (d1, a * d // d1)
+    elif k == 3:
+        (a, b, c), (_, d, e), (_, _, g) = core
+        d1 = gcd(a, b, c, d, e, g)
+        d2 = gcd(a * d, a * e, b * e - c * d, a * g, b * g, d * g)
+        factors = (d1, d2 // d1, a * d * g // d2)
+    elif k == 4:
+        (a, b, c, d), (_, e, f, g), (_, _, h, i), (_, _, _, j) = core
+        fi_gh = f * i - g * h
+        d1 = gcd(a, b, c, d, e, f, g, h, i, j)
+        d2 = gcd(a * e, a * f, a * g, b * f - c * e, b * g - d * e,
+                 c * g - d * f, a * h, a * i, b * h, b * i, c * i - d * h,
+                 a * j, b * j, c * j, e * h, e * i, fi_gh, e * j, f * j,
+                 h * j)
+        d3 = gcd(e * h * j, a * h * j, a * e * j, a * e * h, b * h * j,
+                 a * f * j, a * e * i, j * (b * f - c * e), a * fi_gh,
+                 b * fi_gh - c * e * i + d * e * h)
+        factors = (d1, d2 // d1, d3 // d2, a * e * h * j // d3)
+    else:
+        A = list(map(list, core))
+        _smith(A, k, k)
+        factors = [row[i] for i, row in enumerate(A)]
+    return tuple([d for d in factors if d > 1])
 
 
 def hnf_solve(h: IntMatrix, vector) -> tuple | None:

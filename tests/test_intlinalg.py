@@ -798,3 +798,67 @@ def test_hnf_invariant_factors_matches_smith_forms():
             assert factors == tuple(x for x in nonzero if x > 1), rows
         assert cokernel(m, FGAbelianGroup(c)) == \
             FGAbelianGroup(c - len(rows), factors), rows
+
+
+def _core_size(rows) -> int:
+    """Non-unit pivots of a canonical HNF: the rows left once the unit
+    pivots split off."""
+    return sum(next(x for x in row if x) != 1 for row in rows)
+
+
+def test_square_cores_match_smith_forms():
+    # a full-rank HNF leaves a square upper-triangular core on its non-unit
+    # pivots; cores of size 1 to 4 are read off closed forms and larger
+    # ones go to `_smith`.  The transform-tracking SNF and sympy's Smith
+    # form are the oracles, on every core size 0-5
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    rng = random.Random(31)
+    sizes = set()
+    for trial in range(600):
+        c = trial % 5 + 1
+        share = 0.3 if trial % 2 else 0.0
+        bound = 1000 if trial // 2 % 2 else 6
+        rows = _random_canonical_hnf(rng, c, c, bound, share)
+        m = IntMatrix(c, c, rows)
+        assert hermite_normal_form(m).data == rows  # the input is canonical
+        sizes.add(_core_size(rows))
+        factors = hnf_invariant_factors(rows)
+        tracked = smith_normal_form(m).invariant_factors
+        assert factors == tuple(d for d in tracked if d > 1), rows
+        d = sympy_snf(Matrix(rows), domain=ZZ)
+        assert factors == tuple(x for x in (abs(int(d[i, i]))
+                                            for i in range(c)) if x > 1), rows
+        assert cokernel(m, FGAbelianGroup(c)) == FGAbelianGroup(0, factors)
+    assert sizes == {0, 1, 2, 3, 4, 5}
+
+
+def test_square_cores_up_to_4_run_no_smith_elimination(monkeypatch):
+    # full-rank HNFs of width up to 6 whose non-unit core has at most 4
+    # rows, and the full-rank lattices of a 10-element table over
+    # Z^2 + Z/2 + Z/6, are read off closed forms: no `_smith` call
+    rng = random.Random(37)
+    inputs = []
+    while len(inputs) < 400:
+        c = rng.randint(1, 6)
+        rows = _random_canonical_hnf(rng, c, c, rng.choice((6, 1000)),
+                                     rng.choice((0.0, 0.3, 0.6)))
+        if _core_size(rows) <= 4:
+            inputs.append(rows)
+    assert {_core_size(rows) for rows in inputs} == {0, 1, 2, 3, 4}
+    assert not _smith_calls(monkeypatch, lambda: [
+        hnf_invariant_factors(rows) for rows in inputs])
+
+    gamma = FGAbelianGroup(2, (2, 6))
+    arr = Arrangement(gamma, [
+        [-2, -2, 0, 1], [2, 2, 0, 2], [-2, -2, 1, 0], [0, -1, 1, 3],
+        [1, -2, 0, 4], [-1, 2, 0, 1], [2, 2, 0, 0], [-1, 2, 0, 3],
+        [-2, 0, 1, 2], [1, 0, 1, 5]])
+    arr.lattice_states()
+    table = arr.lattice_table()
+    full = [lat for lat, lattice in enumerate(table.lattices)
+            if lattice.rows == gamma.ngens]
+    sizes = [_core_size(table.lattices[lat].data) for lat in full]
+    assert (sizes.count(3), sizes.count(4)) == (44, 6)
+    assert not _smith_calls(monkeypatch, lambda: [
+        table.quotient(lat) for lat in full])

@@ -264,3 +264,23 @@ def test_duplicate_element_invariance():
         qa, qb = chromatic_quasi(arr), chromatic_quasi(dup)
         assert qa.period == qb.period
         assert qa.constituents == qb.constituents
+
+
+def test_tutte_coefficients_are_nonnegative_over_the_circle_and_the_line():
+    # D'Adderio and Moci (Adv. Math. 2013): the arithmetic Tutte polynomial
+    # (the circle target) of a list in a finitely generated abelian group
+    # has nonnegative coefficients; over R this is Tutte positivity.  Only
+    # these two proved targets are pinned
+    rng = random.Random(17)
+    chains = ((), (), (2,), (3,), (6,), (2, 4))
+    t0 = time.perf_counter()
+    for _ in range(200):
+        gamma = FGAbelianGroup(rng.randint(1, 4), rng.choice(chains))
+        arr = Arrangement(gamma, [
+            [rng.randint(-3, 3) for _ in range(gamma.ngens)]
+            for _ in range(rng.randint(0, 16))])
+        for spec in (GroupSpec.circle(), GroupSpec.real()):
+            negative = [t for t in g_tutte(arr, spec).triples() if t[2] < 0]
+            assert not negative, (arr, spec, negative)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 6.0, f"{elapsed:.2f}s > 6.0s"
