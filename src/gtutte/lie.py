@@ -3,7 +3,8 @@ and their identities.
 
 The layers come from the engine in posets.py with no circle: a layer is
 its saturated span and one homomorphism of the whole ambient group into F.
-`posets.layer_sum` checks the Möbius-weighted dimension sums over the
+`posets.layer_sum` checks the Möbius-weighted dimension sums (Möbius
+values from the engine's signed pass over the lattice states) over the
 partial and whole posets against the target's characteristic polynomial,
 of the arrangement and of its torsion-stripped part, evaluated at
 #F * t^g; with F = Z/k the partial sum recovers the k-th constituent,

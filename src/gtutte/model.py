@@ -230,6 +230,7 @@ class Arrangement:
         self._lattice_table: LatticeTable | None = None
         self._lattice_states: dict | None = None
         self._histogram: dict[SubsetClass, int] | None = None
+        self._without_torsion: Arrangement | None = None
 
     @property
     def n(self) -> int:
@@ -335,15 +336,14 @@ class Arrangement:
 
     def without_torsion(self) -> "Arrangement":
         """The arrangement with all torsion elements dropped; itself when it
-        has none.  The copy shares the lattice table, which depends only on
-        the ambient group."""
+        has none.  The copy is made once, and it shares the lattice table,
+        which depends only on the ambient group."""
         tmask = self.torsion_mask()
-        if not tmask:
-            return self
-        kept = [v for i, v in enumerate(self.elements) if not tmask >> i & 1]
-        stripped = Arrangement(self.gamma, kept, name=self.name)
-        stripped._lattice_table = self.lattice_table()
-        return stripped
+        if tmask and self._without_torsion is None:
+            kept = [v for i, v in enumerate(self.elements) if not tmask >> i & 1]
+            self._without_torsion = Arrangement(self.gamma, kept, name=self.name)
+            self._without_torsion._lattice_table = self.lattice_table()
+        return self._without_torsion if tmask else self
 
     def __repr__(self):
         return _unnamed(self.gamma, list(self.elements))

@@ -4,11 +4,12 @@ Everything here is deliberately naive: full enumerations of homomorphism
 groups, complement counting that examines every hom (the coordinates
 split into a head and a tail, each element's tail homs read as bitmasks
 out of a residue table: no subset sum, no lattice), the plain sum over
-all 2^n element subsets, the textbook Möbius recursion, pairwise
-containment tests between layers and per-subset layer components.  The
-only code shared with the symbolic path is the Arrangement data type and
-the exact integer linear algebra, so agreement between the two sides is
-meaningful differential evidence.
+all 2^n element subsets, the textbook Möbius recursion (on any leq
+matrix, and on a layer poset's cover pairs), pairwise containment tests
+between layers and per-subset layer components.  The only code shared
+with the symbolic path is the Arrangement data type and the exact integer
+linear algebra, so agreement between the two sides is meaningful
+differential evidence.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from operator import mul
 from . import model
 from .intlinalg import (FGAbelianGroup, IntMatrix, hnf_solve, hom_enumerate,
                         saturation)
-from .invariants import (beta_coefficients, chromatic_quasi, g_characteristic)
+from .invariants import (IdentityCheckError, beta_coefficients,
+                         chromatic_quasi, g_characteristic)
 from .lie import enumerate_lie_layers, key_lie_sums
 from .model import Arrangement, CapExceeded, GroupSpec
 from .poly import BiPoly, UniPoly, scale_variable
@@ -141,7 +143,7 @@ def brute_mobius(leq) -> list:
 
 
 def reference_strict_downs(poset) -> tuple:
-    """strict_downs of a layer poset rebuilt by pairwise containment tests,
+    """The strict down-sets of a layer poset by pairwise containment tests,
     without localization masks, ranks or component grouping.
 
     X contains Y when every span row of X solves over the span of Y, Y's
@@ -171,8 +173,8 @@ def reference_strict_downs(poset) -> tuple:
     agreeing = {}
     for i, layer in enumerate(layers):
         agreeing.setdefault(key(layer), []).append(i)
-    return tuple(frozenset(i for i in agreeing[key(small)]
-                           if i != j and contains(layers[i], small))
+    return tuple({i for i in agreeing[key(small)]
+                  if i != j and contains(layers[i], small)}
                  for j, small in enumerate(layers))
 
 
@@ -220,14 +222,51 @@ def reference_subset_components(poset) -> tuple:
 
 
 def poset_leq_matrix(poset) -> list:
-    """Reflexive leq matrix of a layer poset, for the brute recursion."""
+    """Reflexive leq matrix of a layer poset, for the brute recursion, from
+    the pairwise containment tests of `reference_strict_downs`."""
     n = poset.n
     leq = [[False] * n for _ in range(n)]
-    for j in range(n):
+    for j, downs in enumerate(reference_strict_downs(poset)):
         leq[j][j] = True
-        for i in poset.strict_downs[j]:
+        for i in downs:
             leq[i][j] = True
     return leq
+
+
+def downs_from_covers(poset) -> tuple:
+    """The strict down-sets of a layer poset: the transitive closure of its
+    cover pairs, taken upward by the rank of the upper layer."""
+    downs = [set() for _ in range(poset.n)]
+    for i, j in sorted(poset.covers(), key=lambda p: poset.layers[p[1]].rank):
+        downs[j] |= downs[i] | {i}
+    return tuple(downs)
+
+
+def recursion_mobius(poset) -> list:
+    """mu(component(C), C) of every layer by the textbook recursion on the
+    down-sets of `downs_from_covers`."""
+    downs, mu = downs_from_covers(poset), [1] * poset.n
+    for j in sorted(range(poset.n), key=lambda i: poset.layers[i].rank):
+        if downs[j]:
+            mu[j] = -sum(mu[i] for i in downs[j])
+    return mu
+
+
+def mobius_all(poset):
+    """Check the stored Möbius values against the recursion, and their
+    strict sign alternation.  Returns the poset for chaining."""
+    if recursion_mobius(poset) != list(poset.mobius):
+        raise IdentityCheckError(
+            f"{poset.arr.describe()}: stored Möbius values are stale")
+    poset._check_sign_alternation()
+    return poset
+
+
+def _mobius_faults(poset, mu) -> list:
+    """Layers whose recursion value in `mu` has the wrong sign or is not
+    the stored Möbius value."""
+    return [i for i, lay in enumerate(poset.layers)
+            if (-1) ** lay.rank * mu[i] <= 0 or mu[i] != poset.mobius[i]]
 
 
 @dataclass
@@ -343,27 +382,6 @@ def run_identity_suite(arr: Arrangement, label: str, qmax: int = 12,
     return entries
 
 
-def _order_dim_table(poset) -> list:
-    """Collapse a toric poset to ((char order, dim, partial flag), mu sum)
-    rows; enough to assemble every k-torsion characteristic polynomial."""
-    table: dict = {}
-    for i, lay in enumerate(poset.layers):
-        key = (lay.order, lay.dim, lay.in_partial)
-        table[key] = table.get(key, 0) + poset.mobius[i]
-    return sorted(table.items())
-
-
-def _table_poly(table, k, partial_only):
-    coeffs: dict = {}
-    for (order, dim, partial), mu in table:
-        if k % order == 0 and (partial or not partial_only):
-            coeffs[dim] = coeffs.get(dim, 0) + mu
-    out = [0] * (max(coeffs) + 1 if coeffs else 0)
-    for d, c in coeffs.items():
-        out[d] = c
-    return UniPoly(out)
-
-
 def _run_identity_suite(arr, label, qmax, entries):
     qp = chromatic_quasi(arr)
     period = qp.period
@@ -375,12 +393,19 @@ def _run_identity_suite(arr, label, qmax, entries):
 
     toric_poset = enumerate_toric_layers(arr)
 
-    # every constituent against the k-torsion partial subposet
-    table = _order_dim_table(toric_poset)
+    # every constituent against the k-torsion partial subposet, summed from
+    # the Möbius values of the partial layers by (character order, dim)
+    table: dict = {}
+    for lay, mu in zip(toric_poset.layers, toric_poset.mobius):
+        if lay.in_partial:
+            table[lay.order, lay.dim] = table.get((lay.order, lay.dim), 0) + mu
     for k in range(1, period + 1):
-        computed = _table_poly(table, k, partial_only=True)
+        coeffs = [0] * (arr.gamma.free_rank + 1)
+        for (order, dim), mu in table.items():
+            if k % order == 0:
+                coeffs[dim] += mu
         _check(entries, label, "constituent_vs_k_partial", f"k={k}",
-               qp.constituent(k).coeffs, computed.coeffs)
+               qp.constituent(k).coeffs, UniPoly(coeffs).coeffs)
 
     # per-subset component counts in the k-torsion subposet, all k <= 2*period;
     # the comparison depends on a mask only through its component orders and
@@ -405,7 +430,8 @@ def _run_identity_suite(arr, label, qmax, entries):
         _check(entries, label, "k_component_count",
                f"S={mask:b},k<={2 * period}", [], bad)
 
-    # rescaling identity and per-layer alternating sums on line-target posets
+    # rescaling identity and per-layer alternating sums on line-target
+    # posets; every Möbius value against the recursion on the covers' order
     for fs in ((), (2,), (3,)):
         spec = GroupSpec(f_torsion=fs, reals=1)
         lie_poset = enumerate_lie_layers(arr, 1, fs)
@@ -414,15 +440,16 @@ def _run_identity_suite(arr, label, qmax, entries):
                                   spec.f_order, 1)
         _check(entries, label, "partial_vs_rescaled", f"F={fs}",
                expected.coeffs, computed.coeffs)
-        bad = [row for row in key_lie_sums(lie_poset) if not row["ok"]]
+        mu = recursion_mobius(lie_poset)
+        bad = [row for row, lay, m in zip(key_lie_sums(lie_poset),
+                                          lie_poset.layers, mu)
+               if row["sum"] != (m if lay.in_partial else 0)]
         _check(entries, label, "alternating_subset_sums", f"F={fs}", [], bad)
-        bad_sign = [i for i, lay in enumerate(lie_poset.layers)
-                    if (-1) ** lay.rank * lie_poset.mobius[i] <= 0]
-        _check(entries, label, "mobius_sign", f"F={fs}", [], bad_sign)
+        _check(entries, label, "mobius_sign", f"F={fs}", [],
+               _mobius_faults(lie_poset, mu))
 
-    bad_sign = [i for i, lay in enumerate(toric_poset.layers)
-                if (-1) ** lay.rank * toric_poset.mobius[i] <= 0]
-    _check(entries, label, "mobius_sign", "toric", [], bad_sign)
+    _check(entries, label, "mobius_sign", "toric", [],
+           _mobius_faults(toric_poset, recursion_mobius(toric_poset)))
 
     # coefficientwise monotonicity along divisibility
     for a, b in ((1, 2), (2, 4), (1, 3), (3, 6)):

@@ -23,38 +23,38 @@ the reduced fraction v/P of each circle value.
 
 Two caps are counted on each lattice as it is found, before any hom is
 enumerated: `MAX_COMPONENTS` on the components, and with them the layers,
-and `MAX_ORDER_PAIRS` on the components weighted by 2^rank.  A layer of
-rank r lies over at least 2^r layers, itself included (the subsets of r
-independent elements of its localization span distinct layers), so the
-weight grows with the order where the count does not: the unit vectors of
-Z^n have 2^n components and 3^n order pairs, and weight 3^n.
+and `MAX_ORDER_PAIRS` on the components weighted by 2^rank, which bounds
+the cover lookups and the printed covers.  A rank-r layer lies over at
+least 2^r layers, itself included (the subsets of r independent elements
+of its localization give distinct layers), so the weight grows with the
+order: the unit vectors of Z^n have 2^n components and weight 3^n, the
+number of their order pairs.
 
-The order is reverse inclusion.  X contains Y exactly when loc(X) lies in
-loc(Y), so that span(X) lies in span(Y), and Y's character restricted to
-span(X) is X's: a point of Y, one per layer, takes X's circle values on
-the rows of span(X).  Each layer lies over a unique minimal element, the
-rank-0 root of its component (the connected component of the total group
-containing it), which lies below every layer of that component unasked.
-The covers of Y above rank 0 are found by lookup, not by test.  Bitsets
-over the layers one rank below, one per element, give the candidates: the
-layers X of Y's component whose localization nests in loc(Y).  Every
-element of loc(X) vanishes on Y, so Y lies in one component of the
-intersection of their kernels; that component is the layer of span(X) in
-Y's component that contains Y, and it covers Y.  Layers of one span and
-one component are disjoint, so Y has exactly one cover per distinct span
-among its candidates, and the lookup runs once per such span: without a
-circle it is the candidate itself, since a span then carries one layer per
-component; with a circle it restricts a point of Y to the rows of the span
-and reads an index on (component, span, circle values on the span rows),
-built once per run.  A miss breaks that argument and raises
-IdentityCheckError.  downs(Y) is the root together with each cover Z and
-downs(Z).
-Nothing is missed: if X < Y with ranks at least 2 apart, joining loc(X)
-with one element of loc(Y) outside span(X) gives an intersection whose
-component containing Y is a layer Z of rank(X) + 1 with X < Z < Y, so X
-lies in downs(Z) by induction.  The interval used everywhere is
-[component, layer], so a single bottom-up sweep computes every Möbius
-value mu(component(C), C).
+The order is reverse inclusion: X contains Y exactly when loc(X) lies in
+loc(Y) and a point of Y, one per layer, takes X's circle values on the
+rows of span(X).  Each layer lies over the rank-0 root of its component
+(the connected component of the total group containing it), which every
+rank-1 layer of the component covers.  Above rank 1 the covers are found
+by lookup.  Bitsets over the layers one rank below, one per element, give
+the candidates: the layers X of Y's component whose localization nests in
+loc(Y).  The component of the intersection of loc(X)'s kernels that holds
+Y is the layer of span(X) in Y's component containing Y, and it covers Y.
+Layers of one span and one component are disjoint, so Y has exactly one
+cover per distinct candidate span, and the lookup runs once per such span:
+without a circle it is the candidate itself (a span then carries one layer
+per component); with one it restricts a point of Y to the span's rows and
+reads an index on (component, span, those circle values), built once per
+run.  A miss raises IdentityCheckError.  These covers generate the order:
+if X < Y with ranks at least 2 apart, joining loc(X) with one element of
+loc(Y) outside span(X) gives a layer Z of rank(X) + 1 with X < Z < Y.
+
+The Möbius value mu(C, X), C the root of X's component, is a signed
+subset count (the cross-cut formula): a torsion element vanishes on all
+of C or nowhere on it, and [C, X] is the lattice of flats of the other
+elements of loc(X), so mu(C, X) sums (-1)^#S over the sets S of
+non-torsion elements with X a component of their intersection.  That is
+one pass over the lattice states of the torsion-stripped arrangement.
+The oracle checks it by the textbook recursion on the order.
 """
 
 from __future__ import annotations
@@ -319,9 +319,8 @@ class LayerPoset:
     the layer of x's span, in y's component, that contains y: an element
     of `layers`, and a cover of y.  It is asked once per upper layer and
     distinct span among its candidates, spans compared by identity, so
-    equal spans should be one object.  The rest of the order
-    (strict_downs) follows from those answers, see the module docstring.
-    The poset adds the order, Möbius values and the component map.
+    equal spans should be one object.  Its answers and the roots below
+    the rank-1 layers are `cover_pairs`; see the module docstring.
     """
 
     def __init__(self, arr, layers, lattice_components, cover_fn):
@@ -331,20 +330,13 @@ class LayerPoset:
         self.lattice_components = dict(lattice_components)
 
         layers = self.layers
-        position: dict = {}  # id of a layer -> its index, filled on first use
-
-        def where(found):
-            if not position:
-                position.update((id(lay), i) for i, lay in enumerate(layers))
-            return position[id(found)]
-
+        position = {id(lay): i for i, lay in enumerate(layers)}
         groups: dict = {}
         for i, lay in enumerate(layers):
             groups.setdefault(lay.component, []).append(i)
 
-        downs = [frozenset()] * n
+        pairs = []
         component_of = [None] * n
-        mobius = [1] * n  # mu(component(C), C), set bottom-up
         for idxs in groups.values():
             by_rank: dict = {}
             for i in idxs:
@@ -357,9 +349,7 @@ class LayerPoset:
             root = roots[0]
             for i in idxs:
                 component_of[i] = root
-            for j in by_rank.get(1, ()):
-                downs[j] = frozenset((root,))
-                mobius[j] = -1
+            pairs += [(root, j) for j in by_rank.get(1, ())]
             for r in range(2, max(by_rank) + 1):
                 lower = by_rank.get(r - 1, ())
                 # bit k of holding[bit]: the element of mask `bit` lies in
@@ -385,21 +375,16 @@ class LayerPoset:
                     for bit, held in holding.items():
                         if not y.localization & bit:
                             nested &= ~held
-                    down = {root}
                     while nested:
                         k = nested.bit_length() - 1
                         nested &= ~same_span[k]
-                        x = layers[lower[k]]
-                        z = cover_fn(x, y)
-                        i = lower[k] if z is x else where(z)
-                        down.add(i)
-                        down |= downs[i]
-                    downs[j] = frozenset(down)
-                    mobius[j] = -sum(mobius[i] for i in down)
-        self.strict_downs = tuple(downs)
+                        z = cover_fn(layers[lower[k]], y)
+                        pairs.append((position[id(z)], j))
+        pairs.sort()
+        self.cover_pairs = tuple(pairs)
         self.component_of = tuple(component_of)
-        self.minimal = tuple(sorted(i for i in range(n) if not downs[i]))
-        self.mobius = tuple(mobius)
+        self.minimal = tuple(i for i in range(n) if not layers[i].rank)
+        self.mobius = tuple(self._signed_sums(arr.without_torsion()))
         self._check_sign_alternation()
 
     @cached_property
@@ -408,6 +393,15 @@ class LayerPoset:
         read from each mask's lattice."""
         return {mask: self.lattice_components[self.arr.subset_lattice(mask)]
                 for mask in self.arr.masks()}
+
+    def _signed_sums(self, arr) -> list:
+        """Per layer: sum of (-1)^#S over the subsets S of `arr`, which shares
+        this poset's lattice table, that it is a component of."""
+        totals = [0] * self.n
+        for (lat, size), count in arr.lattice_states().items():
+            for i in self.lattice_components[lat]:
+                totals[i] += -count if size & 1 else count
+        return totals
 
     def _check_sign_alternation(self):
         for i, lay in enumerate(self.layers):
@@ -434,30 +428,21 @@ class LayerPoset:
         return UniPoly(coeffs)
 
     def covers(self, indices=None) -> list:
-        """Induced Hasse cover pairs (lower, upper) within the selection."""
+        """Sorted Hasse cover pairs (lower, upper) within the selection:
+        the cover pairs with both ends selected.  Exact on a convex
+        selection, which holds every layer between two of its own, as every
+        selection of `layer_sum` does: all layers, the k-torsion subposet
+        (downward closed), the partial one (upward closed), or both."""
         if indices is None:
-            indices = self.all_indices()
+            return list(self.cover_pairs)
         selected = set(indices)
-        layers = self.layers
-        pairs = []
-        for j in sorted(selected):
-            # below j, highest rank first: an element is maximal exactly when
-            # no maximal element met before it lies above it
-            shadowed: set = set()
-            for i in sorted(self.strict_downs[j] & selected,
-                            key=lambda i: -layers[i].rank):
-                if i not in shadowed:
-                    pairs.append((i, j))
-                    shadowed |= self.strict_downs[i]
-        return sorted(pairs)
+        return [(i, j) for i, j in self.cover_pairs
+                if i in selected and j in selected]
 
     def alternating_subset_sums(self) -> list:
         """Per layer: sum over the defining subsets S of (-1)^#S, with the
         Möbius value (inside the partial poset) or 0 (outside) it must equal."""
-        totals = [0] * self.n
-        for (lat, size), count in self.arr.lattice_states().items():
-            for i in self.lattice_components[lat]:
-                totals[i] += (-1) ** size * count
+        totals = self._signed_sums(self.arr)
         out = []
         for i, lay in enumerate(self.layers):
             want = self.mobius[i] if lay.in_partial else 0
@@ -472,12 +457,12 @@ def partial_subposet(poset: LayerPoset) -> tuple:
     Checked: the selection is upward closed, and the number of its minimal
     elements matches the direct count of surviving components.
     """
-    chosen = tuple(i for i, lay in enumerate(poset.layers) if lay.in_partial)
-    inside = set(chosen)
-    for j in range(poset.n):
-        if j not in inside and poset.strict_downs[j] & inside:
-            raise IdentityCheckError(
-                f"{poset.arr.describe()}: partial subposet is not upward closed")
+    layers = poset.layers
+    chosen = tuple(i for i, lay in enumerate(layers) if lay.in_partial)
+    if any(layers[i].in_partial and not layers[j].in_partial
+           for i, j in poset.cover_pairs):
+        raise IdentityCheckError(
+            f"{poset.arr.describe()}: partial subposet is not upward closed")
     minimal_count = sum(1 for i in chosen if poset.layers[i].rank == 0)
     expected = _surviving_component_count(poset.arr, poset.spec)
     if minimal_count != expected:
@@ -490,15 +475,17 @@ def partial_subposet(poset: LayerPoset) -> tuple:
 def k_total_subposet(poset: LayerPoset, k: int) -> tuple:
     """Layers containing a k-torsion point: character order divides k.
 
-    The result is an order ideal (downward closed), which is checked.
+    The result is an order ideal (downward closed), checked on the covers.
     """
     if k < 1:
         raise ValueError("k must be positive (nonpositive k is undefined here)")
-    chosen = tuple(i for i, lay in enumerate(poset.layers) if k % lay.order == 0)
-    inside = set(chosen)
-    for j in chosen:
-        if not poset.strict_downs[j] <= inside:
-            raise IdentityCheckError(f"k-torsion subposet not downward closed at {j}")
+    layers = poset.layers
+    chosen = tuple(i for i, lay in enumerate(layers) if k % lay.order == 0)
+    for i, j in poset.cover_pairs:
+        if k % layers[j].order == 0 and k % layers[i].order:
+            raise IdentityCheckError(
+                f"{poset.arr.describe()}: k-torsion subposet at k={k} is not "
+                f"downward closed at layer {j}")
     return chosen
 
 
@@ -554,32 +541,15 @@ def _surviving_component_count(arr: Arrangement, spec: GroupSpec) -> int:
     return count * spec.f_order ** f
 
 
-def mobius_all(poset: LayerPoset) -> LayerPoset:
-    """Recompute every Möbius value from the interval recursion and verify
-    the stored values and the strict sign alternation.  Idempotent; returns
-    the poset for chaining."""
-    fresh = [0] * poset.n
-    for j in sorted(range(poset.n), key=lambda i: poset.layers[i].rank):
-        if not poset.strict_downs[j]:
-            fresh[j] = 1
-        else:
-            fresh[j] = -sum(fresh[i] for i in poset.strict_downs[j])
-    if tuple(fresh) != poset.mobius:
-        raise IdentityCheckError(
-            f"{poset.arr.describe()}: stored Möbius values are stale")
-    poset._check_sign_alternation()
-    return poset
-
-
 def component_shapes(poset: LayerPoset, indices=None, pairs=None) -> list:
     """Group components by the shape of their induced subposet.
 
     The shape signature is (layer count, sorted rank multiset, sorted dim
     multiset, cover count): coarse, but it separates the small diagrams that
     occur at desk scale (chains, diamonds, ...).  The cover pairs are those
-    induced on the whole selection, if already known: no pair crosses two
-    components, since strict_downs stays inside one.  Returns (shape, count)
-    pairs with a deterministic order.
+    induced on the whole selection, if already known: no cover pair
+    crosses two components.  Returns (shape, count) pairs with a
+    deterministic order.
     """
     if indices is None:
         indices = poset.all_indices()

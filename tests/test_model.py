@@ -210,6 +210,12 @@ def test_without_torsion_of_free_arrangement_is_itself(example):
     assert example.without_torsion() is example
 
 
+def test_without_torsion_is_made_once(mixed_torsion):
+    stripped = mixed_torsion.without_torsion()
+    assert mixed_torsion.without_torsion() is stripped
+    assert stripped.lattice_table() is mixed_torsion.lattice_table()
+
+
 def test_without_torsion_shares_the_lattice_table(mixed_torsion):
     for arr in [mixed_torsion] + list(battery_instances(0, 40)):
         stripped = arr.without_torsion()

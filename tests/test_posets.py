@@ -7,15 +7,18 @@ from test_cli import run
 from test_oracle import _layer_posets
 from test_root_systems import type_a
 
-from gtutte import Arrangement, FGAbelianGroup, GroupSpec, model, posets
+from gtutte import (Arrangement, FGAbelianGroup, GroupSpec, model, oracle,
+                    posets)
 from gtutte.invariants import HypothesisError, IdentityCheckError
 from gtutte.lie import enumerate_lie_layers
 from gtutte.model import multiplicity
-from gtutte.oracle import (battery_instances, brute_mobius, poset_leq_matrix,
-                           reference_strict_downs, reference_subset_components)
+from gtutte.oracle import (battery_instances, brute_mobius, downs_from_covers,
+                           mobius_all, poset_leq_matrix, recursion_mobius,
+                           reference_strict_downs, reference_subset_components,
+                           run_identity_suite)
 from gtutte.poly import UniPoly
-from gtutte.posets import (checked_sum, enumerate_layers, layer_sum,
-                           mobius_all, partial_subposet)
+from gtutte.posets import (checked_sum, enumerate_layers, k_total_subposet,
+                           layer_sum, partial_subposet)
 from gtutte.toric import enumerate_toric_layers
 
 MIXED = (GroupSpec(f_torsion=(2,), circles=1),
@@ -52,7 +55,8 @@ def test_mixed_targets_match_identities_and_oracle():
         mu = brute_mobius(poset_leq_matrix(poset))
         assert [mu[poset.component_of[i]][i] for i in range(poset.n)] == \
             list(poset.mobius), (arr, spec)
-        assert poset.strict_downs == reference_strict_downs(poset), (arr, spec)
+        assert downs_from_covers(poset) == reference_strict_downs(poset), \
+            (arr, spec)
         components, localizations = reference_subset_components(poset)
         assert poset.subset_components == components, (arr, spec)
         assert tuple(lay.localization for lay in poset.layers) == \
@@ -78,26 +82,32 @@ def test_layer_sum_refuses_k_off_the_circle(example):
             layer_sum(poset, 2)
 
 
-def _pairwise_covers(poset, indices):
+def _pairwise_covers(downs, indices):
     """Cover pairs by the definition: i below j in the selection, with no
     selected layer in between."""
     selected = set(indices)
     pairs = []
     for j in selected:
-        below = poset.strict_downs[j] & selected
+        below = downs[j] & selected
         pairs += [(i, j) for i in below
-                  if not any(i in poset.strict_downs[m] for m in below)]
+                  if not any(i in downs[m] for m in below)]
     return sorted(pairs)
 
 
 def test_covers_match_the_definition_on_any_selection():
-    # random selections are not convex, so a cover may skip ranks there
-    rng = random.Random(5)
+    # the selections layer_sum makes: all layers, the partial subposet, and
+    # the k-torsion subposet for every k dividing the lcm of the layer
+    # orders, each also cut to partial
     for arr, poset in _mixed_posets():
-        selections = [poset.all_indices(), partial_subposet(poset)] + [
-            [i for i in range(poset.n) if rng.random() < 0.5] for _ in range(3)]
+        downs = reference_strict_downs(poset)
+        partial = set(partial_subposet(poset))
+        period = lcm(*(lay.order for lay in poset.layers))
+        selections = [poset.all_indices()] + [
+            k_total_subposet(poset, k)
+            for k in range(1, period + 1) if period % k == 0]
+        selections += [[i for i in sel if i in partial] for sel in selections]
         for sel in selections:
-            assert poset.covers(sel) == _pairwise_covers(poset, sel), \
+            assert poset.covers(sel) == _pairwise_covers(downs, sel), \
                 (arr, poset.spec, sel)
 
 
@@ -126,7 +136,7 @@ def test_order_tests_only_adjacent_ranks_with_nested_localizations(example):
 
         rebuilt = posets.LayerPoset(poset.arr, poset.layers,
                                     poset.lattice_components, leq)
-        assert rebuilt.strict_downs == reference, poset.arr
+        assert downs_from_covers(rebuilt) == reference, poset.arr
         assert asked, poset.arr
         for x, y in asked:
             assert y.rank == x.rank + 1, (x.key, y.key)
@@ -201,10 +211,39 @@ def test_identity_errors_name_the_instance(example, monkeypatch):
     poset.mobius = (0,) + poset.mobius[1:]
     with pytest.raises(IdentityCheckError, match="^example: stored Möbius"):
         mobius_all(poset)
+    # a root outside the 1-torsion subposet, below layers inside it
+    poset = enumerate_toric_layers(example)
+    root = poset.minimal[0]
+    poset.layers = tuple(lay._replace(order=5) if i == root else lay
+                         for i, lay in enumerate(poset.layers))
+    with pytest.raises(IdentityCheckError, match="^example: k-torsion "
+                       "subposet at k=1 is not downward closed"):
+        k_total_subposet(poset, 1)
     monkeypatch.setattr(posets, "g_characteristic",
                         lambda arr, spec: UniPoly([7]))
     with pytest.raises(IdentityCheckError, match="^example: total polynomial"):
         layer_sum(enumerate_toric_layers(example))
+
+
+def test_a_dropped_cover_fails_the_recursion_not_the_fold(example,
+                                                         monkeypatch):
+    # the fold's Möbius values and their signs do not read the covers; the
+    # oracle's recursion on the order they generate does
+    poset = enumerate_toric_layers(example)
+    drop = max(pair for pair in poset.cover_pairs
+               if poset.layers[pair[1]].rank > 1)
+    poset.cover_pairs = tuple(p for p in poset.cover_pairs if p != drop)
+    poset._check_sign_alternation()
+    mu = brute_mobius(poset_leq_matrix(poset))
+    assert list(poset.mobius) == [mu[poset.component_of[i]][i]
+                                  for i in range(poset.n)]
+    assert recursion_mobius(poset) != list(poset.mobius)
+    with pytest.raises(IdentityCheckError, match="^example: stored Möbius"):
+        mobius_all(poset)
+    monkeypatch.setattr(oracle, "enumerate_toric_layers", lambda arr: poset)
+    failed = [(e.check, e.param) for e in run_identity_suite(example, "example")
+              if not e.passed]
+    assert failed == [("mobius_sign", "toric")]
 
 
 def _reference_key_and_order(poset, lay):
@@ -296,7 +335,7 @@ def test_spans_and_characters_off_the_quotient_match_the_per_mask_reference():
         table = arr.lattice_table()
         seen |= {(bool(torsion), _quotient_case(table.quotient(lat)))
                  for lat in poset.lattice_components}
-        assert poset.strict_downs == reference_strict_downs(poset), arr
+        assert downs_from_covers(poset) == reference_strict_downs(poset), arr
         components, localizations = reference_subset_components(poset)
         assert poset.subset_components == components, arr
         assert tuple(lay.localization for lay in poset.layers) == \

@@ -6,7 +6,8 @@ from gtutte import Arrangement, FGAbelianGroup, GroupSpec, chromatic_quasi, pose
 from gtutte.invariants import IdentityCheckError
 from gtutte.lie import enumerate_lie_layers
 from gtutte.model import CapExceeded, multiplicity
-from gtutte.oracle import brute_mobius, poset_leq_matrix
+from gtutte.oracle import (brute_mobius, downs_from_covers, mobius_all,
+                           poset_leq_matrix)
 from gtutte.poly import UniPoly
 from gtutte.posets import export_hasse, hasse_records, layer_sum
 from gtutte.toric import (enumerate_toric_layers, k_partial_characteristic,
@@ -198,7 +199,7 @@ def test_order_cap_counts_each_component_by_two_to_its_rank(monkeypatch):
         enumerate_toric_layers(arr)
     monkeypatch.setattr(posets, "MAX_ORDER_PAIRS", 9)
     poset = enumerate_toric_layers(arr)
-    assert sum(len(downs) + 1 for downs in poset.strict_downs) == 9
+    assert sum(len(downs) + 1 for downs in downs_from_covers(poset)) == 9
 
 
 def test_order_cap_refuses_high_rank_before_any_hom(monkeypatch):
@@ -274,7 +275,6 @@ def test_poset_side_beta_monotonicity(example, example_poset):
 
 
 def test_mobius_all_recompute(example_poset):
-    from gtutte.posets import mobius_all
     assert mobius_all(example_poset) is example_poset
 
 
