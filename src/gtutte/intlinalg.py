@@ -1,38 +1,35 @@
 """Exact integer linear algebra over finitely generated abelian groups.
 
 Everything works with arbitrary-precision Python integers; there is no
-floating point and no overflow anywhere.  Two normal forms do all the work:
+floating point and no overflow anywhere.  One routine combines rows:
+`hnf_insert` reduces a vector into a canonical row-style Hermite normal
+form (positive pivots, entries above each pivot in [0, pivot)), the
+canonical key for sublattices, and every other form is a fold of it.
+`hermite_normal_form` folds a matrix's rows; a matrix built by
+`IntMatrix._from_hnf` is canonical by construction, never re-scanned.  A
+kernel is read off the canonical HNF of a bordered matrix, and
+`saturation` is the kernel of a kernel.  Smith forms alternate row and
+column HNFs (Kannan and Bachem): `_monomial` until one nonzero entry is
+left in each row and column, and `smith_normal_form` with identity
+borders that record U and V.  `invariant_chain` turns a list of cyclic
+orders into the divisibility chain.
 
-* Row-style Hermite normal form (positive pivots, entries above each pivot
-  reduced into [0, pivot)), whose uniqueness makes it the canonical key for
-  sublattices.  `hnf_insert` reduces one vector into a canonical HNF, and
-  `hermite_normal_form` is a fold of it.  Canonicity is known from how a
-  matrix was built (`IntMatrix._from_hnf`), never re-scanned.
-* Smith normal form, by one elimination (`_smith`) on a list of rows.
-  `smith_normal_form` borders the block with identity rows and columns,
-  which the same operations turn into U and V.
-
-Matrices are tiny (a handful of rows/columns), and the hot path is the
-lattice fold of `model.LatticeTable`, on plain row tuples.
-`hnf_invariant_factors` reads the invariant factors of a quotient straight
-off the canonical HNF of its relations, by closed forms where the shape
-allows and by the elimination without borders otherwise, so `cokernel`
-tracks no transforms.  Each unit pivot splits off with its row, and at
-full rank (a finite quotient) with its column too, which leaves a square
-upper-triangular core on the non-unit pivots: cores up to 4x4 are read
-off their determinantal divisors in closed form.  Only
-`smith_normal_form` borders `_smith`.  A kernel is read off the
-canonical HNF of a bordered matrix instead, and `saturation` is the
-kernel of a kernel.  `hom_images` runs no elimination:
-it solves the canonical HNF of the relations by back-substitution, one
+Matrices are tiny, and the hot path is the lattice fold of
+`model.LatticeTable`, on plain row tuples.  `hnf_invariant_factors` reads
+a quotient's invariant factors off the canonical HNF of its relations, so
+`cokernel` tracks no transforms: unit pivots split off, closed forms read
+the small shapes, and only the rest reaches `_monomial`.  `hom_images`
+solves the canonical HNF of the relations by back-substitution, one
 target factor at a time.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter
 
 
@@ -116,7 +113,7 @@ class SmithDecomposition:
     """U @ M @ V == D with U, V unimodular and D diagonal, d_1 | d_2 | ...
 
     Diagonal entries are nonnegative and zeros come last.  U and V are read
-    off the identity borders of the elimination, not kept separately.
+    off the identity borders of the alternating HNFs, not kept separately.
     """
 
     U: IntMatrix
@@ -127,75 +124,6 @@ class SmithDecomposition:
     def invariant_factors(self) -> tuple:
         """Nonzero diagonal entries; unit factors are the leading 1s."""
         return tuple(d for d in self.D.diagonal() if d != 0)
-
-
-def _smith(A: list, r: int, c: int) -> int:
-    """Diagonalize the leading r x c block of the rows A in place; return
-    the rank.
-
-    Each pivot is the entry of least magnitude in the trailing block.  Its
-    column and its row are reduced, and a nonzero remainder becomes the
-    next, smaller pivot; a pivot that does not divide the rest of the block
-    gets an offending row added to its row.  The diagonal ends up
-    nonnegative, d_1 | d_2 | ..., with the zeros last.  Row operations act
-    on whole rows and column operations on every row of A, so an identity
-    border to the right of the block records U and one below it records V.
-    """
-    t = 0
-    while t < min(r, c):
-        p = 0
-        for i in range(t, r):
-            row = A[i]
-            for j in range(t, c):
-                x = row[j]
-                if x and (not p or abs(x) < p):
-                    p, pi, pj = abs(x), i, j
-        if not p:
-            break
-        A[t], A[pi] = A[pi], A[t]
-        if pj != t:
-            for row in A:
-                row[t], row[pj] = row[pj], row[t]
-        prow = A[t]
-        a = prow[t]
-        clear = True
-        for i in range(t + 1, r):
-            row = A[i]
-            if row[t]:
-                q = row[t] // a
-                A[i] = row = [s - q * u for s, u in zip(row, prow)]
-                clear = clear and not row[t]
-        for j in range(t + 1, c):
-            if prow[j]:
-                q = prow[j] // a
-                for row in A:
-                    row[j] -= q * row[t]
-                clear = clear and not prow[j]
-        if not clear:
-            continue  # a nonzero remainder is a smaller pivot
-        offender = next((A[i] for i in range(t + 1, r)
-                         if any(A[i][j] % a for j in range(t + 1, c))), None)
-        if offender is not None:
-            A[t] = [s + u for s, u in zip(prow, offender)]
-            continue
-        if a < 0:
-            A[t] = [-s for s in prow]
-        t += 1
-    return t
-
-
-def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with transforms: U @ m @ V == D exactly."""
-    r, c = m.rows, m.cols
-    A = [list(row) + [int(i == k) for k in range(r)]
-         for i, row in enumerate(m.data)]
-    A += [[int(i == j) for j in range(c)] + [0] * r for i in range(c)]
-    _smith(A, r, c)
-    return SmithDecomposition(
-        IntMatrix.from_rows([row[c:] for row in A[:r]], r),
-        IntMatrix.from_rows([row[:c] for row in A[:r]], c),
-        IntMatrix.from_rows([row[:c] for row in A[r:]], c),
-    )
 
 
 def hnf_insert(rows: tuple, vec) -> tuple:
@@ -275,10 +203,48 @@ def hermite_normal_form(m: IntMatrix) -> IntMatrix:
     is folded in row by row with `hnf_insert`."""
     if m._canonical:
         return m
-    rows = ()
-    for vec in m.data:
-        rows = hnf_insert(rows, vec)
-    return IntMatrix._from_hnf(m.cols, rows)
+    return IntMatrix._from_hnf(m.cols, reduce(hnf_insert, m.data, ()))
+
+
+def invariant_chain(factors) -> tuple:
+    """Invariant factors > 1 of the direct sum of the Z/d, d in `factors`.
+
+    Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), so each d is paired down an
+    ascending chain: the top entry c of each run of equal entries becomes
+    lcm(c, d), and d goes on as gcd(c, d), which divides the rest of the
+    run.  A d > 1 past the bottom goes first.  So d costs one pairing per
+    distinct value of the chain.
+    """
+    chain = []
+    for d in factors:
+        i = len(chain)
+        while d > 1 and i:
+            i -= 1
+            c = chain[i]
+            chain[i], d = lcm(c, d), gcd(c, d)
+            i = bisect_left(chain, c, 0, i)  # skip the rest of c's run
+        if d > 1:
+            chain.insert(0, d)
+    return tuple(chain)
+
+
+def _monomial(rows) -> list:
+    """The nonzero entries of a monomial matrix (one nonzero entry in each
+    row and column) equivalent to `rows`, independent canonical HNF rows.
+
+    Column and row HNFs alternate, each a fold of the last one's transpose.
+    The first drops the zero columns, which leaves a square matrix of full
+    rank.  It ends: after each HNF the leading pivot is the gcd of its
+    column (or row), a positive integer that shrinks to a proper divisor
+    until it divides the rest of its row and column, which the next HNF
+    clears; then it stays, and the rest goes on as a smaller matrix.
+    Entries cannot grow: at full rank every column of a row HNF holds a
+    pivot, and the HNF reduces the entries above it modulo the pivot.
+    """
+    while True:
+        rows = reduce(hnf_insert, zip(*rows), ())
+        if all(row.count(0) == len(row) - 1 for row in rows):
+            return [max(row) for row in rows]
 
 
 def hnf_invariant_factors(rows: tuple) -> tuple:
@@ -299,7 +265,8 @@ def hnf_invariant_factors(rows: tuple) -> tuple:
     A core of size 2 to 4 is read off closed forms in its nonzero minors,
     and two rows below full rank give D1 and D2 from all their minors.
     Any other shape, a core of size 5 or more or three rows or more below
-    full rank, is diagonalized by `_smith`, with no border.
+    full rank, goes to `_monomial` (the zero columns of the unit pivots
+    drop out), whose entries `invariant_chain` turns into the chain.
     """
     kept = []
     pivots = []
@@ -315,18 +282,14 @@ def hnf_invariant_factors(rows: tuple) -> tuple:
         d = gcd(*kept[0]) if kept else 1
         return (d,) if d > 1 else ()
     n = len(rows[0])
+    if k > 4 or k > 2 and len(rows) < n:
+        return invariant_chain(_monomial(kept))
     if len(rows) < n:
-        if k == 2:
-            r, s = kept
-            d1 = gcd(*r, *s)
-            d2 = gcd(*(r[i] * s[j] - r[j] * s[i]
-                       for i, j in combinations(range(n), 2)))
-            factors = (d1, d2 // d1)
-        else:
-            A = [list(row) for row in kept]
-            _smith(A, k, n)  # the rows are independent: the rank is k
-            factors = [row[i] for i, row in enumerate(A)]
-        return tuple([d for d in factors if d > 1])
+        r, s = kept
+        d1 = gcd(*r, *s)
+        d2 = gcd(*(r[i] * s[j] - r[j] * s[i]
+                   for i, j in combinations(range(n), 2)))
+        return tuple([d for d in (d1, d2 // d1) if d > 1])
     core = list(map(itemgetter(*pivots), kept))  # full rank: the square core
     if k == 2:
         (a, b), (_, d) = core
@@ -337,7 +300,7 @@ def hnf_invariant_factors(rows: tuple) -> tuple:
         d1 = gcd(a, b, c, d, e, g)
         d2 = gcd(a * d, a * e, b * e - c * d, a * g, b * g, d * g)
         factors = (d1, d2 // d1, a * d * g // d2)
-    elif k == 4:
+    else:
         (a, b, c, d), (_, e, f, g), (_, _, h, i), (_, _, _, j) = core
         fi_gh = f * i - g * h
         d1 = gcd(a, b, c, d, e, f, g, h, i, j)
@@ -349,11 +312,38 @@ def hnf_invariant_factors(rows: tuple) -> tuple:
                  a * f * j, a * e * i, j * (b * f - c * e), a * fi_gh,
                  b * fi_gh - c * e * i + d * e * h)
         factors = (d1, d2 // d1, d3 // d2, a * e * h * j // d3)
-    else:
-        A = list(map(list, core))
-        _smith(A, k, k)
-        factors = [row[i] for i, row in enumerate(A)]
     return tuple([d for d in factors if d > 1])
+
+
+def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
+    """Smith normal form with transforms: U @ m @ V == D exactly.
+
+    The alternation of `_monomial` runs on A = [[m, U], [V, 0]], U and V
+    identities at first: each half-step folds the top rows and transposes
+    A, so the rows [m | U] and the columns [m; V] take turns.  The borders
+    record U and V, and keep every folded row nonzero.  Once m is
+    diagonal, where d_i does not divide d_(i+1), column i + 1 is added to
+    column i before the next row fold, which leaves gcd(d_i, d_(i+1)) in
+    place i.
+    """
+    r, c = m.rows, m.cols
+    A = ([tuple(row) + e for row, e in zip(m.data, IntMatrix.identity(r).data)]
+         + [e + (0,) * r for e in IntMatrix.identity(c).data])
+    while True:
+        for _ in range(2):  # the rows, then the columns
+            A = list(zip(*(reduce(hnf_insert, A[:r], ()) + tuple(A[r:]))))
+            r, c = c, r
+        if any(x and i != j for i, row in enumerate(A[:r])
+               for j, x in enumerate(row[:c])):
+            continue
+        d = [row[i] for i, row in enumerate(A[:min(r, c)]) if row[i]]
+        i = next((i for i in range(len(d) - 1) if d[i + 1] % d[i]), None)
+        if i is None:
+            break
+        A = [row[:i] + (row[i] + row[i + 1],) + row[i + 1:] for row in A]
+    return SmithDecomposition(IntMatrix(r, r, tuple(row[c:] for row in A[:r])),
+                              IntMatrix(r, c, tuple(row[:c] for row in A[:r])),
+                              IntMatrix(c, c, tuple(row[:c] for row in A[r:])))
 
 
 def hnf_solve(h: IntMatrix, vector) -> tuple | None:
@@ -485,11 +475,9 @@ def _bordered_hnf(rows: tuple, c: int) -> tuple:
     and cut to their right part they are a canonical HNF of the kernel
     {y : rows . y = 0}.  If the columns of `rows` generate Z^m (m rows, a
     saturated span), its first m rows are [e_i | u_i], rows . u_i = e_i."""
-    h = ()
-    for k in range(c):
-        unit = [int(j == k) for j in range(c)]
-        h = hnf_insert(h, [row[k] for row in rows] + unit)
-    return h
+    return reduce(hnf_insert, ([row[k] for row in rows]
+                               + [int(j == k) for j in range(c)]
+                               for k in range(c)), ())
 
 
 def saturation(generators: IntMatrix, ambient: FGAbelianGroup) -> IntMatrix:

@@ -52,10 +52,15 @@ def check_degree(arr: Arrangement, degree: int, what: str):
             f"{MAX_DEGREE}")
 
 
+def _digit_limit() -> int:
+    """Python's int-to-string limit, 0 where it has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 def check_digits(arr: Arrangement, what: str, digits: int):
     """Refuse a result of up to `digits` digits past Python's int-to-string
     limit, which printing it would hit."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none
+    limit = _digit_limit()
     if limit and digits > limit:
         raise model.CapExceeded(f"{arr.describe()}: {what} may reach {digits} "
                                 f"digits, past the cap {limit}")
@@ -63,13 +68,20 @@ def check_digits(arr: Arrangement, what: str, digits: int):
 
 def check_circles(arr: Arrangement, spec: GroupSpec):
     """`check_degree` on the circle count p, then `check_digits` on a bound
-    of every coefficient, 8^n times the largest m(S) <= T^(p + #F factors),
-    T the quotient torsion order."""
+    of every coefficient, 8^n times the largest m(S).  With circles, m(S)
+    <= T^(p + #F factors), T the quotient torsion order.  Without, m(S) is
+    a product of gcds, at most #F^g for g the generators of gamma; once
+    that bound could pass the limit, the largest m(S) itself is taken."""
     check_degree(arr, spec.circles, "circle count")
+    spread = log10(8) * arr.n
     if spec.circles:
         top = max(prod(key.torsion_factors) for key in arr.histogram())
         check_digits(arr, "circle count: coefficients", 1 + floor(
-            log10(top) * (spec.circles + len(spec.f_torsion)) + log10(8) * arr.n))
+            log10(top) * (spec.circles + len(spec.f_torsion)) + spread))
+    elif 0 < _digit_limit() < 1 + arr.gamma.ngens * log10(spec.f_order) + spread:
+        top = max(model.multiplicity(key, spec) for key in arr.histogram())
+        check_digits(arr, "finite target: coefficients",
+                     1 + floor(log10(top) + spread))
 
 
 def checked(value: UniPoly, expected: UniPoly, what: str) -> UniPoly:

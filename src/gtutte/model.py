@@ -22,7 +22,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .intlinalg import (FGAbelianGroup, IntMatrix, cokernel, hermite_normal_form,
-                        hnf_insert, hnf_invariant_factors, presentation_matrix,
+                        hnf_insert, invariant_chain, presentation_matrix,
                         saturation)
 
 MAX_ELEMENTS = 24  # the subset histogram may meet up to 2^n distinct lattices
@@ -50,10 +50,7 @@ class GroupSpec:
         for f in fs:
             if f < 1:
                 raise ValueError(f"finite factor {f} must be positive")
-        # the relations diag(f_1, ..., f_k) are already a canonical HNF
-        object.__setattr__(self, "f_torsion", hnf_invariant_factors(
-            [[f if i == j else 0 for j in range(len(fs))]
-             for i, f in enumerate(fs)]))
+        object.__setattr__(self, "f_torsion", invariant_chain(fs))
         if self.circles < 0 or self.reals < 0:
             raise ValueError("factor counts must be nonnegative")
 

@@ -478,7 +478,8 @@ def k_total_subposet(poset: LayerPoset, k: int) -> tuple:
     The result is an order ideal (downward closed), checked on the covers.
     """
     if k < 1:
-        raise ValueError("k must be positive (nonpositive k is undefined here)")
+        raise ValueError(f"{poset.arr.describe()}: k must be positive "
+                         f"(nonpositive k is undefined here)")
     layers = poset.layers
     chosen = tuple(i for i, lay in enumerate(layers) if k % lay.order == 0)
     for i, j in poset.cover_pairs:

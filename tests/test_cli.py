@@ -606,8 +606,9 @@ def _period_file(tmp_path, period):
      "{tmp}/no-dir/out.dot"),
     (("quasi", "{over_cap}"), f"exceeds the cap {invariants.MAX_PERIOD}"),
     (("info", "{tmp}/deep.json"), "{tmp}/deep.json"),
+    (("toric-layers", "{example}", "--k", "0"), "example: k must be positive"),
 ], ids=["missing file", "bad JSON", "K = 0", "--dot into a missing directory",
-        "period cap", "deeply nested JSON"])
+        "period cap", "deeply nested JSON", "--k 0"])
 def test_error_paths_print_no_result(argv, message, example_file, tmp_path,
                                      capsys):
     (tmp_path / "bad.json").write_text("{not json")
@@ -792,6 +793,36 @@ def test_circle_counts_are_refused_past_the_digit_limit(example_file, capsys):
         code, out, _ = run(capsys, "char", example_file, "--p", "5000")
         assert code == 0
         assert json.loads(out)["coefficients"] == [4**5000, -4**5000 - 1, 1]
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_finite_targets_are_refused_past_the_digit_limit(example_file,
+                                                       tmp_path, capsys):
+    # over (Z/2)^15000 the paper example's quotient Z + Z/4 gives m(S) =
+    # 2^15000, of 4,516 digits: past the interpreter's int-to-string limit,
+    # refused before any sum.  An arrangement whose quotients are all
+    # torsion-free has m(S) = 1 and prints its polynomial over the same F
+    twos = ",".join(["2"] * 15000)
+    free = tmp_path / "free.json"
+    free.write_text(json.dumps({"group": {"free_rank": 2, "torsion": []},
+                                "vectors": [[1, 0], [0, 1], [1, 1]]}))
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for command in ("tutte", "char"):
+            t0 = time.perf_counter()
+            code, out, err = run(capsys, command, example_file,
+                                 "--torsion", twos)
+            elapsed = time.perf_counter() - t0
+            assert code == 2 and out == "", command
+            assert re.search(r"^error: example: finite target: coefficients "
+                             r"may reach \d+ digits, past the cap 4300$",
+                             err, re.M), err
+            assert elapsed < 2.0, f"{command}: {elapsed:.2f}s > 2.0s"
+        code, out, _ = run(capsys, "char", str(free), "--torsion", twos)
+        assert code == 0
+        assert json.loads(out)["coefficients"] == [2, -3, 1]
     finally:
         sys.set_int_max_str_digits(old)
 

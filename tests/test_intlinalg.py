@@ -10,11 +10,13 @@ from gtutte import intlinalg
 from gtutte.intlinalg import (DimensionMismatch, FGAbelianGroup, IntMatrix,
                               cokernel, determinant, hermite_normal_form,
                               hnf_insert, hnf_invariant_factors, hnf_solve,
-                              hom_enumerate,
+                              hom_enumerate, invariant_chain,
                               presentation_matrix, saturation,
                               smith_normal_form, xgcd)
-from gtutte.model import Arrangement, LatticeTable, hom_count
+from gtutte.invariants import arithmetic_tutte
+from gtutte.model import Arrangement, GroupSpec, LatticeTable, hom_count
 from gtutte.oracle import battery_instances
+from gtutte.poly import BiPoly
 
 Z2 = FGAbelianGroup(2)
 
@@ -488,13 +490,13 @@ def test_saturation_contains_rows_and_gives_free_quotient():
 def _smith_calls(monkeypatch, work) -> int:
     """How many times `work()` runs the Smith elimination."""
     calls = []
-    real = intlinalg._smith
+    real = intlinalg._monomial
 
-    def counting(A, r, c):
-        calls.append((r, c))
-        return real(A, r, c)
+    def counting(rows):
+        calls.append(len(rows))
+        return real(rows)
 
-    monkeypatch.setattr(intlinalg, "_smith", counting)
+    monkeypatch.setattr(intlinalg, "_monomial", counting)
     work()
     return len(calls)
 
@@ -809,7 +811,7 @@ def _core_size(rows) -> int:
 def test_square_cores_match_smith_forms():
     # a full-rank HNF leaves a square upper-triangular core on its non-unit
     # pivots; cores of size 1 to 4 are read off closed forms and larger
-    # ones go to `_smith`.  The transform-tracking SNF and sympy's Smith
+    # ones go to `_monomial`.  The transform-tracking SNF and sympy's Smith
     # form are the oracles, on every core size 0-5
     from sympy import Matrix, ZZ
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
@@ -836,7 +838,7 @@ def test_square_cores_match_smith_forms():
 def test_square_cores_up_to_4_run_no_smith_elimination(monkeypatch):
     # full-rank HNFs of width up to 6 whose non-unit core has at most 4
     # rows, and the full-rank lattices of a 10-element table over
-    # Z^2 + Z/2 + Z/6, are read off closed forms: no `_smith` call
+    # Z^2 + Z/2 + Z/6, are read off closed forms: no `_monomial` call
     rng = random.Random(37)
     inputs = []
     while len(inputs) < 400:
@@ -862,3 +864,68 @@ def test_square_cores_up_to_4_run_no_smith_elimination(monkeypatch):
     assert (sizes.count(3), sizes.count(4)) == (44, 6)
     assert not _smith_calls(monkeypatch, lambda: [
         table.quotient(lat) for lat in full])
+
+
+def test_monomial_shapes_match_sympy_smith_forms(monkeypatch):
+    # the shapes that reach `_monomial`: full-rank cores of size 5-12 with
+    # no unit pivot, and 3x4 to 4x6 rows below full rank with three or more
+    # non-unit pivots.  sympy's Smith form is the oracle for both the
+    # kernel's invariant factors and the transform-tracking SNF
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    rng = random.Random(41)
+    inputs = [_random_canonical_hnf(rng, k, k, bound, 0.0)
+              for k in range(5, 13) for bound in (6, 1000, 6, 1000)]
+    for r, c in ((3, 4), (3, 5), (3, 6), (4, 5), (4, 6)):
+        shaped = []
+        while len(shaped) < 12:
+            rows = _random_canonical_hnf(rng, r, c, rng.choice((6, 1000)),
+                                         rng.choice((0.0, 0.3)))
+            if _core_size(rows) >= 3:
+                shaped.append(rows)
+        inputs += shaped
+    found = []
+    assert _smith_calls(monkeypatch, lambda: found.extend(
+        hnf_invariant_factors(rows) for rows in inputs)) == len(inputs)
+    for rows, factors in zip(inputs, found):
+        m = IntMatrix(len(rows), len(rows[0]), rows)
+        d = sympy_snf(Matrix(rows), domain=ZZ)
+        nonzero = tuple(abs(int(d[i, i])) for i in range(min(d.shape)))
+        assert factors == tuple(x for x in nonzero if x > 1), rows
+        dec = smith_normal_form(m)
+        _assert_smith_contract(m, dec)
+        assert dec.invariant_factors == nonzero, rows
+
+
+def test_invariant_chain_matches_sympy_smith_forms():
+    # the invariant factors > 1 of a direct sum of cyclic groups, 1s
+    # included, are those of the diagonal matrix of their orders
+    from sympy import ZZ, diag
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    rng = random.Random(43)
+    orders = (1, 1, 2, 3, 4, 5, 6, 8, 9, 12, 25, 36, 49, 60)
+    for _ in range(2000):
+        fs = [rng.choice(orders) for _ in range(rng.randint(0, 7))]
+        expected = ()
+        if fs:
+            d = sympy_snf(diag(*fs), domain=ZZ)
+            expected = tuple(x for x in (abs(int(d[i, i]))
+                                         for i in range(len(fs))) if x > 1)
+        assert invariant_chain(fs) == expected, fs
+
+
+def test_long_diagonals_of_twos_within_budget():
+    # 800 target factors Z/2 once took 11 s to canonicalize, and the
+    # arithmetic Tutte polynomial over Z + (Z/2)^400 over 4 s: both are
+    # diagonals of 2s, at most 401 wide
+    start = time.perf_counter()
+    spec = GroupSpec(f_torsion=(2,) * 800)
+    assert time.perf_counter() - start < 1.0
+    assert spec.f_torsion == (2,) * 800
+    arr = Arrangement(FGAbelianGroup(1, (2,) * 400),
+                      [[1] + [1] * 400, [2] + [0] * 400])
+    start = time.perf_counter()
+    tutte = arithmetic_tutte(arr)
+    assert time.perf_counter() - start < 2.0
+    # the quotients have torsion (Z/2)^400, (Z/2)^400, (Z/2)^401, (Z/2)^400
+    assert tutte == BiPoly({(1, 0): 2**400, (0, 1): 2**400, (0, 0): 2**400})
