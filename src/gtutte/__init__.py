@@ -9,9 +9,8 @@ the circle-target and line-target arrangements, together with independent
 brute-force oracles for everything.
 """
 
-from .intlinalg import (FGAbelianGroup, IntMatrix, SmithDecomposition,
-                        cokernel, hermite_normal_form, hom_enumerate,
-                        saturation, smith_normal_form)
+from .intlinalg import (FGAbelianGroup, IntMatrix, cokernel,
+                        hermite_normal_form, hom_enumerate, saturation)
 from .invariants import (QuasiPolynomial, arithmetic_tutte, beta_coefficients,
                          chen_wang_compare, chromatic_quasi, first_constituent,
                          g_characteristic, g_tutte, leading_part,
@@ -22,13 +21,12 @@ from .poly import BiPoly, UniPoly, scale_variable, substitute_xy
 
 __all__ = [
     "Arrangement", "BiPoly", "FGAbelianGroup", "GroupSpec", "IntMatrix",
-    "QuasiPolynomial", "SmithDecomposition", "SubsetData", "UniPoly",
-    "arithmetic_tutte", "beta_coefficients", "chen_wang_compare",
-    "chromatic_quasi", "cokernel", "first_constituent",
-    "g_characteristic", "g_tutte", "hermite_normal_form", "hom_count",
-    "hom_enumerate", "leading_part", "minimal_period", "multiplicity",
-    "reciprocity_eval", "saturation", "scale_variable", "smith_normal_form",
-    "substitute_xy", "toric_characteristic",
+    "QuasiPolynomial", "SubsetData", "UniPoly", "arithmetic_tutte",
+    "beta_coefficients", "chen_wang_compare", "chromatic_quasi",
+    "cokernel", "first_constituent", "g_characteristic", "g_tutte",
+    "hermite_normal_form", "hom_count", "hom_enumerate", "leading_part",
+    "minimal_period", "multiplicity", "reciprocity_eval", "saturation",
+    "scale_variable", "substitute_xy", "toric_characteristic",
 ]
 
 __version__ = "0.1.0"

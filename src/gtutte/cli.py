@@ -25,7 +25,8 @@ from . import invariants, lie, oracle, toric
 from .intlinalg import FGAbelianGroup
 from .model import Arrangement, GroupSpec
 from .poly import UniPoly
-from .posets import component_shapes, export_hasse, hasse_records, layer_sum
+from .posets import (check_k, component_shapes, export_hasse, hasse_records,
+                     layer_sum)
 
 
 class InputError(ValueError):
@@ -281,6 +282,8 @@ def _layers_payload(poset, indices, pairs, p, dot, **fields) -> dict:
 
 
 def cmd_toric_layers(arr, args):
+    if args.k is not None:
+        check_k(arr, args.k)  # before the poset is built
     poset = toric.enumerate_toric_layers(arr)
     indices, p = layer_sum(poset, args.k, args.partial)
     pairs = poset.covers(indices)

@@ -9,10 +9,9 @@ canonical key for sublattices, and every other form is a fold of it.
 `IntMatrix._from_hnf` is canonical by construction, never re-scanned.  A
 kernel is read off the canonical HNF of a bordered matrix, and
 `saturation` is the kernel of a kernel.  Smith forms alternate row and
-column HNFs (Kannan and Bachem): `_monomial` until one nonzero entry is
-left in each row and column, and `smith_normal_form` with identity
-borders that record U and V.  `invariant_chain` turns a list of cyclic
-orders into the divisibility chain.
+column HNFs (Kannan and Bachem): `_monomial` runs them until one nonzero
+entry is left in each row and column, and `invariant_chain` turns those
+entries, or any list of cyclic orders, into the divisibility chain.
 
 Matrices are tiny, and the hot path is the lattice fold of
 `model.LatticeTable`, on plain row tuples.  `hnf_invariant_factors` reads
@@ -92,38 +91,6 @@ class IntMatrix:
     @staticmethod
     def identity(n: int) -> "IntMatrix":
         return IntMatrix(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise DimensionMismatch("inner dimensions differ")
-        out = []
-        for i in range(self.rows):
-            a = self.data[i]
-            out.append(tuple(
-                sum(a[k] * other.data[k][j] for k in range(self.cols))
-                for j in range(other.cols)))
-        return IntMatrix(self.rows, other.cols, tuple(out))
-
-    def diagonal(self) -> tuple:
-        return tuple(self.data[i][i] for i in range(min(self.rows, self.cols)))
-
-
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """U @ M @ V == D with U, V unimodular and D diagonal, d_1 | d_2 | ...
-
-    Diagonal entries are nonnegative and zeros come last.  U and V are read
-    off the identity borders of the alternating HNFs, not kept separately.
-    """
-
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-
-    @property
-    def invariant_factors(self) -> tuple:
-        """Nonzero diagonal entries; unit factors are the leading 1s."""
-        return tuple(d for d in self.D.diagonal() if d != 0)
 
 
 def hnf_insert(rows: tuple, vec) -> tuple:
@@ -315,37 +282,6 @@ def hnf_invariant_factors(rows: tuple) -> tuple:
     return tuple([d for d in factors if d > 1])
 
 
-def smith_normal_form(m: IntMatrix) -> SmithDecomposition:
-    """Smith normal form with transforms: U @ m @ V == D exactly.
-
-    The alternation of `_monomial` runs on A = [[m, U], [V, 0]], U and V
-    identities at first: each half-step folds the top rows and transposes
-    A, so the rows [m | U] and the columns [m; V] take turns.  The borders
-    record U and V, and keep every folded row nonzero.  Once m is
-    diagonal, where d_i does not divide d_(i+1), column i + 1 is added to
-    column i before the next row fold, which leaves gcd(d_i, d_(i+1)) in
-    place i.
-    """
-    r, c = m.rows, m.cols
-    A = ([tuple(row) + e for row, e in zip(m.data, IntMatrix.identity(r).data)]
-         + [e + (0,) * r for e in IntMatrix.identity(c).data])
-    while True:
-        for _ in range(2):  # the rows, then the columns
-            A = list(zip(*(reduce(hnf_insert, A[:r], ()) + tuple(A[r:]))))
-            r, c = c, r
-        if any(x and i != j for i, row in enumerate(A[:r])
-               for j, x in enumerate(row[:c])):
-            continue
-        d = [row[i] for i, row in enumerate(A[:min(r, c)]) if row[i]]
-        i = next((i for i in range(len(d) - 1) if d[i + 1] % d[i]), None)
-        if i is None:
-            break
-        A = [row[:i] + (row[i] + row[i + 1],) + row[i + 1:] for row in A]
-    return SmithDecomposition(IntMatrix(r, r, tuple(row[c:] for row in A[:r])),
-                              IntMatrix(r, c, tuple(row[:c] for row in A[:r])),
-                              IntMatrix(c, c, tuple(row[:c] for row in A[r:])))
-
-
 def hnf_solve(h: IntMatrix, vector) -> tuple | None:
     """Integer coefficients expressing `vector` over the HNF rows, or None."""
     v = [int(x) for x in vector]
@@ -364,33 +300,6 @@ def hnf_solve(h: IntMatrix, vector) -> tuple | None:
     if any(v):
         return None
     return tuple(coeffs)
-
-
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
-        raise DimensionMismatch("determinant needs a square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    A = [list(row) for row in m.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if A[k][k] == 0:
-            for i in range(k + 1, n):
-                if A[i][k]:
-                    A[k], A[i] = A[i], A[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
-    return sign * A[n - 1][n - 1]
 
 
 @dataclass(frozen=True)

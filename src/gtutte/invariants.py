@@ -68,20 +68,20 @@ def check_digits(arr: Arrangement, what: str, digits: int):
 
 def check_circles(arr: Arrangement, spec: GroupSpec):
     """`check_degree` on the circle count p, then `check_digits` on a bound
-    of every coefficient, 8^n times the largest m(S).  With circles, m(S)
-    <= T^(p + #F factors), T the quotient torsion order.  Without, m(S) is
-    a product of gcds, at most #F^g for g the generators of gamma; once
-    that bound could pass the limit, the largest m(S) itself is taken."""
+    of every coefficient, 8^n times the largest m(S).  m(S) is T^p, T the
+    quotient torsion order, times a product of gcds with F, at most #F^g
+    for g the generators of gamma; once that bound could pass the limit,
+    the largest m(S) itself is taken."""
     check_degree(arr, spec.circles, "circle count")
     spread = log10(8) * arr.n
+    bound = 1 + arr.gamma.ngens * log10(spec.f_order) + spread
     if spec.circles:
-        top = max(prod(key.torsion_factors) for key in arr.histogram())
-        check_digits(arr, "circle count: coefficients", 1 + floor(
-            log10(top) * (spec.circles + len(spec.f_torsion)) + spread))
-    elif 0 < _digit_limit() < 1 + arr.gamma.ngens * log10(spec.f_order) + spread:
+        bound += spec.circles * log10(
+            max(prod(key.torsion_factors) for key in arr.histogram()))
+    if 0 < _digit_limit() < bound:
         top = max(model.multiplicity(key, spec) for key in arr.histogram())
-        check_digits(arr, "finite target: coefficients",
-                     1 + floor(log10(top) + spread))
+        check_digits(arr, ("circle count" if spec.circles else "finite target")
+                     + ": coefficients", 1 + floor(log10(top) + spread))
 
 
 def checked(value: UniPoly, expected: UniPoly, what: str) -> UniPoly:

@@ -472,14 +472,19 @@ def partial_subposet(poset: LayerPoset) -> tuple:
     return chosen
 
 
+def check_k(arr: Arrangement, k: int):
+    """Refuse a nonpositive k, which has no k-torsion subposet."""
+    if k < 1:
+        raise ValueError(f"{arr.describe()}: k must be positive "
+                         f"(nonpositive k is undefined here)")
+
+
 def k_total_subposet(poset: LayerPoset, k: int) -> tuple:
     """Layers containing a k-torsion point: character order divides k.
 
     The result is an order ideal (downward closed), checked on the covers.
     """
-    if k < 1:
-        raise ValueError(f"{poset.arr.describe()}: k must be positive "
-                         f"(nonpositive k is undefined here)")
+    check_k(poset.arr, k)
     layers = poset.layers
     chosen = tuple(i for i, lay in enumerate(layers) if k % lay.order == 0)
     for i, j in poset.cover_pairs:

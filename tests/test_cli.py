@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gtutte
-from gtutte import cli, invariants, oracle, posets
+from gtutte import cli, invariants, oracle, posets, toric
 from gtutte.oracle import brute_complement_count
 
 
@@ -620,6 +620,23 @@ def test_error_paths_print_no_result(argv, message, example_file, tmp_path,
     assert err.startswith("error: ") and message.format(**names) in err
 
 
+def test_nonpositive_k_is_refused_before_any_layer(example_file, capsys,
+                                                   monkeypatch):
+    # a nonpositive k has no k-torsion subposet, so `toric-layers` refuses
+    # it before the layers, which take seconds on large inputs, are built
+    def enumerate_nothing(arr):
+        raise AssertionError("layers enumerated")
+
+    monkeypatch.setattr(toric, "enumerate_toric_layers", enumerate_nothing)
+    for k in ("0", "-2"):
+        code, out, err = run(capsys, "toric-layers", example_file, "--k", k)
+        assert code == 2 and out == ""
+        assert err == ("error: example: k must be positive (nonpositive k "
+                       "is undefined here)\n"), err
+    code, _, err = run(capsys, "toric-layers", example_file, "--k", "2")
+    assert code == 1 and "layers enumerated" in err
+
+
 def test_verify_stdout_digest(capsys):
     code, out, _ = run(capsys, "verify", "--seed", "0", "--count", "25")
     assert code == 0
@@ -823,6 +840,31 @@ def test_finite_targets_are_refused_past_the_digit_limit(example_file,
         code, out, _ = run(capsys, "char", str(free), "--torsion", twos)
         assert code == 0
         assert json.loads(out)["coefficients"] == [2, -3, 1]
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_circles_over_a_finite_target_are_bounded_by_the_largest_m(
+        example_file, capsys):
+    # over S^1 x (Z/2)^7200 the paper example's largest m(S) is 4 * 2^7200,
+    # of 2,169 digits, and its polynomial is printed, though the cheap
+    # bound T^p #F^g (g = 2 generators) passes 4,300 digits.  Over
+    # S^1 x (Z/2)^14400 the largest m(S), 4 * 2^14400, has 4,336 digits:
+    # refused before any sum
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, _ = run(capsys, "char", example_file, "--p", "1",
+                           "--torsion", ",".join(["2"] * 7200))
+        assert code == 0
+        top = 4 * 2**7200
+        assert json.loads(out)["coefficients"] == [top, -top - 1, 1]
+        code, out, err = run(capsys, "char", example_file, "--p", "1",
+                             "--torsion", ",".join(["2"] * 14400))
+        assert code == 2 and out == ""
+        assert re.search(r"^error: example: circle count: coefficients "
+                         r"may reach \d+ digits, past the cap 4300$",
+                         err, re.M), err
     finally:
         sys.set_int_max_str_digits(old)
 

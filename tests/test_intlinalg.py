@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from gtutte import intlinalg
 from gtutte.intlinalg import (DimensionMismatch, FGAbelianGroup, IntMatrix,
-                              cokernel, determinant, hermite_normal_form,
-                              hnf_insert, hnf_invariant_factors, hnf_solve,
-                              hom_enumerate, invariant_chain,
-                              presentation_matrix, saturation,
-                              smith_normal_form, xgcd)
+                              cokernel, hermite_normal_form, hnf_insert,
+                              hnf_invariant_factors, hnf_solve, hom_enumerate,
+                              invariant_chain, presentation_matrix,
+                              saturation, xgcd)
 from gtutte.invariants import arithmetic_tutte
 from gtutte.model import Arrangement, GroupSpec, LatticeTable, hom_count
 from gtutte.oracle import battery_instances
@@ -36,68 +35,6 @@ def test_xgcd_bezout():
             assert a % g == 0 and b % g == 0
 
 
-def test_snf_empty_matrix():
-    m = IntMatrix(0, 0, ())
-    dec = smith_normal_form(m)
-    assert dec.D.data == ()
-    assert dec.U.data == () and dec.V.data == ()
-
-
-def test_snf_already_diagonal():
-    dec = smith_normal_form(rows([2]))
-    assert dec.D.data == ((2,),)
-    assert dec.U.data == ((1,),) and dec.V.data == ((1,),)
-
-
-def test_snf_example_invariant_factors():
-    dec = smith_normal_form(rows([-1, 1], [0, 2]))
-    assert dec.invariant_factors == (1, 2)
-
-
-def _assert_smith_contract(m, dec):
-    # U @ m @ V == D with U, V unimodular, D diagonal, d_1 | d_2 | ...,
-    # nonnegative, zeros last
-    assert (dec.U @ m @ dec.V).data == dec.D.data, m
-    assert abs(determinant(dec.U)) == 1, m
-    assert abs(determinant(dec.V)) == 1, m
-    diag = dec.D.diagonal()
-    assert all(x == 0 for i, row in enumerate(dec.D.data)
-               for j, x in enumerate(row) if i != j), m
-    for i in range(len(diag) - 1):
-        assert diag[i] >= 0
-        if diag[i + 1]:
-            assert diag[i] != 0 and diag[i + 1] % diag[i] == 0
-    # zero entries come last
-    seen_zero = False
-    for d in diag:
-        if d == 0:
-            seen_zero = True
-        else:
-            assert not seen_zero
-
-
-def test_snf_transform_identity_random():
-    rng = random.Random(7)
-    for _ in range(150):
-        r = rng.randint(0, 4)
-        c = rng.randint(0, 4)
-        m = IntMatrix.from_rows(
-            [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)], c)
-        _assert_smith_contract(m, smith_normal_form(m))
-    # every shape up to 5x5, square, tall and wide, half of them with
-    # entries to 1000, reaching the SNF without an HNF first
-    start = time.perf_counter()
-    for trial in range(300):
-        r = rng.randint(0, 5)
-        c = rng.randint(0, 5)
-        bound = 1000 if trial % 2 else 9
-        m = IntMatrix.from_rows(
-            [[rng.randint(-bound, bound) for _ in range(c)] for _ in range(r)],
-            c)
-        _assert_smith_contract(m, smith_normal_form(m))
-    assert time.perf_counter() - start < 2.0
-
-
 # an upper-triangular HNF on which the elimination once ran past 100 s,
 # its working entries passing 4,300 digits within 3 s
 LARGE_ENTRY_HNF = ((354, 742, 297, 39, 523), (0, 938, 193, 42, 664),
@@ -111,18 +48,17 @@ def test_large_entry_hnf_within_budget():
     m = IntMatrix.from_rows(LARGE_ENTRY_HNF)
     gamma = FGAbelianGroup(5)
     start = time.perf_counter()
-    dec = smith_normal_form(m)
+    quot = cokernel(m, gamma)
     sat = saturation(m, gamma)
     homs = {t: hom_enumerate(m, gamma, t) for t in ((2,), (6,), (2, 4))}
     assert time.perf_counter() - start < 2.0
-    _assert_smith_contract(m, dec)
     d = sympy_snf(Matrix(LARGE_ENTRY_HNF), domain=ZZ)
-    assert dec.D.diagonal() == tuple(abs(int(d[i, i])) for i in range(5))
-    assert dec.invariant_factors == (1, 1, 1, 2, 9067290835680)
+    assert tuple(abs(int(d[i, i])) for i in range(5)) == \
+        (1, 1, 1, 2, 9067290835680)
     assert hnf_invariant_factors(LARGE_ENTRY_HNF) == (2, 9067290835680)
+    assert quot == FGAbelianGroup(0, (2, 9067290835680))
     # full rank: the saturation is all of Z^5
     assert sat == IntMatrix.identity(5)
-    quot = cokernel(m, gamma)
     for target, found in homs.items():
         assert len(found) == len(set(found)) == hom_count(quot, target)
         for h in found:
@@ -735,17 +671,23 @@ def test_cokernel_result_is_a_valid_group():
         assert all(type(e) is int for e in quot.torsion), gens
 
 
-def test_cokernel_diagonal_matches_tracked_smith_form(example, mixed_torsion):
-    # cokernel diagonalizes without transforms; smith_normal_form tracks
-    # them.  Both must give the same invariant factors on every lattice the
-    # subset fold meets, and so must the lattice table's own quotient.
+def test_cokernel_diagonal_matches_smith_form(example, mixed_torsion):
+    # cokernel diagonalizes without transforms; sympy's Smith form is the
+    # oracle.  Both must give the same invariant factors on every lattice
+    # the subset fold meets, and so must the lattice table's own quotient.
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
     for arr in battery_instances(0, 40) + [example, mixed_torsion]:
         gamma = arr.gamma
         arr.lattice_states()
         table = arr.lattice_table()
         for lat, lattice in enumerate(table.lattices):
-            factors = smith_normal_form(
-                presentation_matrix(lattice, gamma)).invariant_factors
+            rel = presentation_matrix(lattice, gamma)
+            factors = []
+            if rel.rows:
+                d = sympy_snf(Matrix(rel.data), domain=ZZ)
+                factors = [abs(int(d[i, i])) for i in range(min(d.shape))
+                           if d[i, i]]
             expected = FGAbelianGroup(gamma.ngens - len(factors),
                                       tuple(d for d in factors if d > 1))
             assert cokernel(lattice, gamma) == expected, (arr, lattice)
@@ -772,7 +714,7 @@ def _random_canonical_hnf(rng, r, c, bound, unit_share):
 
 def test_hnf_invariant_factors_matches_smith_forms():
     # the kernel reads the invariant factors straight off a canonical HNF;
-    # the transform-tracking SNF and sympy's Smith form are its oracles.
+    # sympy's Smith form is its oracle.
     # Every third input is a full-rank 3x3 HNF without unit pivots, the
     # shape read off its determinantal divisors; the others have every
     # shape up to 5x5, from no rows to full rank, with unit pivots (which
@@ -791,13 +733,13 @@ def test_hnf_invariant_factors_matches_smith_forms():
         m = IntMatrix(len(rows), c, rows)
         assert hermite_normal_form(m).data == rows  # the input is canonical
         factors = hnf_invariant_factors(rows)
-        tracked = smith_normal_form(m).invariant_factors
-        assert factors == tuple(d for d in tracked if d > 1), rows
         if rows:
             d = sympy_snf(Matrix(rows), domain=ZZ)
             nonzero = [abs(int(d[i, i])) for i in range(min(d.shape)) if d[i, i]]
             assert len(nonzero) == len(rows), rows
             assert factors == tuple(x for x in nonzero if x > 1), rows
+        else:
+            assert factors == ()
         assert cokernel(m, FGAbelianGroup(c)) == \
             FGAbelianGroup(c - len(rows), factors), rows
 
@@ -811,8 +753,8 @@ def _core_size(rows) -> int:
 def test_square_cores_match_smith_forms():
     # a full-rank HNF leaves a square upper-triangular core on its non-unit
     # pivots; cores of size 1 to 4 are read off closed forms and larger
-    # ones go to `_monomial`.  The transform-tracking SNF and sympy's Smith
-    # form are the oracles, on every core size 0-5
+    # ones go to `_monomial`.  sympy's Smith form is the oracle, on every
+    # core size 0-5
     from sympy import Matrix, ZZ
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
     rng = random.Random(31)
@@ -826,8 +768,6 @@ def test_square_cores_match_smith_forms():
         assert hermite_normal_form(m).data == rows  # the input is canonical
         sizes.add(_core_size(rows))
         factors = hnf_invariant_factors(rows)
-        tracked = smith_normal_form(m).invariant_factors
-        assert factors == tuple(d for d in tracked if d > 1), rows
         d = sympy_snf(Matrix(rows), domain=ZZ)
         assert factors == tuple(x for x in (abs(int(d[i, i]))
                                             for i in range(c)) if x > 1), rows
@@ -869,8 +809,8 @@ def test_square_cores_up_to_4_run_no_smith_elimination(monkeypatch):
 def test_monomial_shapes_match_sympy_smith_forms(monkeypatch):
     # the shapes that reach `_monomial`: full-rank cores of size 5-12 with
     # no unit pivot, and 3x4 to 4x6 rows below full rank with three or more
-    # non-unit pivots.  sympy's Smith form is the oracle for both the
-    # kernel's invariant factors and the transform-tracking SNF
+    # non-unit pivots.  sympy's Smith form is the oracle for the kernel's
+    # invariant factors
     from sympy import Matrix, ZZ
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
     rng = random.Random(41)
@@ -888,13 +828,9 @@ def test_monomial_shapes_match_sympy_smith_forms(monkeypatch):
     assert _smith_calls(monkeypatch, lambda: found.extend(
         hnf_invariant_factors(rows) for rows in inputs)) == len(inputs)
     for rows, factors in zip(inputs, found):
-        m = IntMatrix(len(rows), len(rows[0]), rows)
         d = sympy_snf(Matrix(rows), domain=ZZ)
         nonzero = tuple(abs(int(d[i, i])) for i in range(min(d.shape)))
         assert factors == tuple(x for x in nonzero if x > 1), rows
-        dec = smith_normal_form(m)
-        _assert_smith_contract(m, dec)
-        assert dec.invariant_factors == nonzero, rows
 
 
 def test_invariant_chain_matches_sympy_smith_forms():
