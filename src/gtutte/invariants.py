@@ -5,9 +5,10 @@ by the homomorphism-count multiplicity m(S).  The bivariate sum is the
 G-Tutte polynomial; its real and circle targets give the classical and
 arithmetic Tutte polynomials.  The characteristic polynomial is the signed
 class sum of (-1)^#S * m(S) * t^(rank(gamma)-rank(S)); the tests check it
-against the Tutte specialization.  The chromatic quasi-polynomial keeps one
-characteristic polynomial per divisor d of the lcm period, that of the
-cyclic target Z/d, and its constituent at k is the one at gcd(k, period).
+against the Tutte specialization.  The chromatic quasi-polynomial holds the
+same sum regrouped once by (rank, torsion factors): its constituent at k
+weights each group's signed count by prod gcd(d_i, k), which depends on k
+only through gcd(k, period), so each divisor is evaluated once.
 
 Constituents are produced symbolically, never by interpolating point
 counts; the brute-force counts live in the oracle module and stay an
@@ -129,17 +130,28 @@ def g_characteristic(arr: Arrangement, spec: GroupSpec) -> UniPoly:
 
 
 class QuasiPolynomial:
-    """The chromatic quasi-polynomial of an arrangement, kept per divisor.
+    """The chromatic quasi-polynomial of an arrangement, held as its gcd form.
 
     The constituent at k is the characteristic polynomial for the cyclic
-    target of order k.  It depends on k only through gcd(k, period), so it
-    is computed once per divisor of the lcm period, on first use.
+    target Z/k, whose class sum weights (-1)^#S * count by m(S) = prod
+    gcd(d_i, k) over the quotient torsion factors d_i.  So the histogram is
+    regrouped once: `terms` maps SubsetClass(rank, 0, torsion factors) to
+    its signed count, zero counts dropped, and the constituent at k adds
+    count * m(term) to the coefficient of t^(rank(gamma)-rank).  It depends on k only through
+    gcd(k, period), so it is evaluated once per divisor, on first use, after
+    the checks that `g_characteristic` makes for that target.
     `constituents` is the dense view: constituents[k-1] for k = 1..period.
     """
 
     def __init__(self, arr: Arrangement):
         self.arr = arr
         self.period = arr.lcm_period()
+        signed: dict = {}  # (rank, torsion factors) -> signed count
+        for (rank, size, torsion), count in arr.histogram().items():
+            signed[rank, torsion] = signed.get((rank, torsion), 0) + \
+                (-count if size % 2 else count)
+        self.terms = {model.SubsetClass(rank, 0, torsion): count
+                      for (rank, torsion), count in signed.items() if count}
         self._by_divisor: dict = {}
 
     def constituent(self, k: int) -> UniPoly:
@@ -147,7 +159,14 @@ class QuasiPolynomial:
             raise ValueError("residue representative must be positive")
         d = gcd(k, self.period)
         if d not in self._by_divisor:
-            self._by_divisor[d] = g_characteristic(self.arr, GroupSpec.cyclic(d))
+            arr, spec = self.arr, GroupSpec.cyclic(d)
+            f = arr.gamma.free_rank
+            check_degree(arr, f, "characteristic polynomial")
+            check_circles(arr, spec)
+            coeffs = [0] * (f + 1)
+            for term, count in self.terms.items():
+                coeffs[f - term.rank] += count * model.multiplicity(term, spec)
+            self._by_divisor[d] = UniPoly(coeffs)
         return self._by_divisor[d]
 
     @cached_property

@@ -71,18 +71,33 @@ def test_chromatic_quasi_example(example):
     assert minimal_period(qp) == 4
 
 
+def _divisors_evaluated(monkeypatch):
+    """Spy on the specs that reach `model.multiplicity`: returns a callable
+    giving the sorted targets that `qp` evaluated so far, once each is
+    checked to have taken one multiplicity per term of the gcd form."""
+    from collections import Counter
+
+    from gtutte import model
+    calls = []
+    real = model.multiplicity
+    monkeypatch.setattr(model, "multiplicity",
+                        lambda key, spec: calls.append(spec) or real(key, spec))
+
+    def evaluated(qp):
+        per_target = Counter(spec.f_order for spec in calls)
+        assert set(per_target.values()) <= {len(qp.terms)}
+        return sorted(per_target)
+    return evaluated
+
+
 def test_constituents_computed_once_per_divisor(monkeypatch):
-    from gtutte import invariants
     arr = Arrangement(FGAbelianGroup(1), [[12], [4], [3]])
     direct = [g_characteristic(arr, GroupSpec.cyclic(k)) for k in range(1, 13)]
-    calls = []
-    real = invariants.g_characteristic
-    monkeypatch.setattr(invariants, "g_characteristic",
-                        lambda a, spec: calls.append(spec) or real(a, spec))
+    evaluated = _divisors_evaluated(monkeypatch)
     qp = chromatic_quasi(arr)
     assert qp.period == 12
     assert list(qp.constituents) == direct
-    assert sorted(spec.f_order for spec in calls) == [1, 2, 3, 4, 6, 12]
+    assert evaluated(qp) == [1, 2, 3, 4, 6, 12]
 
 
 def test_chromatic_quasi_empty_arrangement():
@@ -230,19 +245,15 @@ def test_minimal_period_collapses_duplicates(example):
 
 
 def test_quasi_polynomial_past_the_dense_cap(monkeypatch):
-    from gtutte import invariants
     P = 10**12
     arr = Arrangement(FGAbelianGroup(2), [[P, 0], [0, 1], [1, 1]])
     qp = QuasiPolynomial(arr)
     assert qp.period == P
     ks = (1, 2, 3, 10**6, 2 * P + 2, 5 * 10**11)
     expected = {k: g_characteristic(arr, GroupSpec.cyclic(gcd(k, P))) for k in ks}
-    calls = []
-    real = invariants.g_characteristic
-    monkeypatch.setattr(invariants, "g_characteristic",
-                        lambda a, spec: calls.append(spec) or real(a, spec))
+    evaluated = _divisors_evaluated(monkeypatch)
     assert all(qp.constituent(k) == expected[k] for k in ks)
-    assert sorted(spec.f_order for spec in calls) == [1, 2, 10**6, 5 * 10**11]
+    assert evaluated(qp) == [1, 2, 10**6, 5 * 10**11]
     # the dense view and everything built on it refuse at once
     for refused in (lambda: chromatic_quasi(arr), lambda: qp.constituents,
                     qp.serialize, lambda: minimal_period(QuasiPolynomial(arr))):
@@ -250,6 +261,44 @@ def test_quasi_polynomial_past_the_dense_cap(monkeypatch):
         with pytest.raises(CapExceeded, match=f"exceeds the cap {MAX_PERIOD}"):
             refused()
         assert time.perf_counter() - start < 1
+
+
+def test_gcd_form_matches_the_characteristic_sum():
+    from gtutte.oracle import battery_instances
+    for arr in battery_instances(31, 40):
+        qp = QuasiPolynomial(arr)
+        for k in range(1, 2 * qp.period + 1):
+            assert qp.constituent(k) == \
+                g_characteristic(arr, GroupSpec.cyclic(k)), (arr, k)
+    P = 10**12
+    arr = Arrangement(FGAbelianGroup(2), [[P, 0], [0, 1], [1, 1]])
+    qp = QuasiPolynomial(arr)
+    rng = random.Random(2008)
+    for k in (rng.randrange(1, 10**200) for _ in range(20)):
+        assert qp.constituent(k) == g_characteristic(arr, GroupSpec.cyclic(k)), k
+
+
+def test_gcd_form_refuses_where_the_characteristic_sum_does():
+    from gtutte.invariants import MAX_DEGREE
+    example = Arrangement(FGAbelianGroup(2), [[-1, 1], [0, 2], [0, 4]])
+    with pytest.raises(ValueError, match="must be positive"):
+        QuasiPolynomial(example).constituent(0)
+    with pytest.raises(ValueError, match="must be positive"):
+        g_characteristic(example, GroupSpec.cyclic(0))
+    wide = Arrangement(FGAbelianGroup(MAX_DEGREE + 1), [])
+    # m(S) = gcd(10^4400, k) passes the int-to-string limit at k = 10^4400
+    deep = Arrangement(FGAbelianGroup(1), [[10**4400]], name="deep")
+    for arr, k, cause in ((wide, 1, f"degree {MAX_DEGREE + 1} exceeds the cap"),
+                          (deep, 10**4400, "coefficients may reach 4401 digits")):
+        refusals = []
+        for path in (lambda: QuasiPolynomial(arr).constituent(k),
+                     lambda: g_characteristic(arr, GroupSpec.cyclic(k))):
+            with pytest.raises(CapExceeded) as exc:
+                path()
+            refusals.append(str(exc.value))
+        assert refusals[0] == refusals[1] and cause in refusals[0], refusals
+    assert QuasiPolynomial(deep).constituent(10**4000) == \
+        g_characteristic(deep, GroupSpec.cyclic(10**4000))
 
 
 def test_duplicate_element_invariance():

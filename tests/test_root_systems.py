@@ -10,8 +10,9 @@ from math import comb, factorial, gcd, lcm, perm, prod
 
 import pytest
 
-from gtutte import (Arrangement, FGAbelianGroup, GroupSpec, UniPoly,
-                    arithmetic_tutte, chromatic_quasi, g_tutte, minimal_period)
+from gtutte import (Arrangement, FGAbelianGroup, GroupSpec, QuasiPolynomial,
+                    UniPoly, arithmetic_tutte, chromatic_quasi, g_tutte,
+                    minimal_period)
 from gtutte.lie import enumerate_lie_layers
 from gtutte.posets import layer_sum
 from gtutte.toric import enumerate_toric_layers
@@ -220,3 +221,57 @@ def test_exceptional_root_systems(name):
     assert poset.n == toric_count
     elapsed = time.perf_counter() - t0
     assert elapsed < 3.0, f"{elapsed:.2f}s > 3.0s"
+
+
+def alcove_count(highest, q: int) -> int:
+    """l! * c_1 * ... * c_l * L(q), where the c_i are the highest root's
+    coefficients and L(q) counts the positive integer solutions of
+    x_0 + c_1 x_1 + ... + c_l x_l = q: the interior points of the q-th
+    dilate of the fundamental alcove (Suter; Yoshinaga).  L(q) is a
+    coin-change count of q - h, h = 1 + sum c_i, in coins 1, c_1, ..., c_l."""
+    n = q - 1 - sum(highest)
+    if n < 0:
+        return 0
+    ways = [1] + [0] * n
+    for coin in (1, *highest):
+        for s in range(coin, n + 1):
+            ways[s] += ways[s - coin]
+    return factorial(len(highest)) * prod(highest) * ways[n]
+
+
+# name -> (Cartan matrix, number of positive roots, highest root); the
+# classical types in Bourbaki's numbering, the short simple root of B_4 and
+# the long one of C_4 last, D_5's fork at the third node
+ALCOVES = {
+    **{name: EXCEPTIONAL[name][:3] for name in EXCEPTIONAL},
+    "B_4": ([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -1, 2]],
+            16, (1, 2, 2, 2)),
+    "C_4": ([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -2, 2]],
+            16, (2, 2, 2, 1)),
+    "D_5": ([[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, -1],
+             [0, 0, -1, 2, 0], [0, 0, -1, 0, 2]], 20, (1, 2, 2, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("name", ALCOVES)
+def test_every_constituent_counts_the_alcove(name):
+    """Over the root lattice, every constituent, at residues that share a
+    factor with the period too: q <= (l + 1) * period gives each gcd class
+    at least l + 1 values, which fix its constituent of degree l."""
+    cartan, count, highest = ALCOVES[name]
+    roots = positive_roots(cartan)
+    assert len(roots) == count and roots[-1] == highest
+    arr = Arrangement(FGAbelianGroup(len(cartan)), roots, name=name)
+    qp = QuasiPolynomial(arr)
+    assert qp.period == lcm(*highest)
+    for q in range(1, (len(cartan) + 1) * qp.period + 1):
+        assert qp.constituent(q)(q) == alcove_count(highest, q), q
+
+
+def test_the_alcove_count_needs_the_root_lattice():
+    # the C_4 fixture lies in Z^4, where the root lattice has index 2: the
+    # count tells the two apart at even q past the Coxeter number 8
+    qp = QuasiPolynomial(type_c(4))
+    misses = [q for q in range(1, 5 * qp.period + 1)
+              if qp.constituent(q)(q) != alcove_count(ALCOVES["C_4"][2], q)]
+    assert misses == [8, 10]
