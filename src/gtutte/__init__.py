@@ -12,10 +12,9 @@ brute-force oracles for everything.
 from .intlinalg import (FGAbelianGroup, IntMatrix, cokernel,
                         hermite_normal_form, hom_enumerate, saturation)
 from .invariants import (QuasiPolynomial, arithmetic_tutte, beta_coefficients,
-                         chen_wang_compare, chromatic_quasi, first_constituent,
-                         g_characteristic, g_tutte, leading_part,
-                         minimal_period, reciprocity_eval,
-                         toric_characteristic)
+                         chen_wang_compare, chromatic_quasi, g_characteristic,
+                         g_tutte, leading_part, minimal_period,
+                         reciprocity_eval, toric_characteristic)
 from .model import Arrangement, GroupSpec, SubsetData, hom_count, multiplicity
 from .poly import BiPoly, UniPoly, scale_variable, substitute_xy
 
@@ -23,10 +22,10 @@ __all__ = [
     "Arrangement", "BiPoly", "FGAbelianGroup", "GroupSpec", "IntMatrix",
     "QuasiPolynomial", "SubsetData", "UniPoly", "arithmetic_tutte",
     "beta_coefficients", "chen_wang_compare", "chromatic_quasi",
-    "cokernel", "first_constituent", "g_characteristic", "g_tutte",
-    "hermite_normal_form", "hom_count", "hom_enumerate", "leading_part",
-    "minimal_period", "multiplicity", "reciprocity_eval", "saturation",
-    "scale_variable", "substitute_xy", "toric_characteristic",
+    "cokernel", "g_characteristic", "g_tutte", "hermite_normal_form",
+    "hom_count", "hom_enumerate", "leading_part", "minimal_period",
+    "multiplicity", "reciprocity_eval", "saturation", "scale_variable",
+    "substitute_xy", "toric_characteristic",
 ]
 
 __version__ = "0.1.0"

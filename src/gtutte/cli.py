@@ -123,6 +123,9 @@ def load_arrangement(path: str) -> Arrangement:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: not valid JSON (line {exc.lineno}: {exc.msg})")
+    except ValueError as exc:
+        # a number past Python's int-to-string limit, or bytes not UTF-8
+        raise InputError(f"{path}: {exc}")
     except RecursionError:
         raise InputError(f"{path}: JSON nested too deeply to parse")
     return arrangement_from_document(doc, origin=path)

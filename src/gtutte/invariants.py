@@ -195,12 +195,6 @@ def chromatic_quasi(arr: Arrangement) -> QuasiPolynomial:
     return qp
 
 
-def first_constituent(arr: Arrangement) -> UniPoly:
-    """Constituent 1: zero when a torsion element is present, else the
-    characteristic polynomial of the real-target arrangement."""
-    return QuasiPolynomial(arr).constituent(1)
-
-
 def toric_characteristic(arr: Arrangement) -> UniPoly:
     """Characteristic polynomial of the layer poset over the circle target.
 
@@ -279,10 +273,10 @@ def minimal_period(qp: QuasiPolynomial) -> int:
     """Smallest divisor p of the period under which the constituents repeat:
     the least p with constituent(d) == constituent(gcd(d, p)) for every
     divisor d (by the Chinese remainder theorem, some j = d mod p has
-    gcd(j, period) = gcd(d, p)).  The dense view's cap applies."""
+    gcd(j, period) = gcd(d, p)); p = period always passes.  The dense
+    view's cap applies."""
     dense = qp.constituents
     divisors = [d for d in range(1, qp.period + 1) if qp.period % d == 0]
     for p in divisors:
         if all(dense[d - 1] == dense[gcd(d, p) - 1] for d in divisors):
             return p
-    return qp.period

@@ -47,16 +47,6 @@ def scc(poset: LayerPoset) -> tuple:
     return tuple(i for i in partial_subposet(poset) if poset.layers[i].rank == 0)
 
 
-def partial_characteristic(arr: Arrangement, g: int, f_torsion=(),
-                           poset: LayerPoset | None = None) -> UniPoly:
-    """Möbius-weighted dimension sum over the partial poset, built when
-    none is given; equals the target-group characteristic polynomial
-    evaluated at #F * t^g (`posets.layer_sum`)."""
-    if poset is None:
-        poset = enumerate_lie_layers(arr, g, f_torsion)
-    return layer_sum(poset, partial=True)[1]
-
-
 def total_characteristic(arr: Arrangement, g: int, f_torsion=(),
                          poset: LayerPoset | None = None) -> UniPoly:
     """Möbius-weighted dimension sum over the whole poset, built when none
@@ -82,8 +72,6 @@ def constituent_via_lie(arr: Arrangement, k: int, g: int):
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if g < 1:
-        raise ValueError("g must be >= 1")
     poset = enumerate_lie_layers(arr, g, (k,) if k > 1 else ())
     roots = scc(poset)  # checks the partial subposet: the in_partial layers
     out = checked_sum(poset, [i for i, lay in enumerate(poset.layers)

@@ -68,10 +68,6 @@ class GroupSpec:
     def real(n: int = 1) -> "GroupSpec":
         return GroupSpec(reals=n)
 
-    @staticmethod
-    def trivial() -> "GroupSpec":
-        return GroupSpec()
-
     @property
     def dim(self) -> int:
         return self.circles + self.reals
@@ -350,6 +346,11 @@ class Arrangement:
 
 
 def _unnamed(gamma: FGAbelianGroup, elements) -> str:
-    """An arrangement without a name, by its ambient and its elements."""
+    """An arrangement without a name, by its ambient and its elements, or
+    by their count when an entry is past Python's int-to-string limit."""
+    try:
+        shown = str(elements)
+    except ValueError:
+        shown = f"{len(elements)} elements"
     return (f"Arrangement(Z^{gamma.free_rank}"
-            + "".join(f"+Z/{e}" for e in gamma.torsion) + f", {elements})")
+            + "".join(f"+Z/{e}" for e in gamma.torsion) + f", {shown})")

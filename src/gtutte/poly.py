@@ -51,9 +51,6 @@ class UniPoly:
     def __neg__(self) -> "UniPoly":
         return UniPoly([-x for x in self.coeffs])
 
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
     def __mul__(self, other) -> "UniPoly":
         if isinstance(other, int):
             return UniPoly([other * x for x in self.coeffs])
@@ -112,24 +109,13 @@ class BiPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=()):
-        if isinstance(terms, dict):
-            items = terms.items()
-        else:
-            items = terms
+    def __init__(self, terms: dict):
         d = {}
-        for (i, j), c in items:
+        for (i, j), c in terms.items():
             c = int(c)
             if c:
                 d[(int(i), int(j))] = d.get((int(i), int(j)), 0) + c
         object.__setattr__(self, "terms", {k: v for k, v in d.items() if v})
-
-    @staticmethod
-    def constant(c: int) -> "BiPoly":
-        return BiPoly({(0, 0): c})
-
-    def __bool__(self):
-        return bool(self.terms)
 
     def __eq__(self, other):
         return isinstance(other, BiPoly) and self.terms == other.terms
@@ -140,29 +126,13 @@ class BiPoly:
             d[k] = d.get(k, 0) + c
         return BiPoly(d)
 
-    def __neg__(self) -> "BiPoly":
-        return BiPoly({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "BiPoly":
-        if isinstance(other, int):
-            return BiPoly({k: other * c for k, c in self.terms.items()})
+    def __mul__(self, other: "BiPoly") -> "BiPoly":
         d = {}
         for (i1, j1), c1 in self.terms.items():
             for (i2, j2), c2 in other.terms.items():
                 k = (i1 + i2, j1 + j2)
                 d[k] = d.get(k, 0) + c1 * c2
         return BiPoly(d)
-
-    __rmul__ = __mul__
-
-    def __call__(self, x, y):
-        acc = 0
-        for (i, j), c in self.terms.items():
-            acc += c * x**i * y**j
-        return acc
 
     def __repr__(self):
         return f"BiPoly({self.triples()})"

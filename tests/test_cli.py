@@ -607,12 +607,17 @@ def _period_file(tmp_path, period):
     (("quasi", "{over_cap}"), f"exceeds the cap {invariants.MAX_PERIOD}"),
     (("info", "{tmp}/deep.json"), "{tmp}/deep.json"),
     (("toric-layers", "{example}", "--k", "0"), "example: k must be positive"),
+    (("char", "{tmp}/huge.json"), "{tmp}/huge.json: Exceeds the limit"),
 ], ids=["missing file", "bad JSON", "K = 0", "--dot into a missing directory",
-        "period cap", "deeply nested JSON", "--k 0"])
+        "period cap", "deeply nested JSON", "--k 0",
+        "number past the int-to-string limit"])
 def test_error_paths_print_no_result(argv, message, example_file, tmp_path,
                                      capsys):
     (tmp_path / "bad.json").write_text("{not json")
     (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    (tmp_path / "huge.json").write_text(
+        '{"group": {"free_rank": 1, "torsion": []}, "vectors": [[1%s]]}'
+        % ("0" * 4999))
     names = {"tmp": str(tmp_path), "example": example_file,
              "over_cap": _period_file(tmp_path, invariants.MAX_PERIOD + 1)}
     code, out, err = run(capsys, *(a.format(**names) for a in argv))
@@ -653,6 +658,19 @@ def test_a_raising_handler_prints_no_result(example_file, capsys,
     code, out, err = run(capsys, "constituent", example_file, "4")
     assert code == 1 and out == ""
     assert err == "identity check failed: injected\n"
+
+
+def test_wrong_signs_fail_the_beta_and_reciprocity_checks(example_file, capsys,
+                                                          monkeypatch):
+    # -(t + 1)^2 over a rank-2 ambient: beta_0 = -1, and (-1)^2 * f(-3) = -4
+    monkeypatch.setattr(invariants.QuasiPolynomial, "constituent",
+                        lambda self, k: gtutte.UniPoly([-1, -2, -1]))
+    for argv, what in ((("beta", "--q", "4"), "beta_0(4) = -1 < 0"),
+                       (("reciprocity", "--k", "4", "--q", "3"),
+                        "reciprocity value -4 < 0")):
+        code, out, err = run(capsys, argv[0], example_file, *argv[1:])
+        assert code == 1 and out == ""
+        assert err.startswith("identity check failed: ") and what in err
 
 
 def test_dense_periods_are_refused_past_the_cap(tmp_path, capsys):

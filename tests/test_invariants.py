@@ -6,9 +6,8 @@ import pytest
 
 from gtutte import (Arrangement, FGAbelianGroup, GroupSpec, QuasiPolynomial,
                     arithmetic_tutte, beta_coefficients, chen_wang_compare,
-                    chromatic_quasi, first_constituent, g_characteristic,
-                    g_tutte, leading_part, minimal_period, reciprocity_eval,
-                    toric_characteristic)
+                    chromatic_quasi, g_characteristic, g_tutte, leading_part,
+                    minimal_period, reciprocity_eval, toric_characteristic)
 from gtutte.intlinalg import IntMatrix, hom_enumerate
 from gtutte.invariants import MAX_PERIOD, HypothesisError
 from gtutte.model import CapExceeded
@@ -28,7 +27,7 @@ def test_g_tutte_real_target_is_classical(example):
 def test_real_target_matches_any_torsion_free_spec(example):
     base = g_tutte(example, GroupSpec.real())
     assert g_tutte(example, GroupSpec(reals=3)) == base
-    assert g_tutte(example, GroupSpec.trivial()) == base
+    assert g_tutte(example, GroupSpec()) == base
 
 
 def test_arithmetic_tutte_example(example):
@@ -108,13 +107,14 @@ def test_chromatic_quasi_empty_arrangement():
 
 
 def test_first_constituent_zero_with_torsion_element(mixed_torsion):
-    assert first_constituent(mixed_torsion).coeffs == ()
+    assert QuasiPolynomial(mixed_torsion).constituent(1).coeffs == ()
     assert chromatic_quasi(mixed_torsion).constituent(1).coeffs == ()
 
 
 def test_first_constituent_example(example):
-    assert first_constituent(example).coeffs == (1, -2, 1)
-    assert first_constituent(Arrangement(FGAbelianGroup(2), [])).coeffs == (0, 0, 1)
+    assert QuasiPolynomial(example).constituent(1).coeffs == (1, -2, 1)
+    empty = Arrangement(FGAbelianGroup(2), [])
+    assert QuasiPolynomial(empty).constituent(1).coeffs == (0, 0, 1)
 
 
 def test_constituents_depend_on_gcd_with_period(example):
@@ -182,7 +182,7 @@ def test_reciprocity_nonnegative_for_all_residues(example):
 def test_leading_part_examples(example):
     assert leading_part(example, GroupSpec(f_torsion=(2,))) == 4
     assert leading_part(example, GroupSpec(f_torsion=(4,))) == 16
-    assert leading_part(example, GroupSpec.trivial()) == 1
+    assert leading_part(example, GroupSpec()) == 1
 
 
 def test_leading_coefficient_is_surviving_torsion_hom_count():
@@ -288,8 +288,12 @@ def test_gcd_form_refuses_where_the_characteristic_sum_does():
     wide = Arrangement(FGAbelianGroup(MAX_DEGREE + 1), [])
     # m(S) = gcd(10^4400, k) passes the int-to-string limit at k = 10^4400
     deep = Arrangement(FGAbelianGroup(1), [[10**4400]], name="deep")
+    # unnamed, the same arrangement is named by its ambient and element count
+    unnamed = Arrangement(FGAbelianGroup(1), [[10**4400]])
     for arr, k, cause in ((wide, 1, f"degree {MAX_DEGREE + 1} exceeds the cap"),
-                          (deep, 10**4400, "coefficients may reach 4401 digits")):
+                          (deep, 10**4400, "coefficients may reach 4401 digits"),
+                          (unnamed, 10**4400, "Arrangement(Z^1, 1 elements): "
+                           "finite target: coefficients may reach 4401 digits")):
         refusals = []
         for path in (lambda: QuasiPolynomial(arr).constituent(k),
                      lambda: g_characteristic(arr, GroupSpec.cyclic(k))):
@@ -297,8 +301,9 @@ def test_gcd_form_refuses_where_the_characteristic_sum_does():
                 path()
             refusals.append(str(exc.value))
         assert refusals[0] == refusals[1] and cause in refusals[0], refusals
-    assert QuasiPolynomial(deep).constituent(10**4000) == \
-        g_characteristic(deep, GroupSpec.cyclic(10**4000))
+    for arr in (deep, unnamed):
+        assert QuasiPolynomial(arr).constituent(10**4000) == \
+            g_characteristic(arr, GroupSpec.cyclic(10**4000))
 
 
 def test_duplicate_element_invariance():

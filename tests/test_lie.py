@@ -2,17 +2,18 @@ from math import gcd
 
 import pytest
 
-from gtutte import (Arrangement, FGAbelianGroup, GroupSpec, chromatic_quasi,
-                    g_characteristic, leading_part, lie, posets, scale_variable)
+from gtutte import (Arrangement, FGAbelianGroup, GroupSpec, QuasiPolynomial,
+                    chromatic_quasi, g_characteristic, leading_part, lie,
+                    posets, scale_variable)
 from gtutte.invariants import IdentityCheckError
 from gtutte.lie import (constituent_via_lie, enumerate_lie_layers,
-                        key_lie_sums, partial_characteristic, partial_subposet,
-                        scc, total_characteristic)
+                        key_lie_sums, partial_subposet, scc,
+                        total_characteristic)
 from gtutte.model import CapExceeded
 from gtutte.oracle import (battery_instances, brute_complement_count,
                            brute_mobius, poset_leq_matrix)
 from gtutte.poly import UniPoly
-from gtutte.posets import component_shapes
+from gtutte.posets import component_shapes, layer_sum
 
 
 DIAMOND = (4, (0, 1, 1, 2))  # (layer count, rank multiset) of a diamond
@@ -51,7 +52,7 @@ def test_partial_equals_total_without_torsion_elements(example):
     for fs in ((), (2,), (3,)):
         poset = enumerate_lie_layers(example, 1, fs)
         assert partial_subposet(poset) == poset.all_indices()
-        assert partial_characteristic(example, 1, fs, poset) == \
+        assert layer_sum(poset, partial=True)[1] == \
             total_characteristic(example, 1, fs, poset)
 
 
@@ -61,7 +62,8 @@ def test_rescaling_identity_various_targets(example, mixed_torsion,
         for g in (1, 2):
             for fs in ((), (2,), (3,), (4,)):
                 spec = GroupSpec(f_torsion=fs, reals=g)
-                got = partial_characteristic(arr, g, fs)
+                got = layer_sum(enumerate_lie_layers(arr, g, fs),
+                                partial=True)[1]
                 want = scale_variable(g_characteristic(arr, spec),
                                       spec.f_order, g)
                 assert got == want
@@ -70,7 +72,8 @@ def test_rescaling_identity_various_targets(example, mixed_torsion,
 def test_total_is_partial_of_stripped(mixed_torsion):
     for fs in ((), (2,), (3,)):
         total = total_characteristic(mixed_torsion, 1, fs)
-        stripped = partial_characteristic(mixed_torsion.without_torsion(), 1, fs)
+        stripped = layer_sum(enumerate_lie_layers(
+            mixed_torsion.without_torsion(), 1, fs), partial=True)[1]
         assert total == stripped
 
 
@@ -85,7 +88,7 @@ def test_scc_with_ambient_torsion():
 def test_scc_empty_when_trivial_finite_part_has_torsion(mixed_torsion):
     poset = enumerate_lie_layers(mixed_torsion, 1, ())
     assert scc(poset) == ()
-    assert partial_characteristic(mixed_torsion, 1, (), poset).coeffs == ()
+    assert layer_sum(poset, partial=True)[1].coeffs == ()
 
 
 def test_scc_count_matches_leading_part(example, mixed_torsion, torsion_only):
@@ -200,21 +203,19 @@ def test_empty_arrangement_components_only():
 
 def test_first_constituent_matches_trivial_finite_part(example):
     # the k=1 constituent is the line-target partial polynomial
-    from gtutte import first_constituent
-    assert partial_characteristic(example, 1, ()) == first_constituent(example)
+    assert layer_sum(enumerate_lie_layers(example, 1, ()), partial=True)[1] == \
+        QuasiPolynomial(example).constituent(1)
 
 
 @pytest.mark.parametrize("call", [
-    lambda arr: partial_characteristic(arr, 1, (2,)),
-    lambda arr: partial_characteristic(arr, 1, (2,),
-                                       enumerate_lie_layers(arr, 1, (2,))),
+    lambda arr: layer_sum(enumerate_lie_layers(arr, 1, (2,)), partial=True),
     lambda arr: total_characteristic(arr, 1, (2,)),
     lambda arr: total_characteristic(arr, 1, (2,),
                                      enumerate_lie_layers(arr, 1, (2,))),
     lambda arr: constituent_via_lie(arr, 2, 1),
-], ids=["partial", "partial-poset", "total", "total-poset", "constituent"])
+], ids=["partial", "total", "total-poset", "constituent"])
 def test_identity_check_failure_raises(example, monkeypatch, call):
-    # a wrong independent polynomial must make every wrapper raise
+    # a wrong independent polynomial must make every checked sum raise
     monkeypatch.setattr(posets, "g_characteristic",
                         lambda arr, spec: UniPoly([7]))
     with pytest.raises(IdentityCheckError):

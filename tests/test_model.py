@@ -187,7 +187,7 @@ def test_group_spec_canonicalizes_factors():
     assert GroupSpec(f_torsion=(1, 4, 1)).f_torsion == (4,)
     assert GroupSpec(f_torsion=(4, 2)).f_torsion == (2, 4)
     assert GroupSpec(f_torsion=(6, 4)).f_torsion == (2, 12)
-    assert GroupSpec.cyclic(1) == GroupSpec.trivial()
+    assert GroupSpec.cyclic(1) == GroupSpec()
     assert GroupSpec(f_torsion=(2, 3)).f_order == 6
 
 
@@ -203,7 +203,7 @@ def test_group_spec_rejects_nonpositive_factors():
         bad = next(f for f in factors if f < 1)
         with pytest.raises(ValueError, match=str(bad)):
             GroupSpec(f_torsion=factors)
-    assert GroupSpec(f_torsion=(1,)) == GroupSpec.trivial()
+    assert GroupSpec(f_torsion=(1,)) == GroupSpec()
 
 
 def test_without_torsion_of_free_arrangement_is_itself(example):
