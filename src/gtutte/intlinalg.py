@@ -17,9 +17,9 @@ Matrices are tiny, and the hot path is the lattice fold of
 `model.LatticeTable`, on plain row tuples.  `hnf_invariant_factors` reads
 a quotient's invariant factors off the canonical HNF of its relations, so
 `cokernel` tracks no transforms: unit pivots split off, closed forms read
-the small shapes, and only the rest reaches `_monomial`.  `hom_images`
-solves the canonical HNF of the relations by back-substitution, one
-target factor at a time.
+the small shapes, and only the rest reaches `_monomial`.  `kernel_mod`
+solves echelon rows mod m by back-substitution, the same list on any
+echelon rows of one lattice; `hom_images` runs it per factor on an HNF.
 """
 
 from __future__ import annotations
@@ -410,21 +410,54 @@ def saturation(generators: IntMatrix, ambient: FGAbelianGroup) -> IntMatrix:
     return IntMatrix._from_hnf(f, rows)
 
 
+def pivot_map(rows) -> dict:
+    """{pivot column: (pivot, the rest of its row)} of echelon rows."""
+    pivots = {}
+    j = 0
+    for row in rows:
+        while not row[j]:  # the pivots move right
+            j += 1
+        pivots[j] = (row[j], row[j + 1:])
+    return pivots
+
+
+def kernel_mod(pivots: dict, n: int, m: int) -> list:
+    """Every x in (Z/m)^n with row . x = 0 mod m for the echelon rows whose
+    `pivot_map` is `pivots`, as flat residue tuples sorted on the reversed
+    tuples: any echelon rows of one lattice give the same list.
+
+    Back-substitution from the last column to the first: a column without
+    a pivot takes every residue, and a pivot p, with the later columns
+    fixed at a sum s over the rest of its row, takes the gcd(p, m)
+    residues x with p*x = -s mod m, in increasing order, or none when
+    gcd(p, m) does not divide s.  The solutions so far form a group and s
+    mod gcd(p, m) a homomorphism on it, so a pivot keeps at least
+    1/gcd(p, m) of them and gcd(p, m) residues each: no intermediate list
+    outgrows the result.
+    """
+    tails = [()]  # solutions (x_j+1, ..., x_n-1) on the columns after j
+    for j in range(n - 1, -1, -1):
+        if j not in pivots:
+            tails = [(x,) + t for t in tails for x in range(m)]
+            continue
+        p, rest = pivots[j]
+        g = gcd(p, m)
+        step = m // g
+        inv = pow(p // g, -1, step)
+        grown = []
+        for t in tails:
+            s = sum([a * x for a, x in zip(rest, t)])
+            if not s % g:
+                x0 = -s // g * inv % step
+                grown.extend([(x,) + t for x in range(x0, m, step)])
+        tails = grown
+    return tails
+
+
 def hom_images(relations: IntMatrix, target_torsion) -> list:
-    """All homomorphisms from Z^n/<relation rows> into + Z/f_j.
-
-    Returned as tuples of generator images, each image a residue tuple; the
-    list is complete, duplicate-free, and deterministically ordered.
-
-    The relations are reduced to their canonical HNF, and each factor Z/m
-    is solved on its own by back-substitution, from the last column to the
-    first: a column without a pivot takes every residue, and a pivot p, with
-    the later columns fixed at a sum s over the rest of its row, takes the
-    gcd(p, m) residues x with p*x = -s mod m, or none when gcd(p, m) does
-    not divide s.  The solutions so far form a group and s mod gcd(p, m) a
-    homomorphism on it, so a pivot keeps at least 1/gcd(p, m) of them and
-    gcd(p, m) residues each: no intermediate list outgrows the result.  The
-    homs are the product of the factors' solutions.
+    """All homomorphisms from Z^n/<relation rows> into + Z/f_j, in a fixed
+    order, as tuples of generator images, each a residue tuple: the product
+    of the factors' `kernel_mod` solutions of the relations' canonical HNF.
     """
     fs = tuple(int(f) for f in target_torsion)
     if any(f < 1 for f in fs):
@@ -432,31 +465,8 @@ def hom_images(relations: IntMatrix, target_torsion) -> list:
     n = relations.cols
     if not fs:  # one hom, onto the trivial group
         return [((),) * n]
-    pivot_rows = {}  # pivot column -> (pivot, the rest of its HNF row)
-    for row in hermite_normal_form(relations).data:
-        j = 0
-        while not row[j]:
-            j += 1
-        pivot_rows[j] = (row[j], row[j + 1:])
-    per_factor = []
-    for m in fs:
-        tails = [()]  # solutions (x_j+1, ..., x_n-1) on the columns after j
-        for j in range(n - 1, -1, -1):
-            if j not in pivot_rows:
-                tails = [(x,) + t for t in tails for x in range(m)]
-                continue
-            p, rest = pivot_rows[j]
-            g = gcd(p, m)
-            step = m // g
-            inv = pow(p // g, -1, step)
-            grown = []
-            for t in tails:
-                s = sum([a * x for a, x in zip(rest, t)])
-                if not s % g:
-                    x0 = -s // g * inv % step
-                    grown.extend([(x,) + t for x in range(x0, m, step)])
-            tails = grown
-        per_factor.append(tails)
+    pivots = pivot_map(hermite_normal_form(relations).data)
+    per_factor = [kernel_mod(pivots, n, m) for m in fs]
     return [tuple(zip(*sols)) for sols in product(*per_factor)]
 
 

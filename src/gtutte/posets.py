@@ -14,8 +14,8 @@ enumeration, once for all the subsets that span it, deduplicates on
 whose kernel contains it: the union of the subsets it is a component of.
 Subsets are visited one by one only if `subset_components` is read.
 A lattice whose quotient has no torsion is saturated: its span is its own
-rows and its one character zero.  A finite quotient means span Z^f, whose
-coordinates the rows already are.  Only the rest are saturated and solved.
+rows and its one character zero.  Any other is solved by `kernel_mod` on
+its rows in span coordinates (the rows themselves at span Z^f), no HNF.
 Many layers share a span, an F-hom or a circle value, so each layer's
 printed key and order are put together from pieces formatted once per
 engine run: the rows of each span, the text and order of each F-hom, and
@@ -67,7 +67,7 @@ from typing import NamedTuple
 
 from . import model
 from .intlinalg import (FGAbelianGroup, IntMatrix, _bordered_hnf, hnf_solve,
-                        hom_enumerate)
+                        hom_enumerate, kernel_mod, pivot_map)
 from .invariants import (HypothesisError, IdentityCheckError, check_degree,
                          checked, g_characteristic)
 from .model import Arrangement, CapExceeded, GroupSpec
@@ -169,7 +169,7 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec) -> "LayerPoset":
         if spec.circles and not quot.torsion:  # saturated: the zero character
             values = [(0,) * (span.rows + len(gamma.torsion))]
         elif spec.circles:
-            gens_m = lattice  # span Z^f: the rows are their own coordinates
+            gens = lattice.data  # span Z^f: the rows are their own coordinates
             if rank < f:
                 gens = []
                 for row in lattice.data:
@@ -178,12 +178,13 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec) -> "LayerPoset":
                         raise IdentityCheckError(f"{arr.describe()}: lattice "
                                                  "row escaped its own saturation")
                     gens.append(coeffs + row[f:])
-                gens_m = IntMatrix.from_rows(gens, span.rows + len(gamma.torsion))
-            # the torsion relations are lattice rows already, so gens_m
-            # presents the quotient of the free group on the span and
-            # torsion generators
-            values = [tuple(img[0] for img in h) for h in hom_enumerate(
-                gens_m, FGAbelianGroup(gens_m.cols), (period,))]
+            # gens presents the quotient on the span and torsion generators
+            # (the torsion relations are lattice rows).  The lattice's HNF
+            # and its span's share their pivot columns, so the coefficients
+            # are upper triangular with a positive diagonal, above the
+            # torsion rows: echelon rows, on which `kernel_mod` gives the
+            # same list in the same order as on their HNF, so none is taken
+            values = kernel_mod(pivot_map(gens), len(gens[0]), period)
         homs = hom_enumerate(lattice, free, fs) if fs else [((),) * gamma.ngens]
         chis = [(v, h) for v in values for h in homs]
         if len(chis) != expected[lat]:
@@ -253,12 +254,15 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec) -> "LayerPoset":
                  lay for lay in layers}
         columns: dict = {}  # id of a span -> columns of its right inverse
         points: dict = {}   # id of a layer -> a point of the layer mod P
+        unit = IntMatrix.identity(f).data
 
         def point(y):
             """A point of y mod P: sum_i v_i u_i for its circle values v_i on
             the span rows.  The span is saturated, so its columns generate
             Z^r and its `_bordered_hnf` starts with [e_i | u_i], span . u_i =
             e_i; coordinate k of the point is column k of the u_i times v."""
+            if y.span.data == unit:  # span Z^f: the u_i are the e_i
+                return y.chi[0][:f]
             key = id(y)  # asked only about `layers`, which stay alive
             if key not in points:
                 span = y.span

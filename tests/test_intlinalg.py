@@ -1,6 +1,8 @@
 import random
 import time
 from itertools import product
+from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,9 @@ from gtutte import intlinalg
 from gtutte.intlinalg import (DimensionMismatch, FGAbelianGroup, IntMatrix,
                               cokernel, hermite_normal_form, hnf_insert,
                               hnf_invariant_factors, hnf_solve, hom_enumerate,
-                              invariant_chain, presentation_matrix,
-                              saturation, xgcd)
+                              hom_images, invariant_chain, kernel_mod,
+                              pivot_map, presentation_matrix, saturation,
+                              xgcd)
 from gtutte.invariants import arithmetic_tutte
 from gtutte.model import Arrangement, GroupSpec, LatticeTable, hom_count
 from gtutte.oracle import battery_instances
@@ -610,6 +613,40 @@ def test_hom_enumerate_matches_brute_force():
         assert len(homs) == len(set(homs)), (gens, gamma, target)
         assert set(homs) == _brute_homs(gens, gamma, target), \
             (gens, gamma, target)
+
+
+def test_kernel_mod_matches_hom_images_and_brute_force():
+    # echelon rows that are not a canonical HNF: entries above the pivots
+    # left unreduced, negative or past the pivot, and columns skipped
+    rng = random.Random(33)
+    moduli = list(range(1, 13)) + [10080]
+    cases = [((), 0, m) for m in moduli]
+    while len(cases) < 13 + 400:
+        n = rng.randint(1, 4)
+        cols = sorted(rng.sample(range(n), rng.randint(0, n)))
+        rows = tuple(tuple(0 if k < j else rng.randint(1, 6) if k == j
+                           else rng.randint(-20, 20) for k in range(n))
+                     for j in cols)
+        m = rng.choice(moduli)
+        bound = m ** (n - len(cols))  # solutions: at most this times the gcds
+        for row, j in zip(rows, cols):
+            bound *= gcd(row[j], m)
+        if bound <= 20_000:
+            cases.append((rows, n, m))
+    unreduced = brute_checked = 0
+    for rows, n, m in cases:
+        sols = kernel_mod(pivot_map(rows), n, m)
+        lattice = IntMatrix.from_rows(rows, n)
+        assert sols == [tuple(img[0] for img in h)
+                        for h in hom_images(lattice, (m,))], (rows, n, m)
+        unreduced += rows != hermite_normal_form(lattice).data
+        if m ** n <= 2_000:
+            brute = [x for x in product(range(m), repeat=n)
+                     if all(not sum(map(mul, row, x)) % m for row in rows)]
+            assert sols == sorted(brute, key=lambda x: x[::-1]), (rows, n, m)
+            brute_checked += 1
+    assert unreduced > 100 and brute_checked > 100
+    assert {m for _, n, m in cases if n} == set(moduli)
 
 
 def test_group_validation():

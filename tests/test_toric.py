@@ -3,9 +3,10 @@ import random
 import pytest
 
 from gtutte import Arrangement, FGAbelianGroup, GroupSpec, chromatic_quasi, posets
+from gtutte.intlinalg import IntMatrix
 from gtutte.invariants import IdentityCheckError
 from gtutte.lie import enumerate_lie_layers
-from gtutte.model import CapExceeded, multiplicity
+from gtutte.model import CapExceeded, LatticeTable, multiplicity
 from gtutte.oracle import (brute_mobius, downs_from_covers, mobius_all,
                            poset_leq_matrix)
 from gtutte.poly import UniPoly
@@ -160,6 +161,30 @@ def test_k_must_be_positive(example_poset):
         k_total_subposet(example_poset, -2)
 
 
+def test_a_rank_f_span_off_the_identity_is_checked(example, monkeypatch):
+    # span Z^f is told by its rows, not its rank: a rank-2 span that is not
+    # saturated still reaches the bordered-HNF check of the order lookup
+    span = LatticeTable.span
+
+    def unsaturated(self, lat):
+        got = span(self, lat)
+        return IntMatrix.from_rows(((1, 0), (0, 2))) if got.rows == 2 else got
+
+    monkeypatch.setattr(LatticeTable, "span", unsaturated)
+    with pytest.raises(IdentityCheckError, match=r"^example: span "
+                       r"\[\(1, 0\), \(0, 2\)\] is not saturated$"):
+        enumerate_toric_layers(example)
+
+
+def test_a_dropped_circle_value_fails_the_component_count(example,
+                                                          monkeypatch):
+    solve = posets.kernel_mod
+    monkeypatch.setattr(posets, "kernel_mod", lambda *args: solve(*args)[:-1])
+    with pytest.raises(IdentityCheckError, match=r"^example: lattice "
+                       r"\[\(0, 2\)\] has 1 components, expected 2$"):
+        enumerate_toric_layers(example)
+
+
 def test_layer_cap(monkeypatch):
     monkeypatch.setattr(posets, "MAX_COMPONENTS", 5)
     with pytest.raises(CapExceeded, match="at least 13 components exceed the cap 5$"):
@@ -184,6 +209,7 @@ def test_layer_cap_refuses_before_any_hom(monkeypatch):
         raise AssertionError("a homomorphism was enumerated")
 
     monkeypatch.setattr(posets, "hom_enumerate", no_homs)
+    monkeypatch.setattr(posets, "kernel_mod", no_homs)
     with pytest.raises(CapExceeded, match=r"^wide: layer enumeration: at least "
                        r"50979 components exceed the cap 50000$"):
         enumerate_toric_layers(arr)
@@ -215,6 +241,7 @@ def test_order_cap_refuses_high_rank_before_any_hom(monkeypatch):
         raise AssertionError("a homomorphism was enumerated")
 
     monkeypatch.setattr(posets, "hom_enumerate", no_homs)
+    monkeypatch.setattr(posets, "kernel_mod", no_homs)
     message = (r"^B14: layer order: at least 2000053 pairs \(components "
                r"times 2\^rank\) exceed the cap 2000000$")
     with pytest.raises(CapExceeded, match=message):
