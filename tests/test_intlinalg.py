@@ -1,6 +1,6 @@
 import random
 import time
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 from operator import mul
 
@@ -223,8 +223,9 @@ def _insertions(draw):
     """A canonical HNF parent, possibly holding torsion relation rows
     e * unit vector on trailing columns, and a vector to insert: a random
     one, the zero vector, a member of the lattice, or one whose leading
-    entry, possibly negative, sits at a chosen column."""
-    c = draw(st.integers(1, 5))
+    entry, possibly negative, sits at a chosen column.  The widths run past
+    the compiled kernels' cap, so both paths of `hnf_insert` are drawn."""
+    c = draw(st.integers(1, intlinalg._KERNEL_WIDTH + 2))
     gens = draw(st.lists(st.lists(_ENTRIES, min_size=c, max_size=c),
                          max_size=c + 1))
     torsion = draw(st.lists(st.sampled_from((2, 3, 4, 6, 1000)), max_size=c))
@@ -249,20 +250,84 @@ def _insertions(draw):
     return rows, vec
 
 
-@settings(max_examples=600, derandomize=True, database=None, deadline=None)
-@given(_insertions())
-def test_hnf_insert_matches_the_reference(case):
-    rows, vec = case
+def _check_insert(rows, vec):
+    """hnf_insert against the reference: equal canonical tuple rows, the
+    parent itself exactly when vec lies in its lattice, the parent as it
+    was."""
     before = [tuple(row) for row in rows]
     got = hnf_insert(rows, vec)
     want = _reference_hnf_insert(rows, vec)
-    assert got == want
+    assert got == want, (rows, vec)
     assert list(rows) == before  # the parent's rows are left as they were
     assert type(got) is tuple and all(type(row) is tuple for row in got)
     assert (got is rows) == (want is rows)
     _assert_canonical_hnf(IntMatrix(len(got), len(vec), got))
     member = hnf_solve(IntMatrix(len(rows), len(vec), rows), vec) is not None
-    assert (got is rows) == member
+    assert (got is rows) == member, (rows, vec)
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(_insertions())
+def test_hnf_insert_matches_the_reference(case):
+    _check_insert(*case)
+
+
+def _pivot_key(c: int, pivots) -> int:
+    return 1 << c | sum(1 << j for j in pivots)
+
+
+def test_every_compiled_kernel_matches_the_reference():
+    # every width up to the cap and every set of pivot columns: a random
+    # canonical HNF with those pivots, and the zero vector, lattice members,
+    # a leading entry of either sign at each column, and random vectors
+    rng = random.Random(34)
+    for c in range(1, intlinalg._KERNEL_WIDTH + 1):
+        for pivots in (p for n in range(c + 1)
+                       for p in combinations(range(c), n)):
+            bound = rng.choice((3, 6, 1000))
+            gens = [[0] * j + [rng.choice((1, 2, 3, 5, 12, 997))]
+                    + [rng.randint(-bound, bound) for _ in range(j + 1, c)]
+                    for j in pivots]
+            rows = hermite_normal_form(IntMatrix.from_rows(gens, c)).data
+            assert len(rows) == len(pivots)
+            vecs = [(0,) * c]
+            for _ in range(3):
+                coeffs = [rng.randint(-3, 3) for _ in rows]
+                vecs.append(tuple(sum(k * row[j] for k, row in zip(coeffs, rows))
+                                  for j in range(c)))
+            for j in range(c):
+                for lead in (rng.choice((1, 2, 3, 7, 1000)),
+                             -rng.choice((1, 2, 3, 7, 1000))):
+                    vecs.append(tuple([0] * j + [lead] + [rng.randint(-bound, bound)
+                                                          for _ in range(j + 1, c)]))
+            for _ in range(4):
+                vecs.append(tuple(rng.randint(-bound, bound) for _ in range(c)))
+            for vec in vecs:
+                _check_insert(rows, vec)
+            assert intlinalg._KERNELS[_pivot_key(c, pivots)] is not None
+
+
+def test_kernel_cache_is_bounded():
+    # a step at the cap compiles a kernel for its width and pivots; one
+    # past the cap takes the loop and adds none; every slot holds the
+    # kernel of its own (width, pivot columns), none wider than the cap
+    cap = intlinalg._KERNEL_WIDTH
+    for c in (cap, cap + 1):
+        rows = hermite_normal_form(IntMatrix.from_rows(
+            [[int(i == j) * 2 for j in range(c)] for i in range(c - 1)], c)).data
+        before = sum(k is not None for k in intlinalg._KERNELS)
+        assert hnf_insert(rows, (1,) * c) == _reference_hnf_insert(rows, (1,) * c)
+        after = sum(k is not None for k in intlinalg._KERNELS)
+        assert after - before <= (c <= cap)
+    assert intlinalg._KERNELS[_pivot_key(cap, range(cap - 1))] is not None
+    assert len(intlinalg._KERNELS) == 2 << cap
+    for key, kernel in enumerate(intlinalg._KERNELS):
+        if kernel is not None:
+            c = key.bit_length() - 1
+            pivots = tuple(j for j in range(c) if key >> j & 1)
+            assert 1 <= c <= cap
+            assert kernel.__code__.co_filename == \
+                f"<hnf_insert kernel {c} {pivots}>"
 
 
 def test_hnf_insert_edge_cases():
@@ -284,6 +349,9 @@ def test_hnf_insert_edge_cases():
     assert hnf_insert(empty, (-2, 4, 0)) == ((2, -4, 0),)
     parent = ((2, 0), (0, 3))
     assert hnf_insert(parent, (4, -9)) is parent
+    # the trivial ambient: width 0 takes the loop
+    trivial = ()
+    assert hnf_insert(trivial, ()) is trivial
 
 
 def test_cokernel_examples():
