@@ -4,11 +4,11 @@ Each invariant is a sum over the classes of the subset histogram, weighted
 by the homomorphism-count multiplicity m(S).  The bivariate sum is the
 G-Tutte polynomial; its real and circle targets give the classical and
 arithmetic Tutte polynomials.  The characteristic polynomial is the signed
-class sum of (-1)^#S * m(S) * t^(rank(gamma)-rank(S)); the tests check it
-against the Tutte specialization.  The chromatic quasi-polynomial holds the
-same sum regrouped once by (rank, torsion factors): its constituent at k
-weights each group's signed count by prod gcd(d_i, k), which depends on k
-only through gcd(k, period), so each divisor is evaluated once.
+class sum of (-1)^#S * m(S) * t^(rank(gamma)-rank(S)), taken over the
+arrangement's signed classes (the histogram regrouped once by rank and
+torsion factors); the tests check it against the Tutte specialization.  The
+constituent of the chromatic quasi-polynomial at k is that polynomial for
+the cyclic target Z/gcd(k, period), so each divisor is evaluated once.
 
 Constituents are produced symbolically, never by interpolating point
 counts; the brute-force counts live in the oracle module and stay an
@@ -118,14 +118,13 @@ def arithmetic_tutte(arr: Arrangement) -> BiPoly:
 
 def g_characteristic(arr: Arrangement, spec: GroupSpec) -> UniPoly:
     """Subset sum of (-1)^#S * m(S) * t^(rank(gamma)-rank(S)), taken over
-    the classes of the subset histogram."""
+    `arr.signed_classes()`."""
     f = arr.gamma.free_rank
     check_degree(arr, f, "characteristic polynomial")
     check_circles(arr, spec)
     coeffs = [0] * (f + 1)
-    for key, count in arr.histogram().items():
-        m = count * model.multiplicity(key, spec)
-        coeffs[f - key.rank] += -m if key.size % 2 else m
+    for key, count in arr.signed_classes().items():
+        coeffs[f - key.rank] += count * model.multiplicity(key, spec)
     return UniPoly(coeffs)
 
 
@@ -133,40 +132,26 @@ class QuasiPolynomial:
     """The chromatic quasi-polynomial of an arrangement, held as its gcd form.
 
     The constituent at k is the characteristic polynomial for the cyclic
-    target Z/k, whose class sum weights (-1)^#S * count by m(S) = prod
-    gcd(d_i, k) over the quotient torsion factors d_i.  So the histogram is
-    regrouped once: `terms` maps SubsetClass(rank, 0, torsion factors) to
-    its signed count, zero counts dropped, and the constituent at k adds
-    count * m(term) to the coefficient of t^(rank(gamma)-rank).  It depends on k only through
-    gcd(k, period), so it is evaluated once per divisor, on first use, after
-    the checks that `g_characteristic` makes for that target.
-    `constituents` is the dense view: constituents[k-1] for k = 1..period.
+    target Z/k, whose signed classes (`terms`, the arrangement's own dict)
+    are weighted by m(S) = prod gcd(d_i, k) over the quotient torsion
+    factors d_i.  It depends on k only through gcd(k, period), so it is
+    `g_characteristic` for Z/gcd(k, period), evaluated once per divisor on
+    first use.  `constituents` is the dense view: constituents[k-1] for
+    k = 1..period.
     """
 
     def __init__(self, arr: Arrangement):
         self.arr = arr
         self.period = arr.lcm_period()
-        signed: dict = {}  # (rank, torsion factors) -> signed count
-        for (rank, size, torsion), count in arr.histogram().items():
-            signed[rank, torsion] = signed.get((rank, torsion), 0) + \
-                (-count if size % 2 else count)
-        self.terms = {model.SubsetClass(rank, 0, torsion): count
-                      for (rank, torsion), count in signed.items() if count}
+        self.terms = arr.signed_classes()
         self._by_divisor: dict = {}
 
     def constituent(self, k: int) -> UniPoly:
         if k < 1:
-            raise ValueError("residue representative must be positive")
+            raise ValueError(f"{self.arr.describe()}: k must be positive")
         d = gcd(k, self.period)
         if d not in self._by_divisor:
-            arr, spec = self.arr, GroupSpec.cyclic(d)
-            f = arr.gamma.free_rank
-            check_degree(arr, f, "characteristic polynomial")
-            check_circles(arr, spec)
-            coeffs = [0] * (f + 1)
-            for term, count in self.terms.items():
-                coeffs[f - term.rank] += count * model.multiplicity(term, spec)
-            self._by_divisor[d] = UniPoly(coeffs)
+            self._by_divisor[d] = g_characteristic(self.arr, GroupSpec.cyclic(d))
         return self._by_divisor[d]
 
     @cached_property
@@ -207,7 +192,7 @@ def toric_characteristic(arr: Arrangement) -> UniPoly:
     zero = (0,) * arr.gamma.ngens
     if zero in arr.elements:
         raise HypothesisError("the zero element is not allowed here")
-    return checked(QuasiPolynomial(arr).constituent(arr.lcm_period()),
+    return checked(g_characteristic(arr, GroupSpec.cyclic(arr.lcm_period())),
                    g_characteristic(arr, GroupSpec.circle()),
                    "last constituent vs arithmetic Tutte specialization")
 
@@ -220,7 +205,7 @@ def beta_coefficients(arr: Arrangement, q: int,
     nonnegative.  Indexed j = 0..rank(gamma).
     """
     if q < 1:
-        raise ValueError("q must be positive")
+        raise ValueError(f"{arr.describe()}: q must be positive")
     c = (QuasiPolynomial(arr) if qp is None else qp).constituent(q)
     r = arr.gamma.free_rank
     betas = []
@@ -236,7 +221,7 @@ def beta_coefficients(arr: Arrangement, q: int,
 def chen_wang_compare(arr: Arrangement, a: int, b: int) -> list:
     """Coefficientwise comparison beta_j(a) <= beta_j(b) for a | b."""
     if a < 1 or b < 1 or b % a:
-        raise ValueError("need positive a dividing b")
+        raise ValueError(f"{arr.describe()}: need positive a dividing b")
     qp = QuasiPolynomial(arr)
     beta_a = beta_coefficients(arr, a, qp)
     beta_b = beta_coefficients(arr, b, qp)
@@ -250,7 +235,7 @@ def reciprocity_eval(arr: Arrangement, k: int, q: int,
     since it equals sum_j beta_j(k) * q^j <= sum_j |c_j| * q^rank(gamma), c_j
     the coefficients: a bound that goes through `check_digits` first."""
     if q < 1:
-        raise ValueError("q must be positive")
+        raise ValueError(f"{arr.describe()}: q must be positive")
     c = (QuasiPolynomial(arr) if qp is None else qp).constituent(k)
     check_digits(arr, "reciprocity: the value", 2 + floor(log10(
         max(1, sum(map(abs, c.coeffs)))) + arr.gamma.free_rank * log10(q)))

@@ -11,8 +11,10 @@ through the lattice <S> it spans.  `Arrangement.lattice_states` counts the
 subsets by (lattice, #S) in one pass over the distinct spanned lattices of
 a `LatticeTable`; `Arrangement.histogram` reduces those states to classes
 (rank S, #S, invariant factors of the torsion of gamma/<S>), and layer
-enumeration reads them directly.  The per-subset data is also available
-mask by mask, for the oracle.
+enumeration reads them directly.  `Arrangement.signed_classes` regroups the
+histogram once by (rank, torsion factors) into signed counts, the gcd form
+that every characteristic polynomial and quasi-polynomial constituent sums
+over.  The per-subset data is also available mask by mask, for the oracle.
 """
 
 from __future__ import annotations
@@ -63,10 +65,6 @@ class GroupSpec:
     @staticmethod
     def circle() -> "GroupSpec":
         return GroupSpec(circles=1)
-
-    @staticmethod
-    def real(n: int = 1) -> "GroupSpec":
-        return GroupSpec(reals=n)
 
     @property
     def dim(self) -> int:
@@ -200,7 +198,7 @@ class LatticeTable:
 
 class Arrangement:
     """Immutable (group, element multiset) pair with its lattice table,
-    lattice states and histogram memoized."""
+    lattice states, histogram and signed classes memoized."""
 
     def __init__(self, gamma: FGAbelianGroup, elements, name: str | None = None):
         if (n := len(elements)) > MAX_ELEMENTS:
@@ -223,6 +221,7 @@ class Arrangement:
         self._lattice_table: LatticeTable | None = None
         self._lattice_states: dict | None = None
         self._histogram: dict[SubsetClass, int] | None = None
+        self._signed_classes: dict[SubsetClass, int] | None = None
         self._without_torsion: Arrangement | None = None
 
     @property
@@ -307,6 +306,21 @@ class Arrangement:
                 hist[key] = hist.get(key, 0) + count
             self._histogram = hist
         return self._histogram
+
+    def signed_classes(self) -> dict:
+        """{SubsetClass(rank, 0, torsion factors): sum of (-1)^#S * count}
+        over the histogram classes, zero sums dropped.  A characteristic
+        polynomial weights (-1)^#S by m(S), which reads only the torsion
+        factors, so it is one sum over these classes."""
+        if self._signed_classes is None:
+            signed: dict = {}  # (rank, torsion factors) -> signed count
+            for (rank, size, torsion), count in self.histogram().items():
+                signed[rank, torsion] = signed.get((rank, torsion), 0) + \
+                    (-count if size % 2 else count)
+            self._signed_classes = {SubsetClass(rank, 0, torsion): count
+                                    for (rank, torsion), count in signed.items()
+                                    if count}
+        return self._signed_classes
 
     @property
     def rank(self) -> int:

@@ -293,13 +293,6 @@ class OracleReport:
     def passed(self) -> bool:
         return all(e.passed for e in self.entries)
 
-    @property
-    def first_failure(self) -> CheckEntry | None:
-        for e in self.entries:
-            if not e.passed:
-                return e
-        return None
-
     def to_records(self) -> list:
         return [{"instance": e.instance, "check": e.check, "param": e.param,
                  "expected": repr(e.expected), "computed": repr(e.computed),

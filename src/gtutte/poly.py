@@ -48,9 +48,6 @@ class UniPoly:
             out[i] += x
         return UniPoly(out)
 
-    def __neg__(self) -> "UniPoly":
-        return UniPoly([-x for x in self.coeffs])
-
     def __mul__(self, other) -> "UniPoly":
         if isinstance(other, int):
             return UniPoly([other * x for x in self.coeffs])

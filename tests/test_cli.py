@@ -611,9 +611,15 @@ def _period_file(tmp_path, period):
     (("info", "{tmp}/deep.json"), "{tmp}/deep.json"),
     (("toric-layers", "{example}", "--k", "0"), "example: k must be positive"),
     (("char", "{tmp}/huge.json"), "{tmp}/huge.json: Exceeds the limit"),
+    (("reciprocity", "{example}", "--k", "0", "--q", "1"),
+     "example: k must be positive"),
+    (("beta", "{example}", "--q", "0"), "example: q must be positive"),
+    (("compare", "{example}", "--a", "3", "--b", "4"),
+     "example: need positive a dividing b"),
 ], ids=["missing file", "bad JSON", "K = 0", "--dot into a missing directory",
         "period cap", "deeply nested JSON", "--k 0",
-        "number past the int-to-string limit"])
+        "number past the int-to-string limit", "reciprocity --k 0",
+        "beta --q 0", "compare --a 3 --b 4"])
 def test_error_paths_print_no_result(argv, message, example_file, tmp_path,
                                      capsys):
     (tmp_path / "bad.json").write_text("{not json")

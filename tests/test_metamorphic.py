@@ -27,7 +27,7 @@ from gtutte.intlinalg import IntMatrix, presentation_matrix
 from gtutte.lie import enumerate_lie_layers
 from gtutte.toric import enumerate_toric_layers
 
-TARGETS = (GroupSpec.circle(), GroupSpec.real(), GroupSpec.cyclic(4),
+TARGETS = (GroupSpec.circle(), GroupSpec(reals=1), GroupSpec.cyclic(4),
            GroupSpec(f_torsion=(2,), circles=1))
 CHAINS = ((), (), (2,), (3,), (4,), (6,), (2, 2), (2, 6))
 
@@ -213,7 +213,7 @@ def deletion_contraction_checks(seed: int, max_n: int) -> float:
     rng = random.Random(seed)
     ambients = (FGAbelianGroup(2), FGAbelianGroup(3), FGAbelianGroup(2, (2,)),
                 FGAbelianGroup(1, (4,)), FGAbelianGroup(2, (2, 6)))
-    targets = (GroupSpec.circle(), GroupSpec.real(), GroupSpec.cyclic(6),
+    targets = (GroupSpec.circle(), GroupSpec(reals=1), GroupSpec.cyclic(6),
                GroupSpec(f_torsion=(2,), circles=1))
     checks = 0
     t0 = time.perf_counter()

@@ -124,7 +124,7 @@ def test_rank_monotone_under_inclusion(example):
 
 def test_multiplicity_examples(example):
     gamma_only = example.subset_data(0b100)
-    assert multiplicity(gamma_only, GroupSpec.real()) == 1
+    assert multiplicity(gamma_only, GroupSpec(reals=1)) == 1
     assert multiplicity(gamma_only, GroupSpec.cyclic(4)) == 4
     assert multiplicity(gamma_only, GroupSpec.circle()) == 4
 

@@ -27,11 +27,6 @@ def test_uni_square_of_t_minus_one():
     assert (p * p).coeffs == (1, -2, 1)
 
 
-def test_uni_additive_inverse():
-    p = UniPoly([3, 0, -2])
-    assert (p + (-p)).coeffs == ()
-
-
 def test_bi_expand_product():
     x1 = BiPoly({(1, 0): 1, (0, 0): -1})
     y1 = BiPoly({(0, 1): 1, (0, 0): -1})

@@ -76,7 +76,7 @@ def test_layer_sum_matches_the_explicit_target_on_mixed_targets():
 
 def test_layer_sum_refuses_k_off_the_circle(example):
     # the k-torsion identity is proved only over S^1
-    for spec in MIXED + (GroupSpec.real(), GroupSpec(f_torsion=(2,), reals=1)):
+    for spec in MIXED + (GroupSpec(reals=1), GroupSpec(f_torsion=(2,), reals=1)):
         poset = enumerate_layers(example, spec)
         with pytest.raises(HypothesisError, match="^example: k-torsion"):
             layer_sum(poset, 2)

@@ -13,7 +13,7 @@ from gtutte.oracle import (brute_complement_count, downs_from_covers,
 from gtutte.toric import enumerate_toric_layers
 
 FACTORS = (2, 3, 4, 6)
-TARGETS = (GroupSpec.circle(), GroupSpec.real(), GroupSpec.cyclic(4),
+TARGETS = (GroupSpec.circle(), GroupSpec(reals=1), GroupSpec.cyclic(4),
            GroupSpec(f_torsion=(2,), circles=1))
 
 

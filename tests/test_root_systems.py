@@ -160,7 +160,7 @@ def test_a6_arithmetic_tutte_is_the_real_tutte():
     # A_6 is unimodular: every multiplicity is 1
     arr = type_a(7)
     t0 = time.perf_counter()
-    assert arithmetic_tutte(arr) == g_tutte(arr, GroupSpec.real())
+    assert arithmetic_tutte(arr) == g_tutte(arr, GroupSpec(reals=1))
     elapsed = time.perf_counter() - t0
     assert elapsed < 2.0, f"{elapsed:.2f}s > 2.0s"
 
