@@ -18,6 +18,8 @@ Matrices are tiny, and the hot path is the lattice fold of
 to `_KERNEL_WIDTH` = 7 wide through straight-line code, compiled on first
 use once per width and pivot columns from source built from those ints
 alone; width 0 and wider rows, such as Z + (Z/2)^400's, take a loop.
+`insert_step` picks the step for given rows, which the lattice table
+keeps per lattice.
 `hnf_invariant_factors` reads a quotient's invariant factors off the
 canonical HNF of its relations, so `cokernel` tracks no transforms: unit
 pivots split off, closed forms read the small shapes, and only the rest
@@ -197,26 +199,17 @@ def _compile_kernel(key: int):
     return namespace["kernel"]
 
 
-def hnf_insert(rows: tuple, vec) -> tuple:
-    """Canonical HNF rows of the lattice of the canonical HNF `rows` and `vec`.
+def insert_step(rows: tuple, c: int):
+    """The fold step of the canonical HNF `rows` of width c: step(rows, vec)
+    is `hnf_insert(rows, vec)` for every vec of width c.
 
-    Rows of width 1 to `_KERNEL_WIDTH` take a straight-line kernel,
-    compiled once per width and pivot columns from source built from those
-    ints alone (`_kernel_source`), never from the entries: it unpacks the
-    rows and vec into locals, and each pivot column takes one xgcd row swap
-    or one subtraction, each a tuple assignment over the columns from the
-    pivot on.  Width 0 and wider rows take the loop below, which reduces a
-    list copy of `vec` down the pivot rows in place: an xgcd step replaces
-    a pivot row only where vec's entry is not a multiple of the pivot.  On
-    either path a nonzero remainder with no pivot in its leading column
-    becomes a new row, and the entries above the pivots are then reduced
-    into [0, pivot) top-down.  Left of a pivot both rows are zero, so each
-    step touches only the columns from the pivot on.  The parent's row
-    tuples are never written, and the result may share those no step
-    wrote.  When vec already lies in the lattice, `rows` itself is
-    returned.
+    Rows of width 1 to `_KERNEL_WIDTH` get the straight-line kernel of
+    their width and pivot columns, found by one scan of the pivots and
+    compiled on the first use of that pattern; width 0 and wider rows get
+    `_insert_loop`.  The step depends on the pivot columns alone, so a
+    caller that inserts many vectors into one lattice keeps it and skips
+    the scan.
     """
-    c = len(vec)
     if 0 < c <= _KERNEL_WIDTH:
         key = 1 << c
         j = 0
@@ -228,7 +221,35 @@ def hnf_insert(rows: tuple, vec) -> tuple:
         kernel = _KERNELS[key]
         if kernel is None:
             kernel = _KERNELS[key] = _compile_kernel(key)
-        return kernel(rows, vec)
+        return kernel
+    return _insert_loop
+
+
+def hnf_insert(rows: tuple, vec) -> tuple:
+    """Canonical HNF rows of the lattice of the canonical HNF `rows` and `vec`.
+
+    The step is `insert_step`'s.  Rows of width 1 to `_KERNEL_WIDTH` take a
+    straight-line kernel, compiled once per width and pivot columns from
+    source built from those ints alone, never from the entries: it unpacks
+    the rows and vec into locals, and each pivot column takes one xgcd row
+    swap or one subtraction, each a tuple assignment over the columns from
+    the pivot on.  Width 0 and wider rows take `_insert_loop`, which
+    reduces a list copy of `vec` down the pivot rows in place: an xgcd step
+    replaces a pivot row only where vec's entry is not a multiple of the
+    pivot.  On either path a nonzero remainder with no pivot in its leading
+    column becomes a new row, and the entries above the pivots are then
+    reduced into [0, pivot) top-down.  Left of a pivot both rows are zero,
+    so each step touches only the columns from the pivot on.  The parent's
+    row tuples are never written, and the result may share those no step
+    wrote.  When vec already lies in the lattice, `rows` itself is
+    returned.
+    """
+    return insert_step(rows, len(vec))(rows, vec)
+
+
+def _insert_loop(rows: tuple, vec) -> tuple:
+    """`hnf_insert` by a loop over the columns, for any width."""
+    c = len(vec)
     v = list(vec)
     out = list(rows)
     n = len(out)

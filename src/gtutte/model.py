@@ -24,7 +24,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .intlinalg import (FGAbelianGroup, IntMatrix, cokernel, hermite_normal_form,
-                        hnf_insert, invariant_chain, presentation_matrix,
+                        insert_step, invariant_chain, presentation_matrix,
                         saturation)
 
 MAX_ELEMENTS = 24  # the subset histogram may meet up to 2^n distinct lattices
@@ -126,13 +126,16 @@ class LatticeTable:
     {vector: {lattice id: child id}}, the lattice that the vector joins:
     a fold looks its vector's dict up once and then steps on lattice ids
     alone (`Arrangement.lattice_states` on int states lat * (n + 1) + #S).
-    `add` reduces the vector into the parent's HNF rows with `hnf_insert`,
-    looks the rows up and records the edge in that dict.  A new lattice's
-    matrix is built once, canonical by construction (`IntMatrix._from_hnf`),
-    and refused past `MAX_LATTICES`: the table bounds the work and memory
-    of every fold over it, as the fold runs.  `instance` names the
-    arrangement in that refusal.  `cokernel` takes each lattice's rows as
-    they are, once per lattice, and `saturation` those `span` needs.
+    `add` reduces the vector into the parent's HNF rows with the parent's
+    fold step (what `hnf_insert` runs), looks the rows up and records the
+    edge in that dict.  Each lattice asks `insert_step` for its step on its
+    first child edge and keeps it, so later edges skip the pivot scan and a
+    leaf lattice compiles no kernel.  A new lattice's matrix is built once,
+    canonical by construction (`IntMatrix._from_hnf`), and refused past
+    `MAX_LATTICES`: the table bounds the work and memory of every fold over
+    it, as the fold runs.  `instance` names the arrangement in that
+    refusal.  `cokernel` takes each lattice's rows as they are, once per
+    lattice, and `saturation` those `span` needs.
     """
 
     def __init__(self, gamma: FGAbelianGroup, instance: str):
@@ -142,6 +145,7 @@ class LatticeTable:
             presentation_matrix(IntMatrix.from_rows([], gamma.ngens), gamma))
         self._free = FGAbelianGroup(gamma.ngens)
         self.lattices = [start]
+        self._steps = [None]  # lattice id -> its fold step, once it has a child
         self._ids = {start.data: 0}
         self.child: dict = {}   # vector -> {lattice id: child id}
         self._quotients: dict = {}
@@ -151,7 +155,11 @@ class LatticeTable:
     def add(self, lat: int, vec: tuple, kids: dict) -> int:
         """Id of lattice `lat` joined by `vec`, recorded in `child[vec]`,
         which the fold passes as `kids`."""
-        rows = hnf_insert(self.lattices[lat].data, vec)
+        rows = self.lattices[lat].data
+        step = self._steps[lat]
+        if step is None:
+            step = self._steps[lat] = insert_step(rows, len(vec))
+        rows = step(rows, vec)
         c = self._ids.get(rows)
         if c is None:
             c = len(self.lattices)
@@ -161,6 +169,7 @@ class LatticeTable:
                     f"exceed the cap {MAX_LATTICES}")
             self._ids[rows] = c
             self.lattices.append(IntMatrix._from_hnf(len(vec), rows))
+            self._steps.append(None)
         kids[lat] = c
         return c
 
@@ -294,17 +303,23 @@ class Arrangement:
 
     def histogram(self) -> dict:
         """{SubsetClass(rank, #S, torsion factors): number of subsets S},
-        reduced from `lattice_states` with one quotient per distinct
-        lattice."""
+        reduced from `lattice_states` with one quotient and one (rank,
+        torsion factors) pair per distinct lattice, and one `SubsetClass`
+        per class."""
         if self._histogram is None:
             table = self.lattice_table()
-            hist: dict = {}
+            f = self.gamma.free_rank
+            classes: dict = {}  # lattice id -> (rank, torsion factors)
+            hist: dict = {}     # (rank, #S, torsion factors) -> count
             for (lat, size), count in self.lattice_states().items():
-                quot = table.quotient(lat)
-                key = SubsetClass(self.gamma.free_rank - quot.free_rank, size,
-                                  quot.torsion)
+                cls = classes.get(lat)
+                if cls is None:
+                    quot = table.quotient(lat)
+                    cls = classes[lat] = (f - quot.free_rank, quot.torsion)
+                key = (cls[0], size, cls[1])
                 hist[key] = hist.get(key, 0) + count
-            self._histogram = hist
+            self._histogram = {SubsetClass(*key): count
+                               for key, count in hist.items()}
         return self._histogram
 
     def signed_classes(self) -> dict:

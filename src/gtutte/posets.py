@@ -255,14 +255,18 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec) -> "LayerPoset":
         columns: dict = {}  # id of a span -> columns of its right inverse
         points: dict = {}   # id of a layer -> a point of the layer mod P
         unit = IntMatrix.identity(f).data
+        origin = (0,) * f
 
         def point(y):
             """A point of y mod P: sum_i v_i u_i for its circle values v_i on
             the span rows.  The span is saturated, so its columns generate
             Z^r and its `_bordered_hnf` starts with [e_i | u_i], span . u_i =
-            e_i; coordinate k of the point is column k of the u_i times v."""
+            e_i; coordinate k of the point is column k of the u_i times v.
+            All circle values zero on the span rows give the point 0."""
             if y.span.data == unit:  # span Z^f: the u_i are the e_i
                 return y.chi[0][:f]
+            if not any(y.chi[0][:y.span.rows]):  # y contains 0
+                return origin
             key = id(y)  # asked only about `layers`, which stay alive
             if key not in points:
                 span = y.span

@@ -450,8 +450,7 @@ def test_hom_order_is_not_an_output(example_file, tmp_path, capsys,
 # The I/O contract: stdout, stderr and exit code of every subcommand, with
 # the option variants the benchmark workloads run, on an input with a free
 # ambient and one with torsion.  Constituent 12 is a multiple of both
-# periods (4 and 6): the toric cross-check runs on the example and is
-# skipped, with a note on stderr, on the torsion input.
+# periods (4 and 6), and it prints the constituent alone.
 TORSION_DOC = {"group": {"free_rank": 2, "torsion": [2, 6]},
                "vectors": [[1, 0, 1, 0], [0, 1, 0, 3], [1, 1, 1, 2],
                            [2, -1, 0, 1]],
@@ -549,7 +548,7 @@ CONTRACT_DIGESTS = {
     "torsion constituent 4":
         (0, "7b981315c82321ad", "87c4196aee7a098c", None),
     "torsion constituent 12":
-        (0, "0e4fb8648b4875a6", "356d0e150888549c", None),
+        (0, "0e4fb8648b4875a6", "974342c56e9c1c82", None),
     "torsion arith-tutte":
         (0, "0194ddebbed00c70", "3f6e39c2434d671e", None),
     "torsion tutte --p 1 --torsion 2":
@@ -660,10 +659,10 @@ def test_verify_stdout_digest(capsys):
 
 def test_a_raising_handler_prints_no_result(example_file, capsys,
                                             monkeypatch):
-    def fail(arr):
+    def fail(qp, k):
         raise invariants.IdentityCheckError("injected")
 
-    monkeypatch.setattr(invariants, "toric_characteristic", fail)
+    monkeypatch.setattr(invariants.QuasiPolynomial, "constituent", fail)
     code, out, err = run(capsys, "constituent", example_file, "4")
     assert code == 1 and out == ""
     assert err == "identity check failed: injected\n"

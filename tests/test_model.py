@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from gtutte import Arrangement, FGAbelianGroup, GroupSpec, model, multiplicity
-from gtutte.intlinalg import (hermite_normal_form, hnf_insert,
+from gtutte.intlinalg import (hermite_normal_form, hnf_insert, insert_step,
                               presentation_matrix, saturation)
 from gtutte.model import CapExceeded, MAX_ELEMENTS
 from gtutte.toric import enumerate_toric_layers
@@ -60,12 +60,17 @@ def test_lattice_states_match_per_mask_hnfs(mixed_torsion):
     # the fold keys its states by lat * (n + 1) + #S; the states it returns,
     # the lattice each mask reads off `child` and every child edge must
     # agree with the canonical HNF of <S> plus the torsion relations,
-    # computed mask by mask
+    # computed mask by mask.  Rows 8 wide, past the compiled kernels, take
+    # the loop step, and the battery has width 0
     rng = random.Random(9)
     quasi_like = Arrangement(FGAbelianGroup(2, (2, 6)), [
         [rng.randint(-4, 4), rng.randint(-4, 4), rng.randrange(2),
          rng.randrange(6)] for _ in range(8)])
-    for arr in [mixed_torsion, quasi_like] + battery_instances(0, 60):
+    width8 = Arrangement(FGAbelianGroup(6, (2, 6)), [
+        [rng.randint(-2, 2) for _ in range(6)] + [rng.randrange(2),
+                                                   rng.randrange(6)]
+        for _ in range(6)])
+    for arr in [mixed_torsion, quasi_like, width8] + battery_instances(0, 60):
         states = arr.lattice_states()
         table = arr.lattice_table()
         ids = {lattice.data: lat for lat, lattice in enumerate(table.lattices)}
@@ -81,6 +86,32 @@ def test_lattice_states_match_per_mask_hnfs(mixed_torsion):
             for lat, c in kids.items():
                 assert table.lattices[c].data == hnf_insert(
                     table.lattices[lat].data, vec), (arr, vec, lat)
+
+
+def test_each_lattice_finds_its_fold_step_once(monkeypatch):
+    # the table asks `insert_step` once per lattice, on its first child
+    # edge: never again for that lattice, and never for a leaf, so the
+    # lattice states and then the layer engine's localization fold over
+    # the same table ask once per lattice with a child edge
+    steps = []
+
+    def counting(rows, c):
+        steps.append(rows)
+        return insert_step(rows, c)
+
+    monkeypatch.setattr(model, "insert_step", counting)
+    rng = random.Random(36)
+    for gamma in (FGAbelianGroup(3), FGAbelianGroup(2, (2, 6))):
+        steps.clear()
+        arr = Arrangement(gamma, [[rng.randint(-3, 3) for _ in range(gamma.ngens)]
+                                  for _ in range(7)])
+        arr.lattice_states()
+        enumerate_toric_layers(arr)
+        table = arr.lattice_table()
+        parents = {lat for kids in table.child.values() for lat in kids}
+        assert len(steps) == len(parents) < len(table.lattices), arr
+        assert sorted(steps) == sorted(table.lattices[lat].data
+                                       for lat in parents), arr
 
 
 def test_lattice_cap(monkeypatch):

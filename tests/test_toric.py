@@ -176,6 +176,23 @@ def test_a_rank_f_span_off_the_identity_is_checked(example, monkeypatch):
         enumerate_toric_layers(example)
 
 
+def test_a_layer_through_zero_builds_no_bordered_hnf(monkeypatch):
+    # every lattice of the unit vectors is saturated, so each layer's circle
+    # values are zero and its point is 0: no span needs its right inverses
+    calls = []
+    bordered = posets._bordered_hnf
+
+    def counting(rows, c):
+        calls.append(rows)
+        return bordered(rows, c)
+
+    monkeypatch.setattr(posets, "_bordered_hnf", counting)
+    arr = Arrangement(FGAbelianGroup(6),
+                      [[int(i == j) for j in range(6)] for i in range(6)])
+    poset = enumerate_toric_layers(arr)
+    assert poset.n == 64 and not calls
+
+
 def test_a_dropped_circle_value_fails_the_component_count(example,
                                                           monkeypatch):
     solve = posets.kernel_mod
