@@ -132,18 +132,16 @@ class QuasiPolynomial:
     """The chromatic quasi-polynomial of an arrangement, held as its gcd form.
 
     The constituent at k is the characteristic polynomial for the cyclic
-    target Z/k, whose signed classes (`terms`, the arrangement's own dict)
-    are weighted by m(S) = prod gcd(d_i, k) over the quotient torsion
-    factors d_i.  It depends on k only through gcd(k, period), so it is
-    `g_characteristic` for Z/gcd(k, period), evaluated once per divisor on
-    first use.  `constituents` is the dense view: constituents[k-1] for
-    k = 1..period.
+    target Z/k, whose signed classes (`arr.signed_classes()`) are weighted
+    by m(S) = prod gcd(d_i, k) over the quotient torsion factors d_i.  It
+    depends on k only through gcd(k, period), so it is `g_characteristic`
+    for Z/gcd(k, period), evaluated once per divisor on first use.
+    `constituents` is the dense view: constituents[k-1] for k = 1..period.
     """
 
     def __init__(self, arr: Arrangement):
         self.arr = arr
         self.period = arr.lcm_period()
-        self.terms = arr.signed_classes()
         self._by_divisor: dict = {}
 
     def constituent(self, k: int) -> UniPoly:
@@ -181,7 +179,9 @@ def chromatic_quasi(arr: Arrangement) -> QuasiPolynomial:
 
 
 def toric_characteristic(arr: Arrangement) -> UniPoly:
-    """Characteristic polynomial of the layer poset over the circle target.
+    """Characteristic polynomial of the layer poset over the circle target:
+    `g_characteristic` over S^1, which is also the constituent at the lcm
+    period P, since every quotient torsion factor divides P.
 
     Requires a free ambient group and no zero element; outside those
     hypotheses the identity with the arithmetic Tutte specialization has no
@@ -192,9 +192,7 @@ def toric_characteristic(arr: Arrangement) -> UniPoly:
     zero = (0,) * arr.gamma.ngens
     if zero in arr.elements:
         raise HypothesisError("the zero element is not allowed here")
-    return checked(g_characteristic(arr, GroupSpec.cyclic(arr.lcm_period())),
-                   g_characteristic(arr, GroupSpec.circle()),
-                   "last constituent vs arithmetic Tutte specialization")
+    return g_characteristic(arr, GroupSpec.circle())
 
 
 def beta_coefficients(arr: Arrangement, q: int,

@@ -7,9 +7,10 @@ its saturated span and one homomorphism of the whole ambient group into F.
 values from the engine's signed pass over the lattice states) over the
 partial and whole posets against the target's characteristic polynomial,
 of the arrangement and of its torsion-stripped part, evaluated at
-#F * t^g; with F = Z/k the partial sum recovers the k-th constituent,
-split over the surviving components.  The size of a job is capped in one
-place, by the engine's two counts.
+#F * t^g.  With F = Z/k the partial sum is the k-th constituent at
+k * t^g: `constituent_via_lie` reads it off `layer_sum` and splits it over
+the surviving components.  The size of a job is capped in one place, by
+the engine's two counts.
 
 The zero-dimensional case g = 0 degenerates to component counting and is
 served by invariants.leading_part, not by this module.
@@ -20,8 +21,7 @@ from __future__ import annotations
 from .invariants import checked
 from .model import Arrangement, GroupSpec
 from .poly import UniPoly
-from .posets import (LayerPoset, checked_sum, enumerate_layers, layer_sum,
-                     partial_subposet)
+from .posets import LayerPoset, enumerate_layers, layer_sum, partial_subposet
 
 
 def enumerate_lie_layers(arr: Arrangement, g: int, f_torsion=()) -> LayerPoset:
@@ -66,18 +66,18 @@ def key_lie_sums(poset: LayerPoset) -> list:
 def constituent_via_lie(arr: Arrangement, k: int, g: int):
     """The k-th constituent recovered from the (lines)^g x Z/k layer poset.
 
-    Returns (polynomial, per-component split): the polynomial is the partial
-    characteristic polynomial, which equals constituent_k(k * t^g); the
-    split lists the Möbius-weighted sum over each surviving component.
+    Returns (polynomial, per-component split).  The polynomial is the
+    partial sum of `layer_sum`, checked there against the characteristic
+    polynomial over the target: m(S) reads no real factor, so that is
+    constituent_k(k * t^g).  The split lists the Möbius-weighted sum over
+    each surviving component, rooted at a rank-0 layer of the partial
+    subposet, and is checked to add up to the polynomial.
     """
     if k < 1:
         raise ValueError("k must be positive")
     poset = enumerate_lie_layers(arr, g, (k,) if k > 1 else ())
-    roots = scc(poset)  # checks the partial subposet: the in_partial layers
-    out = checked_sum(poset, [i for i, lay in enumerate(poset.layers)
-                              if lay.in_partial],
-                      arr, GroupSpec.cyclic(k), "lie-side vs rescaled constituent")
+    indices, out = layer_sum(poset, partial=True)
     splits = [poset.characteristic([i for i in range(poset.n)
                                     if poset.component_of[i] == root])
-              for root in roots]
+              for root in indices if poset.layers[root].rank == 0]
     return checked(sum(splits, UniPoly()), out, "per-component split vs whole"), splits

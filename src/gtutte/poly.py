@@ -2,10 +2,14 @@
 
 Univariate polynomials are dense (degrees stay below the ambient rank);
 bivariate ones are sparse maps (i, j) -> coefficient.  Coefficients are
-Python ints throughout; evaluation also accepts Fractions.
+Python ints throughout; evaluation also accepts Fractions.  The one
+specialization of a bivariate polynomial, T(1 - t, 0), expands each power
+of 1 - t by binomial coefficients, so no polynomial is raised to a power.
 """
 
 from __future__ import annotations
+
+from math import comb
 
 
 class UniPoly:
@@ -62,18 +66,6 @@ class UniPoly:
         return UniPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "UniPoly":
-        if n < 0:
-            raise ValueError("negative power")
-        out = UniPoly([1])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def __call__(self, value):
         """Exact evaluation at an int or Fraction (Horner)."""
@@ -140,10 +132,11 @@ class BiPoly:
 
 
 def substitute_xy(t: BiPoly) -> UniPoly:
-    """t(x, y) with x := 1 - t and y := 0; terms with a y power vanish."""
-    one_minus_t = UniPoly([1, -1])
-    out = UniPoly()
-    for (i, j), c in sorted(t.terms.items()):
-        if j == 0:
-            out = out + c * one_minus_t**i
-    return out
+    """t(x, y) with x := 1 - t and y := 0; terms with a y power vanish, and
+    each term c * x^i adds c * C(i, k) * (-1)^k to the coefficient of t^k."""
+    coeffs = [0] * (1 + max((i for i, j in t.terms if not j), default=-1))
+    for (i, j), c in t.terms.items():
+        if not j:
+            for k in range(i + 1):
+                coeffs[k] += c * comb(i, k) * (-1) ** k
+    return UniPoly(coeffs)

@@ -615,13 +615,22 @@ def _period_file(tmp_path, period):
     (("beta", "{example}", "--q", "0"), "example: q must be positive"),
     (("compare", "{example}", "--a", "3", "--b", "4"),
      "example: need positive a dividing b"),
+    (("tutte", "{example}", "--torsion", "2,x"), "bad torsion list: '2,x'"),
+    (("info", "{tmp}/long.json"),
+     f"{{tmp}}/long.json: Arrangement(Z^1, {gtutte.model.MAX_ELEMENTS + 1} "
+     f"elements): {gtutte.model.MAX_ELEMENTS + 1} elements; the subset sweep "
+     f"is capped at {gtutte.model.MAX_ELEMENTS}"),
 ], ids=["missing file", "bad JSON", "K = 0", "--dot into a missing directory",
         "period cap", "deeply nested JSON", "--k 0",
         "number past the int-to-string limit", "reciprocity --k 0",
-        "beta --q 0", "compare --a 3 --b 4"])
+        "beta --q 0", "compare --a 3 --b 4", "bad torsion list",
+        "one element past the element cap"])
 def test_error_paths_print_no_result(argv, message, example_file, tmp_path,
                                      capsys):
     (tmp_path / "bad.json").write_text("{not json")
+    (tmp_path / "long.json").write_text(json.dumps({
+        "group": {"free_rank": 1, "torsion": []},
+        "vectors": [[1]] * (gtutte.model.MAX_ELEMENTS + 1)}))
     (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
     (tmp_path / "huge.json").write_text(
         '{"group": {"free_rank": 1, "torsion": []}, "vectors": [[1%s]]}'

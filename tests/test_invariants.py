@@ -84,7 +84,7 @@ def _divisors_evaluated(monkeypatch):
 
     def evaluated(qp):
         per_target = Counter(spec.f_order for spec in calls)
-        assert set(per_target.values()) <= {len(qp.terms)}
+        assert set(per_target.values()) <= {len(qp.arr.signed_classes())}
         return sorted(per_target)
     return evaluated
 
@@ -132,6 +132,24 @@ def test_toric_characteristic_examples(example):
         Arrangement(FGAbelianGroup(1), [[2]])).coeffs == (-2, 1)
     assert toric_characteristic(
         Arrangement(FGAbelianGroup(1), [[1]])).coeffs == (-1, 1)
+
+
+def test_toric_characteristic_is_one_evaluation(example, monkeypatch):
+    # every quotient torsion factor divides the lcm period P, so the S^1
+    # sum is the constituent at P term by term: one evaluation, no compare
+    from gtutte import invariants
+    from gtutte.oracle import battery_instances
+    for arr in battery_instances(0, 60) + [example]:
+        if arr.gamma.torsion or (0,) * arr.gamma.ngens in arr.elements:
+            continue
+        assert toric_characteristic(arr) == \
+            QuasiPolynomial(arr).constituent(arr.lcm_period()), arr
+    specs = []
+    real = invariants.g_characteristic
+    monkeypatch.setattr(invariants, "g_characteristic",
+                        lambda arr, spec: specs.append(spec) or real(arr, spec))
+    assert toric_characteristic(example).coeffs == (4, -5, 1)
+    assert specs == [GroupSpec.circle()]
 
 
 def test_toric_characteristic_refuses_bad_hypotheses():
@@ -296,7 +314,6 @@ def test_signed_classes_match_the_per_mask_sum():
                 (-1) ** bin(mask).count("1")
         assert arr.signed_classes() == \
             {key: count for key, count in reference.items() if count}, arr
-        assert QuasiPolynomial(arr).terms is arr.signed_classes()
 
 
 def test_gcd_form_refuses_where_the_characteristic_sum_does():

@@ -122,10 +122,19 @@ def test_constituent_via_lie_example(example, monkeypatch):
     count = posets._surviving_component_count
     monkeypatch.setattr(posets, "_surviving_component_count",
                         lambda arr, spec: calls.append(spec) or count(arr, spec))
+    # every checked sum evaluates its characteristic polynomial through
+    # posets' g_characteristic: layer_sum's is the only one
+    evaluated = []
+    real = posets.g_characteristic
+    monkeypatch.setattr(posets, "g_characteristic",
+                        lambda arr, spec: evaluated.append(spec) or real(arr, spec))
     for k, g in [(1, 1), (2, 1), (4, 1), (2, 2), (3, 2)]:
         calls.clear()
+        evaluated.clear()
         poly, splits = constituent_via_lie(example, k, g)
         assert len(calls) == 1  # the partial subposet is checked once
+        assert evaluated == [GroupSpec(f_torsion=(k,) if k > 1 else (),
+                                       reals=g)]
         assert poly == scale_variable(qp.constituent(k), k, g)
         assert len(splits) == leading_part(
             example, GroupSpec(f_torsion=(k,) if k > 1 else ()))
@@ -224,6 +233,8 @@ def test_identity_check_failure_raises(example, monkeypatch, call):
 
 def test_constituent_via_lie_split_check_raises(example, monkeypatch):
     # dropping every surviving component breaks the split-sums-to-whole check
-    monkeypatch.setattr(lie, "scc", lambda poset: ())
+    real = lie.layer_sum
+    monkeypatch.setattr(lie, "layer_sum", lambda poset, partial: (
+        (), real(poset, partial=partial)[1]))
     with pytest.raises(IdentityCheckError, match="split"):
         constituent_via_lie(example, 2, 1)

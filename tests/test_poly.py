@@ -72,6 +72,27 @@ def test_substitute_xy_kills_y_terms():
         assert substitute_xy(only_y).coeffs == ()
 
 
+def test_substitute_xy_matches_products_and_values():
+    # the binomial expansion against repeated products of 1 - t, and its
+    # values against T(1 - v, 0) evaluated term by term
+    rng = random.Random(4)
+    for _ in range(100):
+        t = BiPoly({(rng.randint(0, 9), rng.randint(0, 2)): rng.randint(-9, 9)
+                    for _ in range(rng.randint(0, 6))})
+        want = UniPoly()
+        for (i, j), c in t.terms.items():
+            if not j:
+                power = UniPoly([c])
+                for _ in range(i):
+                    power = power * UniPoly([1, -1])
+                want = want + power
+        got = substitute_xy(t)
+        assert got == want
+        for v in (-3, 0, 2, Fraction(1, 3)):
+            assert got(v) == sum(c * (1 - v) ** i
+                                 for (i, j), c in t.terms.items() if not j)
+
+
 def test_scale_variable_examples():
     assert scale_variable(UniPoly([2, -3, 1]), 2, 1).coeffs == (2, -6, 4)
     assert scale_variable(UniPoly([4, -5, 1]), 4, 1).coeffs == (4, -20, 16)

@@ -16,6 +16,7 @@ from gtutte.oracle import (battery_instances, brute_mobius, downs_from_covers,
                            mobius_all, poset_leq_matrix, recursion_mobius,
                            reference_strict_downs, reference_subset_components,
                            run_identity_suite)
+from gtutte.intlinalg import IntMatrix
 from gtutte.poly import UniPoly
 from gtutte.posets import (checked_sum, enumerate_layers, k_total_subposet,
                            layer_sum, partial_subposet)
@@ -343,3 +344,81 @@ def test_spans_and_characters_off_the_quotient_match_the_per_mask_reference():
     # each case occurs in free and in torsion ambients
     assert seen == {(torsion, case) for torsion in (False, True)
                     for case in ("finite", "torsion-free", "neither")}
+
+
+def test_a_row_outside_its_saturation_is_caught(example, monkeypatch):
+    """The circle values of a lattice with torsion are solved on its rows in
+    span coordinates.  The check solves each row, as the fold built it,
+    over the span that `LatticeTable.span` saturates apart from the fold:
+    here the span (1, 0) given for the rank-1 lattices <(0, 2)> and
+    <(0, 4)>, which holds neither."""
+    real = model.LatticeTable.span
+
+    def wrong_span(table, lat):
+        quot = table.quotient(lat)
+        if quot.torsion and table.gamma.free_rank - quot.free_rank == 1:
+            return IntMatrix.from_rows([[1, 0]], 2)
+        return real(table, lat)
+    monkeypatch.setattr(model.LatticeTable, "span", wrong_span)
+    with pytest.raises(IdentityCheckError, match="^example: lattice row "
+                       "escaped its own saturation$"):
+        enumerate_toric_layers(example)
+
+
+def test_a_component_without_one_root_is_caught(monkeypatch):
+    """Each component holds exactly one rank-0 layer.  The check groups the
+    layers by component, the part of each character that `kernel_mod`
+    solves on the torsion generators, and counts the layers of rank 0,
+    read off the spans: here every solution's first residue is shifted by
+    one, which leaves a component of Z + Z/4 with no rank-0 layer."""
+    real = posets.kernel_mod
+    monkeypatch.setattr(posets, "kernel_mod", lambda pivots, n, m: [
+        ((x[0] + 1) % m,) + x[1:] for x in real(pivots, n, m)])
+    arr = Arrangement(FGAbelianGroup(1, (4,)), [[2, 1]], name="shifted")
+    with pytest.raises(IdentityCheckError, match="^shifted: component has "
+                       "0 rank-0 layers, expected 1$"):
+        enumerate_toric_layers(arr)
+
+
+def test_a_wrong_moebius_sign_is_caught(example, monkeypatch):
+    """mu(C, X) has the sign (-1)^rank(X).  The check reads each layer's
+    rank, off its span, against the signed subset counts of the lattice
+    states: here every count negated."""
+    real = posets.LayerPoset._signed_sums
+    monkeypatch.setattr(posets.LayerPoset, "_signed_sums",
+                        lambda poset, arr: [-x for x in real(poset, arr)])
+    with pytest.raises(IdentityCheckError, match="^example: Moebius sign "
+                       "fails at layer 0: rank 0, mu -1$"):
+        enumerate_toric_layers(example)
+
+
+def test_a_partial_subposet_open_above_is_caught():
+    """The partial subposet is upward closed.  The check reads each
+    layer's `in_partial` flag, off its localization, along the cover pairs,
+    which the lookup found: here the upper layer of one cover inside the
+    partial subposet is marked outside it."""
+    arr = Arrangement(FGAbelianGroup(1, (2,)), [[1, 0], [0, 1], [2, 1]],
+                      name="open")
+    poset = enumerate_toric_layers(arr)
+    layers = poset.layers
+    j = next(j for i, j in poset.cover_pairs
+             if layers[i].in_partial and layers[j].in_partial)
+    poset.layers = tuple(lay._replace(in_partial=False) if t == j else lay
+                         for t, lay in enumerate(layers))
+    with pytest.raises(IdentityCheckError, match="^open: partial subposet "
+                       "is not upward closed$"):
+        partial_subposet(poset)
+
+
+def test_a_wrong_surviving_component_count_is_caught(example, monkeypatch):
+    """The partial subposet has one minimal layer per surviving component.
+    The check reads the rank-0 layers inside it against
+    `_surviving_component_count`, a direct enumeration of the homs of the
+    ambient torsion: here that count plus one."""
+    real = posets._surviving_component_count
+    monkeypatch.setattr(posets, "_surviving_component_count",
+                        lambda arr, spec: real(arr, spec) + 1)
+    poset = enumerate_toric_layers(example)
+    with pytest.raises(IdentityCheckError, match="^example: 1 surviving "
+                       "components, expected 2$"):
+        partial_subposet(poset)
