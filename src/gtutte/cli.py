@@ -261,7 +261,7 @@ def cmd_quasi(arr, args):
 
 def cmd_constituent(arr, args):
     if args.k < 1:
-        raise InputError("K must be positive")
+        raise InputError(f"{arr.describe()}: k must be positive")
     c = invariants.QuasiPolynomial(arr).constituent(args.k)
     return {"k": args.k, "coefficients": c.serialize()}, poly_str(c), 0
 

@@ -431,15 +431,18 @@ def hnf_solve(h: IntMatrix, vector) -> tuple | None:
     if len(v) != h.cols:
         raise DimensionMismatch("vector length does not match matrix columns")
     coeffs = []
-    for i in range(h.rows):
-        row = h.data[i]
-        j = next(k for k, x in enumerate(row) if x)
+    j = 0
+    for row in h.data:
+        while not row[j]:  # the pivots move right
+            j += 1
         if v[j] % row[j]:
             return None
         q = v[j] // row[j]
         coeffs.append(q)
         if q:
-            v = [a - q * b for a, b in zip(v, row)]
+            for k in range(j, len(v)):
+                v[k] -= q * row[k]
+        j += 1
     if any(v):
         return None
     return tuple(coeffs)

@@ -34,7 +34,8 @@ def enumerate_lie_layers(arr: Arrangement, g: int, f_torsion=()) -> LayerPoset:
     enumeration.
     """
     if g < 1:
-        raise ValueError("g must be >= 1; use leading_part for g = 0")
+        raise ValueError(f"{arr.describe()}: g must be >= 1; use leading_part "
+                         "for g = 0")
     return enumerate_layers(arr, GroupSpec(f_torsion=f_torsion, reals=g))
 
 
@@ -74,7 +75,7 @@ def constituent_via_lie(arr: Arrangement, k: int, g: int):
     subposet, and is checked to add up to the polynomial.
     """
     if k < 1:
-        raise ValueError("k must be positive")
+        raise ValueError(f"{arr.describe()}: k must be positive")
     poset = enumerate_lie_layers(arr, g, (k,) if k > 1 else ())
     indices, out = layer_sum(poset, partial=True)
     splits = [poset.characteristic([i for i in range(poset.n)

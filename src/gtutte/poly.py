@@ -40,9 +40,6 @@ class UniPoly:
     def __eq__(self, other):
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __add__(self, other: "UniPoly") -> "UniPoly":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -52,9 +49,7 @@ class UniPoly:
             out[i] += x
         return UniPoly(out)
 
-    def __mul__(self, other) -> "UniPoly":
-        if isinstance(other, int):
-            return UniPoly([other * x for x in self.coeffs])
+    def __mul__(self, other: "UniPoly") -> "UniPoly":
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return UniPoly()
@@ -64,8 +59,6 @@ class UniPoly:
                 for j, y in enumerate(b):
                     out[i + j] += x * y
         return UniPoly(out)
-
-    __rmul__ = __mul__
 
     def __call__(self, value):
         """Exact evaluation at an int or Fraction (Horner)."""

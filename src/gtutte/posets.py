@@ -31,22 +31,26 @@ order: the unit vectors of Z^n have 2^n components and weight 3^n, the
 number of their order pairs.
 
 The order is reverse inclusion: X contains Y exactly when loc(X) lies in
-loc(Y) and a point of Y, one per layer, takes X's circle values on the
-rows of span(X).  Each layer lies over the rank-0 root of its component
-(the connected component of the total group containing it), which every
-rank-1 layer of the component covers.  Above rank 1 the covers are found
-by lookup.  Bitsets over the layers one rank below, one per element, give
-the candidates: the layers X of Y's component whose localization nests in
-loc(Y).  The component of the intersection of loc(X)'s kernels that holds
-Y is the layer of span(X) in Y's component containing Y, and it covers Y.
-Layers of one span and one component are disjoint, so Y has exactly one
-cover per distinct candidate span, and the lookup runs once per such span:
-without a circle it is the candidate itself (a span then carries one layer
-per component); with one it restricts a point of Y to the span's rows and
-reads an index on (component, span, those circle values), built once per
-run.  A miss raises IdentityCheckError.  These covers generate the order:
-if X < Y with ranks at least 2 apart, joining loc(X) with one element of
-loc(Y) outside span(X) gives a layer Z of rank(X) + 1 with X < Z < Y.
+loc(Y) and Y takes X's circle values on the rows of span(X).  Each layer
+lies over the rank-0 root of its component (the connected component of
+the total group containing it), which every rank-1 layer of the component
+covers.  Above rank 1 the covers are found by lookup.  Bitsets over the
+layers one rank below, one per element, give the candidates: the layers X
+of Y's component whose localization nests in loc(Y).  The component of
+the intersection of loc(X)'s kernels that holds Y is the layer of span(X)
+in Y's component containing Y, and it covers Y.  Layers of one span and
+one component are disjoint, so Y has exactly one cover per distinct
+candidate span, and the lookup runs once per such span: without a circle
+it is the candidate itself (a span then carries one layer per component);
+with one it reads Y's values on the span's rows and an index on
+(component, span, those circle values), built once per run.  The span
+lies in span(Y), which is saturated, so each of its rows is an integer
+combination of span(Y)'s rows, solved once per pair of spans, and Y takes
+on it that combination of Y's circle values; a Y through 0 takes 0 on
+every row, with nothing solved.  A miss raises IdentityCheckError.  These
+covers generate the order: if X < Y with ranks at least 2 apart, joining
+loc(X) with one element of loc(Y) outside span(X) gives a layer Z of
+rank(X) + 1 with X < Z < Y.
 
 The Möbius value mu(C, X), C the root of X's component, is a signed
 subset count (the cross-cut formula): a torsion element vanishes on all
@@ -66,8 +70,8 @@ from operator import mul
 from typing import NamedTuple
 
 from . import model
-from .intlinalg import (FGAbelianGroup, IntMatrix, _bordered_hnf, hnf_solve,
-                        hom_enumerate, kernel_mod, pivot_map)
+from .intlinalg import (FGAbelianGroup, IntMatrix, hnf_invariant_factors,
+                        hnf_solve, hom_enumerate, kernel_mod, pivot_map)
 from .invariants import (HypothesisError, IdentityCheckError, check_degree,
                          checked, g_characteristic)
 from .model import Arrangement, CapExceeded, GroupSpec
@@ -252,51 +256,46 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec) -> "LayerPoset":
         # the first two by identity
         found = {(id(lay.component), id(lay.span), lay.chi[0][:lay.span.rows]):
                  lay for lay in layers}
-        columns: dict = {}  # id of a span -> columns of its right inverse
-        points: dict = {}   # id of a layer -> a point of the layer mod P
-        unit = IntMatrix.identity(f).data
-        origin = (0,) * f
-
-        def point(y):
-            """A point of y mod P: sum_i v_i u_i for its circle values v_i on
-            the span rows.  The span is saturated, so its columns generate
-            Z^r and its `_bordered_hnf` starts with [e_i | u_i], span . u_i =
-            e_i; coordinate k of the point is column k of the u_i times v.
-            All circle values zero on the span rows give the point 0."""
-            if y.span.data == unit:  # span Z^f: the u_i are the e_i
-                return y.chi[0][:f]
-            if not any(y.chi[0][:y.span.rows]):  # y contains 0
-                return origin
-            key = id(y)  # asked only about `layers`, which stay alive
-            if key not in points:
-                span = y.span
-                if id(span) not in columns:
-                    r = span.rows
-                    h = _bordered_hnf(span.data, f)
-                    if any(row[i] != 1 for i, row in enumerate(h[:r])):
-                        raise IdentityCheckError(
-                            f"{arr.describe()}: span {list(span.data)} is not "
-                            "saturated")
-                    columns[id(span)] = list(zip(*[row[r:] for row in h[:r]]))
-                values = y.chi[0]
-                points[key] = [sum(map(mul, col, values)) % period
-                               for col in columns[id(span)]]
-            return points[key]
+        # id of an upper span, once checked saturated -> {id of a lower
+        # span: the lower span rows' coefficients over the upper span rows}
+        solved: dict = {}
 
         def restrict(x, y):
             """The layer with x's span, in y's component, that contains y:
-            the one whose circle values on the span rows are those of a
-            point of y.  Asked only about x one rank below y, in y's
-            component, with loc(x) in loc(y) (see `LayerPoset`), where that
-            layer exists and covers y, so a miss is a fault."""
-            phi = point(y)
-            values = tuple([sum(map(mul, row, phi)) % period
-                            for row in x.span.data])
-            z = found.get((id(y.component), id(x.span), values))
+            the one with y's circle values on x's span rows, each row's
+            coefficients over y's span times y's values there.  Asked only
+            about x one rank below y, in y's component, with loc(x) in
+            loc(y) (see `LayerPoset`): span(x) lies in the saturated
+            span(y), and that layer exists, so a row that does not solve
+            or a miss is a fault."""
+            lower, upper = x.span, y.span
+            circle = y.chi[0][:upper.rows]
+            if not any(circle):  # y contains 0
+                values = (0,) * lower.rows
+            else:
+                by_lower = solved.get(id(upper))
+                if by_lower is None:
+                    if hnf_invariant_factors(upper.data):
+                        raise IdentityCheckError(
+                            f"{arr.describe()}: span {list(upper.data)} is "
+                            "not saturated")
+                    by_lower = solved[id(upper)] = {}
+                coeffs = by_lower.get(id(lower))
+                if coeffs is None:
+                    coeffs = [hnf_solve(upper, row) for row in lower.data]
+                    if None in coeffs:
+                        raise IdentityCheckError(
+                            f"{arr.describe()}: layer order: span "
+                            f"{list(lower.data)} does not lie in "
+                            f"{list(upper.data)}")
+                    by_lower[id(lower)] = coeffs
+                values = tuple([sum(map(mul, c, circle)) % period
+                                for c in coeffs])
+            z = found.get((id(y.component), id(lower), values))
             if z is None:
                 raise IdentityCheckError(
                     f"{arr.describe()}: layer order: no layer of span "
-                    f"{list(x.span.data)} contains {y.key}")
+                    f"{list(lower.data)} contains {y.key}")
             return z
 
     poset = LayerPoset(arr, layers, components, restrict)

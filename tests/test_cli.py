@@ -603,7 +603,7 @@ def _period_file(tmp_path, period):
 @pytest.mark.parametrize("argv, message", [
     (("info", "{tmp}/missing.json"), "{tmp}/missing.json"),
     (("quasi", "{tmp}/bad.json"), "not valid JSON"),
-    (("constituent", "{example}", "0"), "K must be positive"),
+    (("constituent", "{example}", "0"), "example: k must be positive"),
     (("toric-layers", "{example}", "--dot", "{tmp}/no-dir/out.dot"),
      "{tmp}/no-dir/out.dot"),
     (("quasi", "{over_cap}"), f"exceeds the cap {invariants.MAX_PERIOD}"),
@@ -620,11 +620,16 @@ def _period_file(tmp_path, period):
      f"{{tmp}}/long.json: Arrangement(Z^1, {gtutte.model.MAX_ELEMENTS + 1} "
      f"elements): {gtutte.model.MAX_ELEMENTS + 1} elements; the subset sweep "
      f"is capped at {gtutte.model.MAX_ELEMENTS}"),
+    (("constituent", "{example}", "-3"), "example: k must be positive"),
+    (("lie-layers", "{example}", "--g", "0"), "example: g must be >= 1"),
+    (("lie-layers", "{example}", "--g", "-1", "--torsion", "2"),
+     "example: g must be >= 1"),
 ], ids=["missing file", "bad JSON", "K = 0", "--dot into a missing directory",
         "period cap", "deeply nested JSON", "--k 0",
         "number past the int-to-string limit", "reciprocity --k 0",
         "beta --q 0", "compare --a 3 --b 4", "bad torsion list",
-        "one element past the element cap"])
+        "one element past the element cap", "K = -3", "lie-layers --g 0",
+        "lie-layers --g -1"])
 def test_error_paths_print_no_result(argv, message, example_file, tmp_path,
                                      capsys):
     (tmp_path / "bad.json").write_text("{not json")

@@ -970,3 +970,26 @@ def test_long_diagonals_of_twos_within_budget():
     assert time.perf_counter() - start < 2.0
     # the quotients have torsion (Z/2)^400, (Z/2)^400, (Z/2)^401, (Z/2)^400
     assert tutte == BiPoly({(1, 0): 2**400, (0, 1): 2**400, (0, 0): 2**400})
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: IntMatrix(2, 1, ((1,),)), DimensionMismatch,
+     "row count does not match data"),
+    (lambda: IntMatrix(2, 2, ((1, 2), (3,))), DimensionMismatch,
+     "ragged row in matrix data"),
+    (lambda: IntMatrix.from_rows([]), DimensionMismatch,
+     "cols required for a 0-row matrix"),
+    (lambda: hnf_solve(IntMatrix.identity(2), (1, 2, 3)), DimensionMismatch,
+     "vector length does not match matrix columns"),
+    (lambda: FGAbelianGroup(1, (2,)).order(), ValueError, "group is infinite"),
+    (lambda: saturation(IntMatrix.from_rows([[1, 2]]), FGAbelianGroup(3)),
+     DimensionMismatch, "generators have 2 coordinates, ambient needs 3"),
+    (lambda: hom_enumerate(IntMatrix.from_rows([], 1), FGAbelianGroup(0, (2,)),
+                           (3, 0)), ValueError,
+     "target factors must be positive"),
+], ids=["row count", "ragged row", "0 rows without cols", "solve length",
+        "order of an infinite group", "saturation columns",
+        "nonpositive target factor"])
+def test_malformed_input_is_refused(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()

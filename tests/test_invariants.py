@@ -376,3 +376,9 @@ def test_tutte_coefficients_are_nonnegative_over_the_circle_and_the_line():
             assert not negative, (arr, spec, negative)
     elapsed = time.perf_counter() - t0
     assert elapsed < 6.0, f"{elapsed:.2f}s > 6.0s"
+
+
+@pytest.mark.parametrize("q", [0, -3])
+def test_reciprocity_refuses_a_nonpositive_q(example, q):
+    with pytest.raises(ValueError, match="^example: q must be positive$"):
+        reciprocity_eval(example, 1, q)

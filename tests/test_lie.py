@@ -182,7 +182,7 @@ def test_mobius_against_textbook_recursion(example):
 
 
 def test_g_zero_and_caps(example, monkeypatch):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^example: g must be >= 1"):
         enumerate_lie_layers(example, 0, (2,))
     with monkeypatch.context() as patch:
         # 70 components: the fold stops at the first lattice past the cap
@@ -238,3 +238,9 @@ def test_constituent_via_lie_split_check_raises(example, monkeypatch):
         (), real(poset, partial=partial)[1]))
     with pytest.raises(IdentityCheckError, match="split"):
         constituent_via_lie(example, 2, 1)
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_a_nonpositive_k_is_refused_by_name(example, k):
+    with pytest.raises(ValueError, match="^example: k must be positive$"):
+        constituent_via_lie(example, k, 1)

@@ -278,3 +278,10 @@ def test_table_spans_equal_the_saturation(example, mixed_torsion,
             rank = table.span(lat).rows
             ranks.add("zero" if rank == 0 else "full" if rank == f else "part")
     assert ranks == {"zero", "full", "part"}
+
+
+@pytest.mark.parametrize("counts", [{"circles": -1}, {"reals": -1},
+                                    {"circles": 1, "reals": -2}])
+def test_negative_factor_counts_are_refused(counts):
+    with pytest.raises(ValueError, match="^factor counts must be nonnegative$"):
+        GroupSpec(**counts)

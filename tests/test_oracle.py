@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gtutte import (Arrangement, FGAbelianGroup, GroupSpec, chromatic_quasi,
                     g_characteristic, g_tutte)
-from gtutte import model, oracle
+from gtutte import model, oracle, posets
 from gtutte.lie import enumerate_lie_layers
 from gtutte.model import CapExceeded
 from gtutte.oracle import (_desk_sized, battery_instances, brute_complement_count,
@@ -325,3 +325,26 @@ def test_shrink_failing_minimizes():
     small = shrink_failing(arr, fails)
     assert small.n == 1
     assert sorted(abs(x) for x in small.elements[0]) in ([0, 1], [1, 1])
+
+
+@pytest.mark.parametrize("source", [FGAbelianGroup(1), FGAbelianGroup(2, (2,))])
+def test_brute_hom_count_refuses_an_infinite_source(source):
+    with pytest.raises(ValueError, match="^source must be finite$"):
+        brute_hom_count(source, (2,))
+
+
+def test_a_shifted_character_fails_the_k_component_count(monkeypatch):
+    """Shifting every `kernel_mod` solution's first residue by one keeps
+    each component count, the order and the Möbius values, and on this
+    instance every check of `enumerate_toric_layers`.  `k_component_count`
+    catches it: it reads each layer's order, off its character, against
+    the multiplicity of each subset's torsion factors over Z/k, which
+    `kernel_mod` does not compute."""
+    real = posets.kernel_mod
+    monkeypatch.setattr(posets, "kernel_mod", lambda pivots, n, m: [
+        ((x[0] + 1) % m,) + x[1:] for x in real(pivots, n, m)])
+    arr = list(battery_instances(5, 30))[18]
+    assert arr.describe() == "Arrangement(Z^0+Z/4, [(2,), (3,), (2,), (2,)])"
+    failed = {e.check for e in run_identity_suite(arr, "shifted")
+              if not e.passed}
+    assert failed == {"constituent_vs_k_partial", "k_component_count"}

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from math import gcd, lcm
 
 import pytest
@@ -189,8 +190,9 @@ def test_every_order_call_finds_a_cover(gamma, vectors, spec,
 
 
 def test_an_order_lookup_miss_names_the_instance(monkeypatch):
-    # [0,1](0) does not nest in [1,1](1/2): a point of the latter takes
-    # the value 1/2 on (0, 1), where no layer of span (0, 1) lies
+    # [0,1](0) does not nest in [1,1](1/2): the row (0, 1) is no integer
+    # combination of (1, 1), so span(x) does not lie in span(y), as the
+    # span of a real cover does
     _, functions = _order_calls(monkeypatch)
     arr = Arrangement(FGAbelianGroup(2), [[2, 2], [1, 0], [0, 1]], name="miss")
     poset = enumerate_toric_layers(arr)
@@ -200,6 +202,58 @@ def test_an_order_lookup_miss_names_the_instance(monkeypatch):
     with pytest.raises(IdentityCheckError,
                        match=r"^miss: layer order: .*\[\(0, 1\)\]"):
         functions[0](x, y)
+
+
+@pytest.mark.parametrize("upper_key", ["[1,0;0,1](1/2,0)", "[1,0;0,1](0,0)"])
+def test_an_order_index_miss_names_the_instance(upper_key, monkeypatch):
+    # the index keys components by identity: an equal copy of y's shared
+    # component tuple finds no layer, whether or not y contains 0
+    _, functions = _order_calls(monkeypatch)
+    arr = Arrangement(FGAbelianGroup(2), [[2, 0], [1, 0], [0, 1]], name="miss")
+    poset = enumerate_toric_layers(arr)
+    by_key = {lay.key: lay for lay in poset.layers}
+    x, y = by_key["[0,1](0)"], by_key[upper_key]
+    assert functions[0](x, y) in poset.layers
+    copy = y._replace(component=tuple(list(y.component)))
+    assert copy.component == y.component and copy.component is not y.component
+    with pytest.raises(IdentityCheckError, match=r"^miss: layer order: no "
+                       r"layer of span \[\(0, 1\)\] contains "
+                       + re.escape(upper_key) + "$"):
+        functions[0](x, copy)
+
+
+def test_each_span_pair_is_solved_once_and_never_through_zero(monkeypatch):
+    # the CI's torsion6.json: the order solves each row of a lower span
+    # over an upper span once per pair, and nothing for an upper layer
+    # through 0, whose values on every lower span are 0
+    solves = _counted(monkeypatch, posets, "hnf_solve")
+    seen, lookups, through_zero = set(), 0, 0
+    real = posets.LayerPoset.__init__
+
+    def init(self, arr, layers, lattice_components, cover_fn):
+        def watched(x, y):
+            nonlocal lookups, through_zero
+            before = len(solves)
+            found = cover_fn(x, y)
+            lookups += 1
+            for span, row in solves[before:]:
+                assert span is y.span and row in x.span.data
+                assert (id(span), id(x.span), row) not in seen, (span, row)
+                seen.add((id(span), id(x.span), row))
+            if not any(y.chi[0][:y.span.rows]):
+                through_zero += 1
+                assert len(solves) == before, y.key
+            return found
+
+        real(self, arr, layers, lattice_components, watched)
+
+    monkeypatch.setattr(posets.LayerPoset, "__init__", init)
+    arr = Arrangement(FGAbelianGroup(2, (2, 6)),
+                      [[1, 0, 1, 0], [0, 1, 0, 3], [1, 1, 1, 2], [2, -1, 0, 1],
+                       [1, -2, 0, 5], [3, 1, 1, 4]], name="torsion6")
+    poset = enumerate_toric_layers(arr)
+    assert poset.n == 355
+    assert seen and through_zero and len(seen) < lookups - through_zero
 
 
 def test_two_circles_are_refused(example):

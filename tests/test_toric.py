@@ -163,7 +163,7 @@ def test_k_must_be_positive(example_poset):
 
 def test_a_rank_f_span_off_the_identity_is_checked(example, monkeypatch):
     # span Z^f is told by its rows, not its rank: a rank-2 span that is not
-    # saturated still reaches the bordered-HNF check of the order lookup
+    # saturated still reaches the saturation check of the order lookup
     span = LatticeTable.span
 
     def unsaturated(self, lat):
@@ -178,15 +178,16 @@ def test_a_rank_f_span_off_the_identity_is_checked(example, monkeypatch):
 
 def test_a_layer_through_zero_builds_no_bordered_hnf(monkeypatch):
     # every lattice of the unit vectors is saturated, so each layer's circle
-    # values are zero and its point is 0: no span needs its right inverses
+    # values are zero and so are its values on every lower span: no span
+    # pair needs its coefficients
     calls = []
-    bordered = posets._bordered_hnf
+    solve = posets.hnf_solve
 
-    def counting(rows, c):
-        calls.append(rows)
-        return bordered(rows, c)
+    def counting(h, vector):
+        calls.append(vector)
+        return solve(h, vector)
 
-    monkeypatch.setattr(posets, "_bordered_hnf", counting)
+    monkeypatch.setattr(posets, "hnf_solve", counting)
     arr = Arrangement(FGAbelianGroup(6),
                       [[int(i == j) for j in range(6)] for i in range(6)])
     poset = enumerate_toric_layers(arr)
