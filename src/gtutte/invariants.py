@@ -5,7 +5,7 @@ by the homomorphism-count multiplicity m(S).  The bivariate sum is the
 G-Tutte polynomial; its real and circle targets give the classical and
 arithmetic Tutte polynomials.  The characteristic polynomial is the signed
 class sum of (-1)^#S * m(S) * t^(rank(gamma)-rank(S)), taken over the
-arrangement's signed classes (the histogram regrouped once by rank and
+arrangement's signed classes (the subset counts grouped once by rank and
 torsion factors); the tests check it against the Tutte specialization.  The
 constituent of the chromatic quasi-polynomial at k is that polynomial for
 the cyclic target Z/gcd(k, period), so each divisor is evaluated once.
@@ -78,9 +78,9 @@ def check_circles(arr: Arrangement, spec: GroupSpec):
     bound = 1 + arr.gamma.ngens * log10(spec.f_order) + spread
     if spec.circles:
         bound += spec.circles * log10(
-            max(prod(key.torsion_factors) for key in arr.histogram()))
+            max(prod(key.torsion_factors) for key in arr.class_counts()))
     if 0 < _digit_limit() < bound:
-        top = max(model.multiplicity(key, spec) for key in arr.histogram())
+        top = max(model.multiplicity(key, spec) for key in arr.class_counts())
         check_digits(arr, ("circle count" if spec.circles else "finite target")
                      + ": coefficients", 1 + floor(log10(top) + spread))
 

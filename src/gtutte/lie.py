@@ -4,13 +4,13 @@ and their identities.
 The layers come from the engine in posets.py with no circle: a layer is
 its saturated span and one homomorphism of the whole ambient group into F.
 `posets.layer_sum` checks the Möbius-weighted dimension sums (Möbius
-values from the engine's signed pass over the lattice states) over the
-partial and whole posets against the target's characteristic polynomial,
-of the arrangement and of its torsion-stripped part, evaluated at
-#F * t^g.  With F = Z/k the partial sum is the k-th constituent at
-k * t^g: `constituent_via_lie` reads it off `layer_sum` and splits it over
-the surviving components.  The size of a job is capped in one place, by
-the engine's two counts.
+values from one signed count per lattice of the packed lattice counts)
+over the partial and whole posets against the target's characteristic
+polynomial, of the arrangement and of its torsion-stripped part,
+evaluated at #F * t^g.  With F = Z/k the partial sum is the k-th
+constituent at k * t^g: `constituent_via_lie` reads it off `layer_sum`
+and splits it over the surviving components.  The size of a job is
+capped in one place, by the engine's two counts.
 
 The zero-dimensional case g = 0 degenerates to component counting and is
 served by invariants.leading_part, not by this module.

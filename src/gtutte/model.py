@@ -7,14 +7,17 @@ residue per torsion factor).  Duplicates are legal and order-stable: the
 element list is a multiset.
 
 Every subset-sum invariant in this package depends on a subset S only
-through the lattice <S> it spans.  `Arrangement.lattice_states` counts the
-subsets by (lattice, #S) in one pass over the distinct spanned lattices of
-a `LatticeTable`; `Arrangement.histogram` reduces those states to classes
-(rank S, #S, invariant factors of the torsion of gamma/<S>), and layer
-enumeration reads them directly.  `Arrangement.signed_classes` regroups the
-histogram once by (rank, torsion factors) into signed counts, the gcd form
-that every characteristic polynomial and quasi-polynomial constituent sums
-over.  The per-subset data is also available mask by mask, for the oracle.
+through the lattice <S> it spans.  `Arrangement.lattice_counts` counts the
+subsets by lattice and size in one pass over the distinct spanned lattices
+of a `LatticeTable`, one packed int per lattice whose slot s counts the
+size-s subsets; `Arrangement.class_counts` sums those ints once by class
+(rank S, invariant factors of the torsion of gamma/<S>).  The signed
+classes, the gcd form that every characteristic polynomial and
+quasi-polynomial constituent sums over, read one signed count off each
+class's int (`Arrangement.signed_count`) without decoding a size;
+`Arrangement.histogram` decodes the sizes, (rank S, #S, torsion factors),
+for the Tutte polynomials.  The per-subset data is also available mask by
+mask, for the oracle.
 """
 
 from __future__ import annotations
@@ -125,7 +128,7 @@ class LatticeTable:
     id 0 holds the torsion relations alone.  `child` is
     {vector: {lattice id: child id}}, the lattice that the vector joins:
     a fold looks its vector's dict up once and then steps on lattice ids
-    alone (`Arrangement.lattice_states` on int states lat * (n + 1) + #S).
+    alone (`Arrangement.lattice_counts`, keyed by lattice id).
     `add` reduces the vector into the parent's HNF rows with the parent's
     fold step (what `hnf_insert` runs), looks the rows up and records the
     edge in that dict.  Each lattice asks `insert_step` for its step on its
@@ -207,7 +210,7 @@ class LatticeTable:
 
 class Arrangement:
     """Immutable (group, element multiset) pair with its lattice table,
-    lattice states, histogram and signed classes memoized."""
+    packed lattice and class counts, histogram and signed classes memoized."""
 
     def __init__(self, gamma: FGAbelianGroup, elements, name: str | None = None):
         if (n := len(elements)) > MAX_ELEMENTS:
@@ -228,7 +231,8 @@ class Arrangement:
         self.elements = tuple(reduced)
         self.name = name
         self._lattice_table: LatticeTable | None = None
-        self._lattice_states: dict | None = None
+        self._lattice_counts: dict | None = None
+        self._class_counts: dict | None = None
         self._histogram: dict[SubsetClass, int] | None = None
         self._signed_classes: dict[SubsetClass, int] | None = None
         self._without_torsion: Arrangement | None = None
@@ -253,94 +257,111 @@ class Arrangement:
                           quot.torsion)
 
     def lattice_table(self) -> LatticeTable:
-        """The lattice table that `lattice_states` numbers lattices in."""
+        """The lattice table that `lattice_counts` numbers lattices in."""
         if self._lattice_table is None:
             # a string, not the bound method: a table holding its
             # arrangement would make a cycle that only the collector frees
             self._lattice_table = LatticeTable(self.gamma, self.describe())
         return self._lattice_table
 
-    def lattice_states(self) -> dict:
-        """{(lattice id, #S): number of subsets S}, ids in `lattice_table`.
+    def lattice_counts(self) -> dict:
+        """{lattice id: packed count}, ids in `lattice_table`.  Slot s of a
+        packed count, bits s * (n + 1) up to (s + 1) * (n + 1), holds the
+        number of size-s subsets S spanning the lattice, at most
+        C(n, s) <= 2^n, so no slot carries into the next.
 
-        The elements are folded in one at a time over states (lattice, #S),
-        where the lattice is the canonical HNF of <S> plus the ambient
-        torsion relations; each state skips or adds the element, and equal
-        states merge their counts.  While folding, a state is the int
-        lat * (n + 1) + #S, and adding an element moves it by
-        (child - lat) * (n + 1) + 1.  A child lattice is computed once per
-        (lattice, element vector), so the cost is 2^n steps only when every
-        lattice differs.
+        The elements are folded in one at a time over the lattices, each
+        the canonical HNF of <S> plus the ambient torsion relations; each
+        lattice skips the element, keeping its count, or adds it, which
+        shifts its count up one slot and merges it into the child's.  A
+        child lattice is computed once per (lattice, element vector), so
+        the cost is one step per child edge, and 2^n steps only when every
+        subset spans its own lattice.
         """
-        if self._lattice_states is None:
+        if self._lattice_counts is None:
             table = self.lattice_table()
-            width = self.n + 1  # #S lies in [0, n]
-            states = {0: 1}
+            width = self.n + 1  # the slot width: #S lies in [0, n]
+            counts = {0: 1}
             for vec in self.elements:
                 kids = table.child.setdefault(vec, {})
-                folded = dict(states)
-                for key, count in states.items():
-                    lat = key // width
+                folded = dict(counts)
+                for lat, packed in counts.items():
                     c = kids.get(lat)
                     if c is None:
                         c = table.add(lat, vec, kids)
-                    key += (c - lat) * width + 1
-                    folded[key] = folded.get(key, 0) + count
-                states = folded
-            self._lattice_states = {divmod(key, width): count
-                                    for key, count in states.items()}
-        return self._lattice_states
+                    folded[c] = folded.get(c, 0) + (packed << width)
+                counts = folded
+            self._lattice_counts = counts
+        return self._lattice_counts
+
+    def signed_count(self, packed: int) -> int:
+        """Sum of (-1)^s times slot s of a packed count: the count modulo
+        2^(n+1) + 1, centered, since 2^(n+1) is -1 there.  The sum lies in
+        [-2^n, 2^n], so the centered residue is exact."""
+        modulus = (1 << self.n + 1) + 1
+        signed = packed % modulus
+        return signed - modulus if signed > modulus >> 1 else signed
 
     def subset_lattice(self, mask: int) -> int:
         """Lattice id of the masked subset, read off `child` along its
-        elements: the fold of `lattice_states` has joined every prefix."""
-        self.lattice_states()
+        elements: the fold of `lattice_counts` has joined every prefix."""
+        self.lattice_counts()
         child = self.lattice_table().child
         lat = 0
         for vec in self.mask_elements(mask):
             lat = child[vec][lat]
         return lat
 
-    def histogram(self) -> dict:
-        """{SubsetClass(rank, #S, torsion factors): number of subsets S},
-        reduced from `lattice_states` with one quotient and one (rank,
-        torsion factors) pair per distinct lattice, and one `SubsetClass`
-        per class."""
-        if self._histogram is None:
+    def class_counts(self) -> dict:
+        """{SubsetClass(rank, 0, torsion factors): packed count}: the
+        `lattice_counts` summed over the lattices of each class, with one
+        quotient per distinct lattice.  The size-s subsets are split among
+        the lattices, so the summed slots stay below 2^(n+1) too."""
+        if self._class_counts is None:
             table = self.lattice_table()
             f = self.gamma.free_rank
-            classes: dict = {}  # lattice id -> (rank, torsion factors)
-            hist: dict = {}     # (rank, #S, torsion factors) -> count
-            for (lat, size), count in self.lattice_states().items():
-                cls = classes.get(lat)
-                if cls is None:
-                    quot = table.quotient(lat)
-                    cls = classes[lat] = (f - quot.free_rank, quot.torsion)
-                key = (cls[0], size, cls[1])
-                hist[key] = hist.get(key, 0) + count
-            self._histogram = {SubsetClass(*key): count
-                               for key, count in hist.items()}
+            counts: dict = {}  # (rank, torsion factors) -> packed count
+            for lat, packed in self.lattice_counts().items():
+                quot = table.quotient(lat)
+                key = (f - quot.free_rank, quot.torsion)
+                counts[key] = counts.get(key, 0) + packed
+            self._class_counts = {SubsetClass(rank, 0, torsion): packed
+                                  for (rank, torsion), packed in counts.items()}
+        return self._class_counts
+
+    def histogram(self) -> dict:
+        """{SubsetClass(rank, #S, torsion factors): number of subsets S},
+        decoded slot by slot from `class_counts`, empty slots dropped."""
+        if self._histogram is None:
+            width = self.n + 1
+            low = (1 << width) - 1
+            hist: dict = {}
+            for (rank, _, torsion), packed in self.class_counts().items():
+                size = 0
+                while packed:
+                    if count := packed & low:
+                        hist[SubsetClass(rank, size, torsion)] = count
+                    packed >>= width
+                    size += 1
+            self._histogram = hist
         return self._histogram
 
     def signed_classes(self) -> dict:
         """{SubsetClass(rank, 0, torsion factors): sum of (-1)^#S * count}
-        over the histogram classes, zero sums dropped.  A characteristic
-        polynomial weights (-1)^#S by m(S), which reads only the torsion
-        factors, so it is one sum over these classes."""
+        over the classes, zero sums dropped, read off `class_counts` with
+        one `signed_count` each.  A characteristic polynomial weights
+        (-1)^#S by m(S), which reads only the torsion factors, so it is one
+        sum over these classes."""
         if self._signed_classes is None:
-            signed: dict = {}  # (rank, torsion factors) -> signed count
-            for (rank, size, torsion), count in self.histogram().items():
-                signed[rank, torsion] = signed.get((rank, torsion), 0) + \
-                    (-count if size % 2 else count)
-            self._signed_classes = {SubsetClass(rank, 0, torsion): count
-                                    for (rank, torsion), count in signed.items()
-                                    if count}
+            self._signed_classes = {
+                key: signed for key, packed in self.class_counts().items()
+                if (signed := self.signed_count(packed))}
         return self._signed_classes
 
     @property
     def rank(self) -> int:
         """Rank of the subgroup spanned by all elements."""
-        return max(key.rank for key in self.histogram())
+        return max(key.rank for key in self.class_counts())
 
     def torsion_mask(self) -> int:
         """Mask of the elements whose free coordinates all vanish."""
@@ -353,7 +374,7 @@ class Arrangement:
 
     def lcm_period(self) -> int:
         """lcm over all subsets of the largest quotient torsion factor."""
-        return lcm(*(key.torsion_factors[-1] for key in self.histogram()
+        return lcm(*(key.torsion_factors[-1] for key in self.class_counts()
                      if key.torsion_factors))
 
     def without_torsion(self) -> "Arrangement":

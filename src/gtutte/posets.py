@@ -57,7 +57,8 @@ subset count (the cross-cut formula): a torsion element vanishes on all
 of C or nowhere on it, and [C, X] is the lattice of flats of the other
 elements of loc(X), so mu(C, X) sums (-1)^#S over the sets S of
 non-torsion elements with X a component of their intersection.  That is
-one pass over the lattice states of the torsion-stripped arrangement.
+one signed count per lattice of the torsion-stripped arrangement's
+`lattice_counts`, read off its packed int by `signed_count`.
 The oracle checks it by the textbook recursion on the order.
 """
 
@@ -103,7 +104,7 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec) -> "LayerPoset":
 
     A subset's components depend on it only through its lattice <S> plus
     the ambient torsion, so the work runs once per distinct lattice of the
-    fold behind `arr.lattice_states()`: its circle values are the
+    fold behind `arr.lattice_counts()`: its circle values are the
     characters of the finite quotient (saturation mod lattice) into Z/P,
     and its F-homs those of the quotient by the lattice.  Each lattice's
     component count, multiplicity(<S>) * #F^(free rank of the quotient), is
@@ -143,7 +144,7 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec) -> "LayerPoset":
                 f"(components times 2^rank) exceed the cap {MAX_ORDER_PAIRS}")
 
     # each lattice's localization, the union of the subsets spanning it:
-    # the fold of lattice_states on lattice ids alone.  A lattice updated at
+    # the fold of lattice_counts on lattice ids alone.  A lattice updated at
     # element i contains it, so it is its own child there.  Each lattice is
     # counted as it is found, and both counts only grow, so the fold stops
     # at the first one past its cap.
@@ -320,8 +321,8 @@ class LayerPoset:
     """Finite poset of layers with per-layer combinatorial data.
 
     layers[i] is a Layer; lattice_components maps each lattice id of the
-    arrangement's states to its subsets' sorted component indices; and
-    cover_fn(x, y), asked only about a candidate x of y (one rank below y
+    arrangement's lattice table to its subsets' sorted component indices;
+    and cover_fn(x, y), asked only about a candidate x of y (one rank below y
     and above rank 0, in y's component, with loc(x) in loc(y)), returns
     the layer of x's span, in y's component, that contains y: an element
     of `layers`, and a cover of y.  It is asked once per upper layer and
@@ -405,9 +406,10 @@ class LayerPoset:
         """Per layer: sum of (-1)^#S over the subsets S of `arr`, which shares
         this poset's lattice table, that it is a component of."""
         totals = [0] * self.n
-        for (lat, size), count in arr.lattice_states().items():
-            for i in self.lattice_components[lat]:
-                totals[i] += -count if size & 1 else count
+        for lat, packed in arr.lattice_counts().items():
+            if signed := arr.signed_count(packed):
+                for i in self.lattice_components[lat]:
+                    totals[i] += signed
         return totals
 
     def _check_sign_alternation(self):

@@ -5,8 +5,8 @@ layer's circle values are residues mod the lcm period P, printed as reduced
 fractions of P, and its membership in the k-torsion subposet is a
 divisibility test on the character's order.  `posets.layer_sum` selects
 the k-torsion, partial or whole poset and checks its Möbius-weighted
-dimension sum (Möbius values from the engine's signed pass over the
-lattice states) against the constituent or the circle characteristic
+dimension sum (Möbius values from one signed count per lattice of the
+packed lattice counts) against the constituent or the circle characteristic
 polynomial of the arrangement, with or without its torsion elements;
 `k_total_subposet` and `partial_subposet` are re-exported from there.  The
 size of a job is capped in one place, by the engine's two counts.

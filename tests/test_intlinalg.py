@@ -417,7 +417,7 @@ def test_table_lattices_are_canonical_by_construction():
         arr = Arrangement(gamma, [
             [rng.randint(-3, 3) for _ in range(gamma.ngens)]
             for _ in range(rng.randint(0, 7))])
-        arr.lattice_states()
+        arr.lattice_counts()
         table = arr.lattice_table()
         free = FGAbelianGroup(gamma.ngens)
         for lat, lattice in enumerate(table.lattices):
@@ -515,7 +515,7 @@ def test_saturation_runs_no_smith_elimination(monkeypatch):
     gamma = FGAbelianGroup(4, (2,))
     arr = Arrangement(gamma, [[rng.randint(-3, 3) for _ in range(4)]
                               + [rng.randint(0, 1)] for _ in range(6)])
-    arr.lattice_states()
+    arr.lattice_counts()
     table = arr.lattice_table()
     spans = []
     assert not _smith_calls(monkeypatch, lambda: spans.extend(
@@ -784,7 +784,7 @@ def test_cokernel_diagonal_matches_smith_form(example, mixed_torsion):
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
     for arr in battery_instances(0, 40) + [example, mixed_torsion]:
         gamma = arr.gamma
-        arr.lattice_states()
+        arr.lattice_counts()
         table = arr.lattice_table()
         for lat, lattice in enumerate(table.lattices):
             rel = presentation_matrix(lattice, gamma)
@@ -901,7 +901,7 @@ def test_square_cores_up_to_4_run_no_smith_elimination(monkeypatch):
         [-2, -2, 0, 1], [2, 2, 0, 2], [-2, -2, 1, 0], [0, -1, 1, 3],
         [1, -2, 0, 4], [-1, 2, 0, 1], [2, 2, 0, 0], [-1, 2, 0, 3],
         [-2, 0, 1, 2], [1, 0, 1, 5]])
-    arr.lattice_states()
+    arr.lattice_counts()
     table = arr.lattice_table()
     full = [lat for lat, lattice in enumerate(table.lattices)
             if lattice.rows == gamma.ngens]

@@ -1,13 +1,14 @@
 import random
 import time
 from collections import Counter
+from math import comb
 
 import pytest
 
 from gtutte import Arrangement, FGAbelianGroup, GroupSpec, model, multiplicity
 from gtutte.intlinalg import (hermite_normal_form, hnf_insert, insert_step,
                               presentation_matrix, saturation)
-from gtutte.model import CapExceeded, MAX_ELEMENTS
+from gtutte.model import CapExceeded, MAX_ELEMENTS, SubsetClass
 from gtutte.toric import enumerate_toric_layers
 from gtutte.oracle import battery_instances, brute_hom_count
 
@@ -41,8 +42,8 @@ def test_element_cap():
 
 
 def test_element_cap_is_reachable():
-    # the histogram sweep costs one step per distinct (lattice, #S) state;
-    # 2^24 subsets of this input meet about a thousand distinct lattices
+    # the subset fold costs one step per child edge of its lattices;
+    # 2^24 subsets of this input meet about 1,500 distinct lattices
     from gtutte import g_tutte
     rng = random.Random(24)
     arr = Arrangement(FGAbelianGroup(3), [[rng.randint(-4, 4) for _ in range(3)]
@@ -56,12 +57,13 @@ def test_element_cap_is_reachable():
     assert elapsed < budget_s, f"{elapsed:.2f}s > {budget_s}s"
 
 
-def test_lattice_states_match_per_mask_hnfs(mixed_torsion):
-    # the fold keys its states by lat * (n + 1) + #S; the states it returns,
-    # the lattice each mask reads off `child` and every child edge must
-    # agree with the canonical HNF of <S> plus the torsion relations,
-    # computed mask by mask.  Rows 8 wide, past the compiled kernels, take
-    # the loop step, and the battery has width 0
+def test_lattice_counts_match_per_mask_hnfs(mixed_torsion):
+    # the fold packs each lattice's size counts into one int, slot #S at
+    # bit #S * (n + 1); the counts it returns, the lattice each mask reads
+    # off `child` and every child edge must agree with the canonical HNF
+    # of <S> plus the torsion relations, computed mask by mask.  Rows 8
+    # wide, past the compiled kernels, take the loop step, and the battery
+    # has width 0
     rng = random.Random(9)
     quasi_like = Arrangement(FGAbelianGroup(2, (2, 6)), [
         [rng.randint(-4, 4), rng.randint(-4, 4), rng.randrange(2),
@@ -71,7 +73,7 @@ def test_lattice_states_match_per_mask_hnfs(mixed_torsion):
                                                    rng.randrange(6)]
         for _ in range(6)])
     for arr in [mixed_torsion, quasi_like, width8] + battery_instances(0, 60):
-        states = arr.lattice_states()
+        counts = arr.lattice_counts()
         table = arr.lattice_table()
         ids = {lattice.data: lat for lat, lattice in enumerate(table.lattices)}
         assert len(ids) == len(table.lattices), arr  # no lattice twice
@@ -80,8 +82,8 @@ def test_lattice_states_match_per_mask_hnfs(mixed_torsion):
             rows = hermite_normal_form(
                 presentation_matrix(arr.subset_matrix(mask), arr.gamma)).data
             assert arr.subset_lattice(mask) == ids[rows], (arr, mask)
-            want[ids[rows], bin(mask).count("1")] += 1
-        assert states == dict(want), arr
+            want[ids[rows]] += 1 << mask.bit_count() * (arr.n + 1)
+        assert counts == dict(want), arr
         for vec, kids in table.child.items():
             for lat, c in kids.items():
                 assert table.lattices[c].data == hnf_insert(
@@ -91,7 +93,7 @@ def test_lattice_states_match_per_mask_hnfs(mixed_torsion):
 def test_each_lattice_finds_its_fold_step_once(monkeypatch):
     # the table asks `insert_step` once per lattice, on its first child
     # edge: never again for that lattice, and never for a leaf, so the
-    # lattice states and then the layer engine's localization fold over
+    # lattice counts and then the layer engine's localization fold over
     # the same table ask once per lattice with a child edge
     steps = []
 
@@ -105,13 +107,77 @@ def test_each_lattice_finds_its_fold_step_once(monkeypatch):
         steps.clear()
         arr = Arrangement(gamma, [[rng.randint(-3, 3) for _ in range(gamma.ngens)]
                                   for _ in range(7)])
-        arr.lattice_states()
+        arr.lattice_counts()
         enumerate_toric_layers(arr)
         table = arr.lattice_table()
         parents = {lat for kids in table.child.values() for lat in kids}
         assert len(steps) == len(parents) < len(table.lattices), arr
         assert sorted(steps) == sorted(table.lattices[lat].data
                                        for lat in parents), arr
+
+
+def test_packed_counts_match_the_per_mask_sums():
+    # every view of the packed counts against sums taken mask by mask: the
+    # lattice of each mask from its own HNF, its class from `subset_data`
+    # (a `cokernel` of its own rows), its sign from its popcount
+    torsion10 = Arrangement(FGAbelianGroup(2, (2, 6)), [
+        [-2, -2, 0, 1], [2, 2, 0, 2], [-2, -2, 1, 0], [0, -1, 1, 3],
+        [1, -2, 0, 4], [-1, 2, 0, 1], [2, 2, 0, 0], [-1, 2, 0, 3],
+        [-2, 0, 1, 2], [1, 0, 1, 5]])
+    for arr in battery_instances(35, 40) + [torsion10]:
+        counts = arr.lattice_counts()
+        ids = {lattice.data: lat
+               for lat, lattice in enumerate(arr.lattice_table().lattices)}
+        packed, signed = Counter(), Counter()
+        hist, signed_classes = Counter(), Counter()
+        for mask in arr.masks():
+            size = mask.bit_count()
+            lat = ids[hermite_normal_form(
+                presentation_matrix(arr.subset_matrix(mask), arr.gamma)).data]
+            packed[lat] += 1 << size * (arr.n + 1)
+            signed[lat] += (-1) ** size
+            data = arr.subset_data(mask)
+            hist[SubsetClass(data.rank, size, data.torsion_factors)] += 1
+            signed_classes[SubsetClass(data.rank, 0, data.torsion_factors)] += \
+                (-1) ** size
+        assert counts == dict(packed), arr
+        assert {lat: arr.signed_count(c) for lat, c in counts.items()} == \
+            dict(signed), arr
+        assert arr.histogram() == dict(hist), arr
+        assert arr.signed_classes() == \
+            {key: c for key, c in signed_classes.items() if c}, arr
+
+
+def test_packed_counts_at_the_element_cap():
+    # past any per-mask sum: closed forms at n = MAX_ELEMENTS, where the
+    # middle slot holds C(24, 12) = 2,704,156 > 2^21, and at n = 0
+    n = MAX_ELEMENTS
+    ones = Arrangement(FGAbelianGroup(3), [[1, 2, 3]] * n)
+    counts = ones.lattice_counts()
+    assert counts.keys() == {0, 1}
+    assert counts[0] == 1
+    assert [counts[1] >> s * (n + 1) & (1 << n + 1) - 1
+            for s in range(n + 1)] == [0] + [comb(n, s) for s in range(1, n + 1)]
+    assert ones.signed_count(counts[0]) == 1
+    assert ones.signed_count(counts[1]) == -1
+    assert ones.histogram() == {SubsetClass(0, 0, ()): 1} | {
+        SubsetClass(1, s, ()): comb(n, s) for s in range(1, n + 1)}
+    assert ones.signed_classes() == {SubsetClass(0, 0, ()): 1,
+                                     SubsetClass(1, 0, ()): -1}
+
+    zeros = Arrangement(FGAbelianGroup(3), [[0, 0, 0]] * n)
+    assert zeros.lattice_counts() == {0: sum(comb(n, s) << s * (n + 1)
+                                             for s in range(n + 1))}
+    assert zeros.signed_count(zeros.lattice_counts()[0]) == 0
+    assert zeros.histogram() == {SubsetClass(0, s, ()): comb(n, s)
+                                 for s in range(n + 1)}
+    assert zeros.signed_classes() == {}
+
+    empty = Arrangement(FGAbelianGroup(1, (4,)), [])
+    assert empty.lattice_counts() == {0: 1}
+    assert empty.signed_count(1) == 1
+    assert empty.histogram() == {SubsetClass(0, 0, (4,)): 1}
+    assert empty.signed_classes() == {SubsetClass(0, 0, (4,)): 1}
 
 
 def test_lattice_cap(monkeypatch):
@@ -270,7 +336,7 @@ def test_table_spans_equal_the_saturation(example, mixed_torsion,
     for arr in [example, mixed_torsion, torsion_only,
                 Arrangement(FGAbelianGroup(2, (2, 4)),
                             [[2, 0, 1, 3], [0, 3, 0, 2], [1, 1, 1, 0]])]:
-        arr.lattice_states()
+        arr.lattice_counts()
         table = arr.lattice_table()
         f = arr.gamma.free_rank
         for lat, lattice in enumerate(table.lattices):

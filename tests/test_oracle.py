@@ -186,7 +186,7 @@ def test_layer_components_match_per_mask_reference(example, mixed_torsion,
 
 
 def test_layer_engine_reads_no_subset_alone(example, monkeypatch):
-    # the engine works from the (lattice, #S) states; only the per-subset
+    # the engine works from the packed lattice counts; only the per-subset
     # view of a poset walks masks, so all else runs with those paths broken
     def refuse(*args):
         raise AssertionError("per-subset path taken")

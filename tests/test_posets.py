@@ -436,8 +436,8 @@ def test_a_component_without_one_root_is_caught(monkeypatch):
 
 def test_a_wrong_moebius_sign_is_caught(example, monkeypatch):
     """mu(C, X) has the sign (-1)^rank(X).  The check reads each layer's
-    rank, off its span, against the signed subset counts of the lattice
-    states: here every count negated."""
+    rank, off its span, against the signed subset counts of the
+    lattices: here every count negated."""
     real = posets.LayerPoset._signed_sums
     monkeypatch.setattr(posets.LayerPoset, "_signed_sums",
                         lambda poset, arr: [-x for x in real(poset, arr)])
