@@ -6,9 +6,9 @@ floating point and no overflow anywhere.  One routine combines rows:
 form (positive pivots, entries above each pivot in [0, pivot)), the
 canonical key for sublattices, and every other form is a fold of it.
 `hermite_normal_form` folds a matrix's rows; a matrix built by
-`IntMatrix._from_hnf` is canonical by construction, never re-scanned.  A
-kernel is read off the canonical HNF of a bordered matrix, and
-`saturation` is the kernel of a kernel.  Smith forms alternate row and
+`IntMatrix._from_hnf` is canonical by construction, never re-scanned.
+`saturation` solves the rows' HNF over the HNF of its columns, so no fold
+is wider than the free rank.  Smith forms alternate row and
 column HNFs (Kannan and Bachem): `_monomial` runs them until one nonzero
 entry is left in each row and column, and `invariant_chain` turns those
 entries, or any list of cyclic orders, into the divisibility chain.
@@ -373,7 +373,8 @@ def hnf_invariant_factors(rows: tuple) -> tuple:
 
     One row left gives the gcd of its entries (at full rank, its pivot).
     A core of size 2 to 4 is read off closed forms in its nonzero minors,
-    and two rows below full rank give D1 and D2 from all their minors.
+    and two rows below full rank give D1 and D2 from their minors on the
+    columns where either row is nonzero (every other minor is 0).
     Any other shape, a core of size 5 or more or three rows or more below
     full rank, goes to `_monomial` (the zero columns of the unit pivots
     drop out), whose entries `invariant_chain` turns into the chain.
@@ -397,8 +398,9 @@ def hnf_invariant_factors(rows: tuple) -> tuple:
     if len(rows) < n:
         r, s = kept
         d1 = gcd(*r, *s)
+        support = [i for i in range(n) if r[i] or s[i]]  # other minors are 0
         d2 = gcd(*(r[i] * s[j] - r[j] * s[i]
-                   for i, j in combinations(range(n), 2)))
+                   for i, j in combinations(support, 2)))
         return tuple([d for d in (d1, d2 // d1) if d > 1])
     core = list(map(itemgetter(*pivots), kept))  # full rank: the square core
     if k == 2:
@@ -524,36 +526,37 @@ def cokernel(generators: IntMatrix, ambient: FGAbelianGroup) -> FGAbelianGroup:
                                       hnf_invariant_factors(rel.data))
 
 
-def _bordered_hnf(rows: tuple, c: int) -> tuple:
-    """Canonical HNF of [rows transposed | identity], whose row lattice is
-    {(rows . y, y) : y in Z^c}.  Its rows with a zero left part come last,
-    and cut to their right part they are a canonical HNF of the kernel
-    {y : rows . y = 0}.  If the columns of `rows` generate Z^m (m rows, a
-    saturated span), its first m rows are [e_i | u_i], rows . u_i = e_i."""
-    return reduce(hnf_insert, ([row[k] for row in rows]
-                               + [int(j == k) for j in range(c)]
-                               for k in range(c)), ())
-
-
 def saturation(generators: IntMatrix, ambient: FGAbelianGroup) -> IntMatrix:
     """Canonical HNF basis of the saturation of <rows> + torsion.
 
     The result lives in the free quotient (columns = ambient.free_rank); the
     full subgroup is this lattice together with all of the ambient torsion,
     which is exactly the smallest subgroup containing the rows with free
-    quotient group.  In Z^f it is the kernel of the kernel of the rows'
-    free parts, each read off a `_bordered_hnf`: canonical by construction.
+    quotient group.  In Z^f the rows' free parts fold into their HNF B, r x
+    f of rank r, and B's f columns into their HNF H, square and upper
+    triangular.  Each column of B lies in the row lattice of H, so B = H^T X
+    for an integer X, solved row by row: X_i = (B_i - sum over j < i of
+    H[j][i] X_j) / H[i][i], each division exact.  The columns of B generate
+    the row lattice of H, so those of X generate Z^r, and X has a right
+    inverse: a rational combination of X's rows that is integral has
+    integral coefficients.  So X's rows, which span B's rows over Q, span
+    the saturation, and their canonical HNF is the result.  No row is wider
+    than f.
     """
     n = ambient.ngens
     if generators.cols != n:
         raise DimensionMismatch(
             f"generators have {generators.cols} coordinates, ambient needs {n}")
     f = ambient.free_rank
-    rows = tuple(row[:f] for row in generators.data)
-    for _ in range(2):
-        m = len(rows)
-        rows = tuple(row[m:] for row in _bordered_hnf(rows, f) if not any(row[:m]))
-    return IntMatrix._from_hnf(f, rows)
+    b = reduce(hnf_insert, (row[:f] for row in generators.data), ())
+    h = reduce(hnf_insert, zip(*b), ())
+    x = []
+    for i, row in enumerate(b):
+        for hj, xj in zip(h, x):  # j < i
+            if c := hj[i]:
+                row = [a - c * y for a, y in zip(row, xj)]
+        x.append([a // h[i][i] for a in row])
+    return IntMatrix._from_hnf(f, reduce(hnf_insert, x, ()))
 
 
 def pivot_map(rows) -> dict:

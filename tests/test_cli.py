@@ -977,13 +977,22 @@ REFUSAL_INPUTS = {
     "unit vectors of Z^15": {
         "group": {"free_rank": 15, "torsion": []},
         "vectors": [[int(i == j) for j in range(15)] for i in range(15)]},
+    # few elements of a large free rank: every saturation is linear in it
+    "ten vectors 2e_i of Z^200": {
+        "group": {"free_rank": 200, "torsion": []},
+        "vectors": [[2 * int(i == j) for j in range(200)] for i in range(10)]},
+    "e_1 and 2e_2 in Z^6000": {
+        "group": {"free_rank": 6000, "torsion": []},
+        "vectors": [[int(j == 0) for j in range(6000)],
+                    [2 * int(j == 1) for j in range(6000)]]},
 }
 # every subcommand that reads a file, with small options; the paper example
 # runs with 3,000,000 lines or real factors instead, and verify reads no file
 REFUSAL_COMMANDS = [
     ["info"], ["tutte", "--p", "1"], ["arith-tutte"],
     ["char", "--torsion", "2"], ["quasi"], ["constituent", "3"],
-    ["toric-layers"], ["lie-layers", "--g", "1", "--torsion", "2"],
+    ["toric-layers"], ["lie-layers", "--g", "1"],
+    ["lie-layers", "--g", "1", "--torsion", "2"],
     ["reciprocity", "--k", "2", "--q", "3"], ["beta", "--q", "2"],
     ["compare", "--a", "1", "--b", "2"]]
 REFUSAL_CASES = [(name, [cmd[0], "{file}", *cmd[1:]])

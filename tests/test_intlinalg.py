@@ -1,5 +1,6 @@
 import random
 import time
+from functools import reduce
 from itertools import combinations, product
 from math import gcd
 from operator import mul
@@ -523,19 +524,47 @@ def test_saturation_runs_no_smith_elimination(monkeypatch):
     assert {span.rows for span in spans} == {0, 1, 2, 3, 4}
 
 
+def _bordered_hnf(rows, c: int) -> tuple:
+    """Canonical HNF of [rows transposed | identity], whose row lattice is
+    {(rows . y, y) : y in Z^c}: its rows with a zero left part, cut to their
+    right part, are the canonical HNF of the kernel {y : rows . y = 0}."""
+    return reduce(hnf_insert, ([row[k] for row in rows]
+                               + [int(j == k) for j in range(c)]
+                               for k in range(c)), ())
+
+
+def _kernel_of_kernel(rows, c: int) -> tuple:
+    """The saturation of the rows of width c as the kernel of their kernel,
+    each kernel read off a `_bordered_hnf`: a reference for `saturation`."""
+    for _ in range(2):
+        m = len(rows)
+        rows = tuple(row[m:] for row in _bordered_hnf(rows, c)
+                     if not any(row[:m]))
+    return rows
+
+
 def test_saturation_and_right_inverse_on_random_generators():
     # free rank 0-8 over torsion chains from {2, 3, 4, 6}; independent rows
-    # with entries up to 1000, integer combinations of them and zero rows
+    # with entries up to 1000, integer combinations of them and zero rows.
+    # Then sparse rows of free rank 50 and 200, where a bordered HNF would
+    # be quadratic in the free rank: holding the rows, their rank, a free
+    # quotient and the canonical form pin the saturation there
     chains = [(), (2,), (3,), (4,), (6,), (2, 2), (2, 4), (2, 6), (3, 6),
               (6, 6)]
     rng = random.Random(23)
     start = time.perf_counter()
-    for trial in range(500):
-        free = trial % 9
+    for trial in range(540):
+        wide = trial >= 500
+        free = (50, 200)[trial % 2] if wide else trial % 9
         gamma = FGAbelianGroup(free, rng.choice(chains))
         bound = rng.choice((1, 3, 30, 1000))
-        gens = [[rng.randint(-bound, bound) for _ in range(free)]
-                for _ in range(rng.randint(0, free + 1))]
+        gens = []
+        for _ in range(rng.randint(0, 6 if wide else free + 1)):
+            vec = [0] * free
+            for j in (rng.sample(range(free), rng.randint(1, 4)) if wide
+                      else range(free)):
+                vec[j] = rng.randint(-bound, bound)
+            gens.append(vec)
         for _ in range(rng.randint(0, 2)):
             coeffs = [rng.randint(-3, 3) for _ in gens]
             gens.append([sum(c * vec[j] for c, vec in zip(coeffs, gens))
@@ -553,9 +582,12 @@ def test_saturation_and_right_inverse_on_random_generators():
             IntMatrix.from_rows(gens, free)).rows, m
         assert cokernel(sat, FGAbelianGroup(free)).torsion == (), m
         assert hermite_normal_form(IntMatrix.from_rows(sat.data, free)) == sat
+        if wide:
+            continue
+        assert sat.data == _kernel_of_kernel(tuple(map(tuple, gens)), free), m
         # the bordered HNF of a saturated span starts with [e_i | u_i]
         r = sat.rows
-        h = intlinalg._bordered_hnf(sat.data, free)
+        h = _bordered_hnf(sat.data, free)
         assert all(row[:r] == tuple(int(i == j) for j in range(r))
                    for i, row in enumerate(h[:r])), m
         inverse = [row[r:] for row in h[:r]]
@@ -817,19 +849,36 @@ def _random_canonical_hnf(rng, r, c, bound, unit_share):
     return tuple(out)
 
 
+def _thinned(rng, rows, share):
+    """Canonical HNF rows with each entry right of a pivot kept with
+    probability `share` and zero otherwise: canonical still."""
+    out = []
+    for row in rows:
+        p = next(j for j, x in enumerate(row) if x)
+        out.append(row[:p + 1] + tuple(x if rng.random() < share else 0
+                                       for x in row[p + 1:]))
+    return tuple(out)
+
+
 def test_hnf_invariant_factors_matches_smith_forms():
     # the kernel reads the invariant factors straight off a canonical HNF;
     # sympy's Smith form is its oracle.
     # Every third input is a full-rank 3x3 HNF without unit pivots, the
     # shape read off its determinantal divisors; the others have every
     # shape up to 5x5, from no rows to full rank, with unit pivots (which
-    # split off) and non-pivot columns
+    # split off) and non-pivot columns.  The last 100 are two rows without
+    # unit pivots, 3 to 40 wide with most entries zero, whose D2 is read off
+    # the 2x2 minors on the columns where either row is nonzero
     from sympy import Matrix, ZZ
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
     rng = random.Random(29)
-    for trial in range(900):
+    for trial in range(1000):
         bound = 1000 if trial % 2 else 6
-        if trial % 3 == 0:
+        if trial >= 900:
+            c = rng.randint(3, 40)
+            rows = _thinned(rng, _random_canonical_hnf(rng, 2, c, bound, 0.0),
+                            0.15)
+        elif trial % 3 == 0:
             rows = _random_canonical_hnf(rng, 3, 3, bound, 0.0)
             c = 3
         else:

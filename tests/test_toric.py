@@ -179,7 +179,9 @@ def test_a_rank_f_span_off_the_identity_is_checked(example, monkeypatch):
 def test_a_layer_through_zero_builds_no_bordered_hnf(monkeypatch):
     # every lattice of the unit vectors is saturated, so each layer's circle
     # values are zero and so are its values on every lower span: no span
-    # pair needs its coefficients
+    # pair needs its coefficients, so `hnf_solve` is never called.  No code
+    # builds a bordered HNF either: `saturation` folds no row wider than
+    # the free rank
     calls = []
     solve = posets.hnf_solve
 
