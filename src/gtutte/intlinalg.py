@@ -7,8 +7,8 @@ form (positive pivots, entries above each pivot in [0, pivot)), the
 canonical key for sublattices, and every other form is a fold of it.
 `hermite_normal_form` folds a matrix's rows; a matrix built by
 `IntMatrix._from_hnf` is canonical by construction, never re-scanned.
-`saturation` solves the rows' HNF over the HNF of its columns, so no fold
-is wider than the free rank.  Smith forms alternate row and
+`saturation` solves the rows' HNF over the HNF of its nonzero columns, so
+no fold is wider than the free rank.  Smith forms alternate row and
 column HNFs (Kannan and Bachem): `_monomial` runs them until one nonzero
 entry is left in each row and column, and `invariant_chain` turns those
 entries, or any list of cyclic orders, into the divisibility chain.
@@ -25,7 +25,7 @@ canonical HNF of its relations, so `cokernel` tracks no transforms: unit
 pivots split off, closed forms read the small shapes, and only the rest
 reaches `_monomial`.  `kernel_mod` solves echelon rows mod m by
 back-substitution, the same list on any echelon rows of one lattice;
-`hom_images` runs it per factor on an HNF.
+`hom_enumerate` runs it per factor on a presentation's HNF.
 """
 
 from __future__ import annotations
@@ -533,15 +533,15 @@ def saturation(generators: IntMatrix, ambient: FGAbelianGroup) -> IntMatrix:
     full subgroup is this lattice together with all of the ambient torsion,
     which is exactly the smallest subgroup containing the rows with free
     quotient group.  In Z^f the rows' free parts fold into their HNF B, r x
-    f of rank r, and B's f columns into their HNF H, square and upper
-    triangular.  Each column of B lies in the row lattice of H, so B = H^T X
-    for an integer X, solved row by row: X_i = (B_i - sum over j < i of
-    H[j][i] X_j) / H[i][i], each division exact.  The columns of B generate
-    the row lattice of H, so those of X generate Z^r, and X has a right
-    inverse: a rational combination of X's rows that is integral has
-    integral coefficients.  So X's rows, which span B's rows over Q, span
-    the saturation, and their canonical HNF is the result.  No row is wider
-    than f.
+    f of rank r, and B's nonzero columns into their HNF H, square and upper
+    triangular (a zero column adds nothing to H's lattice).  Each column of
+    B lies in the row lattice of H, so B = H^T X for an integer X, solved
+    row by row: X_i = (B_i - sum over j < i of H[j][i] X_j) / H[i][i], each
+    division exact.  The columns of B generate the row lattice of H, so
+    those of X generate Z^r, and X has a right inverse: a rational
+    combination of X's rows that is integral has integral coefficients.  So
+    X's rows, which span B's rows over Q, span the saturation, and their
+    canonical HNF is the result.  No row is wider than f.
     """
     n = ambient.ngens
     if generators.cols != n:
@@ -549,7 +549,7 @@ def saturation(generators: IntMatrix, ambient: FGAbelianGroup) -> IntMatrix:
             f"generators have {generators.cols} coordinates, ambient needs {n}")
     f = ambient.free_rank
     b = reduce(hnf_insert, (row[:f] for row in generators.data), ())
-    h = reduce(hnf_insert, zip(*b), ())
+    h = reduce(hnf_insert, filter(any, zip(*b)), ())
     x = []
     for i, row in enumerate(b):
         for hj, xj in zip(h, x):  # j < i
@@ -559,21 +559,10 @@ def saturation(generators: IntMatrix, ambient: FGAbelianGroup) -> IntMatrix:
     return IntMatrix._from_hnf(f, reduce(hnf_insert, x, ()))
 
 
-def pivot_map(rows) -> dict:
-    """{pivot column: (pivot, the rest of its row)} of echelon rows."""
-    pivots = {}
-    j = 0
-    for row in rows:
-        while not row[j]:  # the pivots move right
-            j += 1
-        pivots[j] = (row[j], row[j + 1:])
-    return pivots
-
-
-def kernel_mod(pivots: dict, n: int, m: int) -> list:
-    """Every x in (Z/m)^n with row . x = 0 mod m for the echelon rows whose
-    `pivot_map` is `pivots`, as flat residue tuples sorted on the reversed
-    tuples: any echelon rows of one lattice give the same list.
+def kernel_mod(rows, n: int, m: int) -> list:
+    """Every x in (Z/m)^n with row . x = 0 mod m for the echelon `rows`, as
+    flat residue tuples sorted on the reversed tuples: any echelon rows of
+    one lattice give the same list.
 
     Back-substitution from the last column to the first: a column without
     a pivot takes every residue, and a pivot p, with the later columns
@@ -584,6 +573,12 @@ def kernel_mod(pivots: dict, n: int, m: int) -> list:
     1/gcd(p, m) of them and gcd(p, m) residues each: no intermediate list
     outgrows the result.
     """
+    pivots = {}  # pivot column -> (pivot, the rest of its row)
+    j = 0
+    for row in rows:
+        while not row[j]:  # the pivots move right
+            j += 1
+        pivots[j] = (row[j], row[j + 1:])
     tails = [()]  # solutions (x_j+1, ..., x_n-1) on the columns after j
     for j in range(n - 1, -1, -1):
         if j not in pivots:
@@ -603,27 +598,22 @@ def kernel_mod(pivots: dict, n: int, m: int) -> list:
     return tails
 
 
-def hom_images(relations: IntMatrix, target_torsion) -> list:
-    """All homomorphisms from Z^n/<relation rows> into + Z/f_j, in a fixed
-    order, as tuples of generator images, each a residue tuple: the product
-    of the factors' `kernel_mod` solutions of the relations' canonical HNF.
+def hom_enumerate(generators: IntMatrix, ambient: FGAbelianGroup,
+                  target_torsion) -> list:
+    """All homomorphisms ambient/<rows> -> + Z/f_j, in a fixed order, as
+    generator-image tuples, each a residue tuple: the product of the
+    factors' `kernel_mod` solutions of the presentation's canonical HNF.
+
+    Every relation of the presentation maps to zero by construction; the
+    length equals hom_count whenever the source is finite.
     """
+    relations = presentation_matrix(generators, ambient)
     fs = tuple(int(f) for f in target_torsion)
     if any(f < 1 for f in fs):
         raise ValueError("target factors must be positive")
     n = relations.cols
     if not fs:  # one hom, onto the trivial group
         return [((),) * n]
-    pivots = pivot_map(hermite_normal_form(relations).data)
-    per_factor = [kernel_mod(pivots, n, m) for m in fs]
+    rows = hermite_normal_form(relations).data
+    per_factor = [kernel_mod(rows, n, m) for m in fs]
     return [tuple(zip(*sols)) for sols in product(*per_factor)]
-
-
-def hom_enumerate(generators: IntMatrix, ambient: FGAbelianGroup,
-                  target_torsion) -> list:
-    """All homomorphisms ambient/<rows> -> + Z/f_j, as generator-image tuples.
-
-    Every relation of the presentation maps to zero by construction; the
-    length equals hom_count whenever the source is finite.
-    """
-    return hom_images(presentation_matrix(generators, ambient), target_torsion)

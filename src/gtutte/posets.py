@@ -72,7 +72,7 @@ from typing import NamedTuple
 
 from . import model
 from .intlinalg import (FGAbelianGroup, IntMatrix, hnf_invariant_factors,
-                        hnf_solve, hom_enumerate, kernel_mod, pivot_map)
+                        hnf_solve, hom_enumerate, kernel_mod)
 from .invariants import (HypothesisError, IdentityCheckError, check_degree,
                          checked, g_characteristic)
 from .model import Arrangement, CapExceeded, GroupSpec
@@ -189,7 +189,7 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec) -> "LayerPoset":
             # are upper triangular with a positive diagonal, above the
             # torsion rows: echelon rows, on which `kernel_mod` gives the
             # same list in the same order as on their HNF, so none is taken
-            values = kernel_mod(pivot_map(gens), len(gens[0]), period)
+            values = kernel_mod(gens, len(gens[0]), period)
         homs = hom_enumerate(lattice, free, fs) if fs else [((),) * gamma.ngens]
         chis = [(v, h) for v in values for h in homs]
         if len(chis) != expected[lat]:

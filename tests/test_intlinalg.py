@@ -13,9 +13,8 @@ from gtutte import intlinalg
 from gtutte.intlinalg import (DimensionMismatch, FGAbelianGroup, IntMatrix,
                               cokernel, hermite_normal_form, hnf_insert,
                               hnf_invariant_factors, hnf_solve, hom_enumerate,
-                              hom_images, invariant_chain, kernel_mod,
-                              pivot_map, presentation_matrix, saturation,
-                              xgcd)
+                              invariant_chain, kernel_mod, presentation_matrix,
+                              saturation, xgcd)
 from gtutte.invariants import arithmetic_tutte
 from gtutte.model import Arrangement, GroupSpec, LatticeTable, hom_count
 from gtutte.oracle import battery_instances
@@ -406,6 +405,25 @@ def test_saturation_of_table_lattices_skips_the_reduction(monkeypatch):
         saturation(table.lattices[lat], gamma) for lat in (0, rank1, full)])
 
 
+def test_saturation_inserts_no_zero_column(monkeypatch):
+    # ten 2e_i of Z^300: B has 290 zero columns, and none reaches H, so
+    # the folds of B, H and X take ten inserts each
+    calls = []
+    real = intlinalg.hnf_insert
+
+    def counting(rows, vec):
+        calls.append(vec)
+        return real(rows, vec)
+
+    gens = IntMatrix.from_rows([[2 * (j == i) for j in range(300)]
+                                for i in range(10)], 300)
+    monkeypatch.setattr(intlinalg, "hnf_insert", counting)
+    sat = saturation(gens, FGAbelianGroup(300))
+    assert len(calls) <= 30
+    assert sat.data == tuple(tuple(int(j == i) for j in range(300))
+                             for i in range(10))
+
+
 def test_table_lattices_are_canonical_by_construction():
     # a table lattice is built as a canonical HNF and never re-scanned, so
     # it must be the canonical HNF of a fresh copy of its rows, and
@@ -735,10 +753,10 @@ def test_kernel_mod_matches_hom_images_and_brute_force():
             cases.append((rows, n, m))
     unreduced = brute_checked = 0
     for rows, n, m in cases:
-        sols = kernel_mod(pivot_map(rows), n, m)
+        sols = kernel_mod(rows, n, m)
         lattice = IntMatrix.from_rows(rows, n)
-        assert sols == [tuple(img[0] for img in h)
-                        for h in hom_images(lattice, (m,))], (rows, n, m)
+        assert sols == [tuple(img[0] for img in h) for h in hom_enumerate(
+            lattice, FGAbelianGroup(n), (m,))], (rows, n, m)
         unreduced += rows != hermite_normal_form(lattice).data
         if m ** n <= 2_000:
             brute = [x for x in product(range(m), repeat=n)
