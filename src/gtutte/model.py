@@ -27,8 +27,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .intlinalg import (FGAbelianGroup, IntMatrix, cokernel, hermite_normal_form,
-                        insert_step, invariant_chain, presentation_matrix,
-                        saturation)
+                        insert_step, invariant_chain, presentation_matrix)
 
 MAX_ELEMENTS = 24  # the subset histogram may meet up to 2^n distinct lattices
 MAX_LATTICES = 100_000  # distinct lattices in one lattice table
@@ -138,7 +137,8 @@ class LatticeTable:
     `MAX_LATTICES`: the table bounds the work and memory of every fold over
     it, as the fold runs.  `instance` names the arrangement in that
     refusal.  `cokernel` takes each lattice's rows as they are, once per
-    lattice, and `saturation` those `span` needs.
+    lattice; the layer engine (`posets.enumerate_layers`) picks each
+    lattice's span from that quotient itself.
     """
 
     def __init__(self, gamma: FGAbelianGroup, instance: str):
@@ -152,8 +152,6 @@ class LatticeTable:
         self._ids = {start.data: 0}
         self.child: dict = {}   # vector -> {lattice id: child id}
         self._quotients: dict = {}
-        self._spans: dict = {}
-        self._unit = None  # Z^f, built by `span` on first use
 
     def add(self, lat: int, vec: tuple, kids: dict) -> int:
         """Id of lattice `lat` joined by `vec`, recorded in `child[vec]`,
@@ -183,29 +181,6 @@ class LatticeTable:
         if quot is None:
             quot = self._quotients[lat] = cokernel(self.lattices[lat], self._free)
         return quot
-
-    def span(self, lat: int) -> IntMatrix:
-        """HNF basis of the lattice's saturated span in the free quotient,
-        memoized.  A quotient without torsion means a saturated lattice,
-        whose leading rows cut to the free columns are its span (the lattice
-        itself in a free ambient).  That slice is canonical: a canonical HNF
-        lists first its rows with a nonzero free part, f minus the
-        quotient's free rank of them, and cut to the free columns these keep
-        their pivots and their reduced entries above them.  A finite
-        quotient means Z^f, one identity per table; any other, `saturation`."""
-        span = self._spans.get(lat)
-        if span is None:
-            quot, lattice = self.quotient(lat), self.lattices[lat]
-            f = self.gamma.free_rank
-            if not quot.torsion:
-                span = lattice if f == lattice.cols else IntMatrix._from_hnf(
-                    f, tuple(row[:f] for row in lattice.data[:f - quot.free_rank]))
-            elif quot.free_rank:
-                span = saturation(lattice, self.gamma)
-            else:
-                span = self._unit = self._unit or IntMatrix.identity(f)
-            self._spans[lat] = span
-        return span
 
 
 class Arrangement:

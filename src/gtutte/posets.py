@@ -13,9 +13,12 @@ enumeration, once for all the subsets that span it, deduplicates on
 (span, chi) and records each layer's localization, the set of elements
 whose kernel contains it: the union of the subsets it is a component of.
 Subsets are visited one by one only if `subset_components` is read.
-A lattice whose quotient has no torsion is saturated: its span is its own
-rows and its one character zero.  Any other is solved by `kernel_mod` on
-its rows in span coordinates (the rows themselves at span Z^f), no HNF.
+One branch on each lattice's quotient picks its span and its characters.
+A quotient without torsion means a saturated lattice: its span is its own
+leading rows and its one character zero.  A finite quotient means span
+Z^f, one identity per engine run, and `kernel_mod` solves the lattice rows
+themselves; any other means span `saturation`, and with a circle
+`kernel_mod` solves the rows in span coordinates, no HNF.
 Many layers share a span, an F-hom or a circle value, so each layer's
 printed key and order are put together from pieces formatted once per
 engine run: the rows of each span, the text and order of each F-hom, and
@@ -72,7 +75,7 @@ from typing import NamedTuple
 
 from . import model
 from .intlinalg import (FGAbelianGroup, IntMatrix, hnf_invariant_factors,
-                        hnf_solve, hom_enumerate, kernel_mod)
+                        hnf_solve, hom_enumerate, kernel_mod, saturation)
 from .invariants import (HypothesisError, IdentityCheckError, check_degree,
                          checked, g_characteristic)
 from .model import Arrangement, CapExceeded, GroupSpec
@@ -167,15 +170,28 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec) -> "LayerPoset":
     # (span rows, chi) -> [span, chi, rank, localization, first-seen order]
     raw: dict = {}
     lattice_entries: dict = {}  # lattice id -> its components' raw entries
+    unit = None  # Z^f, the span of every lattice of finite quotient
     for lat in expected:
         lattice, quot = table.lattices[lat], table.quotient(lat)
-        span, rank = table.span(lat), f - quot.free_rank
-        values = [()]
-        if spec.circles and not quot.torsion:  # saturated: the zero character
-            values = [(0,) * (span.rows + len(gamma.torsion))]
-        elif spec.circles:
-            gens = lattice.data  # span Z^f: the rows are their own coordinates
-            if rank < f:
+        rank, values = f - quot.free_rank, [()]
+        if not quot.torsion:
+            # saturated: its leading rows cut to the free columns are its
+            # span (the lattice itself in a free ambient), and its one
+            # character is zero.  That slice is canonical: a canonical HNF
+            # lists first its rows with a nonzero free part, rank of them,
+            # and cut to the free columns these keep their pivots and their
+            # reduced entries above them
+            span = lattice if f == lattice.cols else IntMatrix._from_hnf(
+                f, tuple(row[:f] for row in lattice.data[:rank]))
+            if spec.circles:
+                values = [(0,) * (rank + len(gamma.torsion))]
+        elif rank == f:  # span Z^f: the rows are their own coordinates
+            span = unit = unit or IntMatrix.identity(f)
+            if spec.circles:
+                values = kernel_mod(lattice.data, lattice.cols, period)
+        else:
+            span = saturation(lattice, gamma)
+            if spec.circles:
                 gens = []
                 for row in lattice.data:
                     coeffs = hnf_solve(span, row[:f])
@@ -183,13 +199,14 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec) -> "LayerPoset":
                         raise IdentityCheckError(f"{arr.describe()}: lattice "
                                                  "row escaped its own saturation")
                     gens.append(coeffs + row[f:])
-            # gens presents the quotient on the span and torsion generators
-            # (the torsion relations are lattice rows).  The lattice's HNF
-            # and its span's share their pivot columns, so the coefficients
-            # are upper triangular with a positive diagonal, above the
-            # torsion rows: echelon rows, on which `kernel_mod` gives the
-            # same list in the same order as on their HNF, so none is taken
-            values = kernel_mod(gens, len(gens[0]), period)
+                # gens presents the quotient on the span and torsion
+                # generators (the torsion relations are lattice rows).  The
+                # lattice's HNF and its span's share their pivot columns,
+                # so the coefficients are upper triangular with a positive
+                # diagonal, above the torsion rows: echelon rows, on which
+                # `kernel_mod` gives the same list in the same order as on
+                # their HNF, so none is taken
+                values = kernel_mod(gens, len(gens[0]), period)
         homs = hom_enumerate(lattice, free, fs) if fs else [((),) * gamma.ngens]
         chis = [(v, h) for v in values for h in homs]
         if len(chis) != expected[lat]:

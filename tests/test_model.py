@@ -328,20 +328,22 @@ def test_without_torsion_shares_the_lattice_table(mixed_torsion):
         assert lattices(stripped) == lattices(fresh)
 
 
-def test_table_spans_equal_the_saturation(example, mixed_torsion,
+def test_layer_spans_equal_the_saturation(example, mixed_torsion,
                                           torsion_only):
-    # the table reads rank 0 and full rank off the quotient; every span
-    # must still be the saturation of its lattice
+    # the layer engine reads rank 0 and full rank off the quotient; every
+    # layer's span must still be the saturation of its lattice
     ranks = set()
     for arr in [example, mixed_torsion, torsion_only,
                 Arrangement(FGAbelianGroup(2, (2, 4)),
                             [[2, 0, 1, 3], [0, 3, 0, 2], [1, 1, 1, 0]])]:
-        arr.lattice_counts()
+        poset = enumerate_toric_layers(arr)
         table = arr.lattice_table()
         f = arr.gamma.free_rank
-        for lat, lattice in enumerate(table.lattices):
-            assert table.span(lat) == saturation(lattice, arr.gamma), (arr, lat)
-            rank = table.span(lat).rows
+        for lat, indices in poset.lattice_components.items():
+            sat = saturation(table.lattices[lat], arr.gamma)
+            for i in indices:
+                assert poset.layers[i].span == sat, (arr, lat)
+            rank = sat.rows
             ranks.add("zero" if rank == 0 else "full" if rank == f else "part")
     assert ranks == {"zero", "full", "part"}
 

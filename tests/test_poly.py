@@ -31,6 +31,7 @@ def test_bi_expand_product():
     x1 = BiPoly({(1, 0): 1, (0, 0): -1})
     y1 = BiPoly({(0, 1): 1, (0, 0): -1})
     assert (x1 * y1).triples() == [[0, 0, 1], [0, 1, -1], [1, 0, -1], [1, 1, 1]]
+    assert repr(BiPoly({(1, 0): 2})) == "BiPoly([[1, 0, 2]])"
 
 
 def test_ring_axioms_random():

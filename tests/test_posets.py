@@ -8,8 +8,7 @@ from test_cli import run
 from test_oracle import _layer_posets
 from test_root_systems import type_a
 
-from gtutte import (Arrangement, FGAbelianGroup, GroupSpec, model, oracle,
-                    posets)
+from gtutte import Arrangement, FGAbelianGroup, GroupSpec, oracle, posets
 from gtutte.invariants import HypothesisError, IdentityCheckError
 from gtutte.lie import enumerate_lie_layers
 from gtutte.model import multiplicity
@@ -358,7 +357,7 @@ def _counted(monkeypatch, module, name):
 ])
 def test_finite_and_torsion_free_quotients_settle_spans_and_characters(
         group, vectors, layer_count, solves, tmp_path, capsys, monkeypatch):
-    saturations = _counted(monkeypatch, model, "saturation")
+    saturations = _counted(monkeypatch, posets, "saturation")
     solved = _counted(monkeypatch, posets, "hnf_solve")
     path = tmp_path / "input.json"
     path.write_text(json.dumps({"group": group, "vectors": vectors}))
@@ -403,17 +402,16 @@ def test_spans_and_characters_off_the_quotient_match_the_per_mask_reference():
 def test_a_row_outside_its_saturation_is_caught(example, monkeypatch):
     """The circle values of a lattice with torsion are solved on its rows in
     span coordinates.  The check solves each row, as the fold built it,
-    over the span that `LatticeTable.span` saturates apart from the fold:
-    here the span (1, 0) given for the rank-1 lattices <(0, 2)> and
-    <(0, 4)>, which holds neither."""
-    real = model.LatticeTable.span
+    over the span that `saturation` computes apart from the fold: here the
+    span (1, 0) given for the rank-1 lattices <(0, 2)> and <(0, 4)>, which
+    holds neither."""
+    real = posets.saturation
 
-    def wrong_span(table, lat):
-        quot = table.quotient(lat)
-        if quot.torsion and table.gamma.free_rank - quot.free_rank == 1:
+    def wrong_span(lattice, gamma):
+        if lattice.data in {((0, 2),), ((0, 4),)}:
             return IntMatrix.from_rows([[1, 0]], 2)
-        return real(table, lat)
-    monkeypatch.setattr(model.LatticeTable, "span", wrong_span)
+        return real(lattice, gamma)
+    monkeypatch.setattr(posets, "saturation", wrong_span)
     with pytest.raises(IdentityCheckError, match="^example: lattice row "
                        "escaped its own saturation$"):
         enumerate_toric_layers(example)

@@ -6,7 +6,7 @@ from gtutte import Arrangement, FGAbelianGroup, GroupSpec, chromatic_quasi, pose
 from gtutte.intlinalg import IntMatrix
 from gtutte.invariants import IdentityCheckError
 from gtutte.lie import enumerate_lie_layers
-from gtutte.model import CapExceeded, LatticeTable, multiplicity
+from gtutte.model import CapExceeded, multiplicity
 from gtutte.oracle import (brute_mobius, downs_from_covers, mobius_all,
                            poset_leq_matrix)
 from gtutte.poly import UniPoly
@@ -164,13 +164,12 @@ def test_k_must_be_positive(example_poset):
 def test_a_rank_f_span_off_the_identity_is_checked(example, monkeypatch):
     # span Z^f is told by its rows, not its rank: a rank-2 span that is not
     # saturated still reaches the saturation check of the order lookup
-    span = LatticeTable.span
+    identity = IntMatrix.identity
 
-    def unsaturated(self, lat):
-        got = span(self, lat)
-        return IntMatrix.from_rows(((1, 0), (0, 2))) if got.rows == 2 else got
+    def unsaturated(n):
+        return IntMatrix.from_rows(((1, 0), (0, 2))) if n == 2 else identity(n)
 
-    monkeypatch.setattr(LatticeTable, "span", unsaturated)
+    monkeypatch.setattr(IntMatrix, "identity", staticmethod(unsaturated))
     with pytest.raises(IdentityCheckError, match=r"^example: span "
                        r"\[\(1, 0\), \(0, 2\)\] is not saturated$"):
         enumerate_toric_layers(example)
