@@ -146,7 +146,7 @@ class LatticeTable:
         self.instance = instance
         start = hermite_normal_form(
             presentation_matrix(IntMatrix.from_rows([], gamma.ngens), gamma))
-        self._free = FGAbelianGroup(gamma.ngens)
+        self.free = FGAbelianGroup(gamma.ngens)
         self.lattices = [start]
         self._steps = [None]  # lattice id -> its fold step, once it has a child
         self._ids = {start.data: 0}
@@ -179,7 +179,7 @@ class LatticeTable:
         torsion relations, so its rows present it over a free group."""
         quot = self._quotients.get(lat)
         if quot is None:
-            quot = self._quotients[lat] = cokernel(self.lattices[lat], self._free)
+            quot = self._quotients[lat] = cokernel(self.lattices[lat], self.free)
         return quot
 
 

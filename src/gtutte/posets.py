@@ -16,9 +16,11 @@ Subsets are visited one by one only if `subset_components` is read.
 One branch on each lattice's quotient picks its span and its characters.
 A quotient without torsion means a saturated lattice: its span is its own
 leading rows and its one character zero.  A finite quotient means span
-Z^f, one identity per engine run, and `kernel_mod` solves the lattice rows
-themselves; any other means span `saturation`, and with a circle
-`kernel_mod` solves the rows in span coordinates, no HNF.
+Z^f, and `kernel_mod` solves the lattice rows themselves; any other means
+span `saturation`, and with a circle `kernel_mod` solves the rows in span
+coordinates, no HNF.  Equal spans are made one object there, and the
+components, keyed on that object and chi, are sorted once: each layer is
+built once, in its printed order.
 Many layers share a span, an F-hom or a circle value, so each layer's
 printed key and order are put together from pieces formatted once per
 engine run: the rows of each span, the text and order of each F-hom, and
@@ -164,13 +166,10 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec) -> "LayerPoset":
             locs[c] = locs.get(c, 0) | locs[lat] | 1 << i
 
     period = arr.lcm_period() if spec.circles else 1
-    # the lattice holds the torsion relations, so it presents its quotient
-    # of the free group on gamma's generators
-    free = FGAbelianGroup(gamma.ngens)
-    # (span rows, chi) -> [span, chi, rank, localization, first-seen order]
+    spans: dict = {}  # span rows -> the one span object of those rows
+    # (id of the span, chi) -> [span, chi, rank, localization, layer index]
     raw: dict = {}
     lattice_entries: dict = {}  # lattice id -> its components' raw entries
-    unit = None  # Z^f, the span of every lattice of finite quotient
     for lat in expected:
         lattice, quot = table.lattices[lat], table.quotient(lat)
         rank, values = f - quot.free_rank, [()]
@@ -186,7 +185,7 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec) -> "LayerPoset":
             if spec.circles:
                 values = [(0,) * (rank + len(gamma.torsion))]
         elif rank == f:  # span Z^f: the rows are their own coordinates
-            span = unit = unit or IntMatrix.identity(f)
+            span = IntMatrix.identity(f)
             if spec.circles:
                 values = kernel_mod(lattice.data, lattice.cols, period)
         else:
@@ -207,14 +206,16 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec) -> "LayerPoset":
                 # `kernel_mod` gives the same list in the same order as on
                 # their HNF, so none is taken
                 values = kernel_mod(gens, len(gens[0]), period)
-        homs = hom_enumerate(lattice, free, fs) if fs else [((),) * gamma.ngens]
+        span = spans.setdefault(span.data, span)
+        homs = (hom_enumerate(lattice, table.free, fs) if fs
+                else [((),) * gamma.ngens])
         chis = [(v, h) for v in values for h in homs]
         if len(chis) != expected[lat]:
             raise IdentityCheckError(
                 f"{arr.describe()}: lattice {list(lattice.data)} "
                 f"has {len(chis)} components, expected {expected[lat]}")
         entries = lattice_entries[lat] = [
-            raw.setdefault((span.data, chi), [span, chi, rank, 0, len(raw)])
+            raw.setdefault((id(span), chi), [span, chi, rank, 0, None])
             for chi in chis]
         for entry in entries:
             entry[3] |= locs[lat]
@@ -223,17 +224,21 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec) -> "LayerPoset":
     # the pieces of keys and orders, each formatted once.  Equal spans, and
     # with a circle equal components, are shared objects, which the order
     # looks up by identity
-    span_texts: dict = {}  # span rows -> (shared span, "[rows](")
+    span_texts: dict = {}  # id of the span -> "[rows]("
     hom_parts: dict = {}   # F-hom -> (printed form, order of the hom)
     fractions: dict = {}   # circle value -> reduced fraction mod P
     shared: dict = {}      # component -> the shared component
     layers = []
-    for span, (circle, hom), rank, loc, _ in raw.values():
-        entry = span_texts.get(span.data)
-        if entry is None:
-            entry = span_texts[span.data] = (span, "[" + ";".join(
-                ",".join(map(str, row)) for row in span.data) + "](")
-        span, head = entry
+    # by (rank, span, component, chi), the component being the circle
+    # values past the span rows and the F-hom
+    for entry in sorted(raw.values(), key=lambda e: (
+            e[2], e[0].data, e[1][0][e[0].rows:], e[1][1], e[1][0])):
+        span, (circle, hom), rank, loc, _ = entry
+        entry[4] = len(layers)
+        head = span_texts.get(id(span))
+        if head is None:
+            head = span_texts[id(span)] = "[" + ";".join(
+                ",".join(map(str, row)) for row in span.data) + "]("
         part = hom_parts.get(hom)
         if part is None:
             text = ""
@@ -255,13 +260,7 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec) -> "LayerPoset":
         layers.append(Layer(span, (circle, hom), rank, spec.dim * (f - rank),
                             not loc & tmask, loc, component, order,
                             head + text + ")"))
-    ranked = sorted(range(len(layers)), key=lambda t: (
-        layers[t].rank, layers[t].span.data, layers[t].component, layers[t].chi))
-    layers = [layers[t] for t in ranked]
-    index = [0] * len(ranked)  # first-seen order -> sorted index
-    for i, t in enumerate(ranked):
-        index[t] = i
-    components = {lat: tuple(sorted(index[entry[4]] for entry in entries))
+    components = {lat: tuple(sorted(entry[4] for entry in entries))
                   for lat, entries in lattice_entries.items()}
 
     if not spec.circles:
@@ -321,19 +320,6 @@ def enumerate_layers(arr: Arrangement, spec: GroupSpec) -> "LayerPoset":
     return poset
 
 
-def checked_sum(poset: "LayerPoset", indices, arr: Arrangement,
-                target: GroupSpec, what: str) -> UniPoly:
-    """The Möbius-weighted dimension sum over `indices` (all layers if
-    None), once it equals the characteristic polynomial of `arr` over
-    `target` evaluated at #F * t^dim, F and dim those of the poset's target.
-    """
-    spec = poset.spec
-    return checked(poset.characteristic(indices),
-                   scale_variable(g_characteristic(arr, target),
-                                  spec.f_order, spec.dim),
-                   f"{poset.arr.describe()}: {what}")
-
-
 class LayerPoset:
     """Finite poset of layers with per-layer combinatorial data.
 
@@ -344,7 +330,8 @@ class LayerPoset:
     the layer of x's span, in y's component, that contains y: an element
     of `layers`, and a cover of y.  It is asked once per upper layer and
     distinct span among its candidates, spans compared by identity, so
-    equal spans should be one object.  Its answers and the roots below
+    equal spans should be one object, as `enumerate_layers` makes them
+    where it makes the spans.  Its answers and the roots below
     the rank-1 layers are `cover_pairs`; see the module docstring.
     """
 
@@ -530,7 +517,8 @@ def layer_sum(poset: LayerPoset, k: int | None = None,
     only the circle target has, cut to the partial subposet with `partial`.
     The check is over Z/k with `k` and over the poset's target without it,
     on the arrangement with `partial` and on its torsion-stripped part
-    without it.
+    without it, of that characteristic polynomial evaluated at #F * t^dim,
+    F and dim those of the poset's target.
     """
     arr, spec = poset.arr, poset.spec
     if k is not None and spec != GroupSpec.circle():
@@ -541,11 +529,13 @@ def layer_sum(poset: LayerPoset, k: int | None = None,
     if partial:
         inside = set(partial_subposet(poset))
         indices = tuple(i for i in indices if i in inside)
-    return indices, checked_sum(
-        poset, indices, arr if partial else arr.without_torsion(),
-        spec if k is None else GroupSpec.cyclic(k),
-        ("partial" if partial else "total") + " polynomial vs characteristic"
-        + ("" if k is None else f" at k={k}"))
+    expected = g_characteristic(arr if partial else arr.without_torsion(),
+                                spec if k is None else GroupSpec.cyclic(k))
+    return indices, checked(
+        poset.characteristic(indices),
+        scale_variable(expected, spec.f_order, spec.dim),
+        f"{arr.describe()}: " + ("partial" if partial else "total")
+        + " polynomial vs characteristic" + ("" if k is None else f" at k={k}"))
 
 
 def _surviving_component_count(arr: Arrangement, spec: GroupSpec) -> int:
