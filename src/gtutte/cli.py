@@ -218,7 +218,8 @@ def _spec_from_args(args) -> GroupSpec:
 
 
 def cmd_info(arr, args):
-    qp = invariants.chromatic_quasi(arr)
+    qp = invariants.QuasiPolynomial(arr)
+    invariants.check_degree(arr, arr.gamma.free_rank, "characteristic polynomial")
     tmask = arr.torsion_mask()
     payload = {
         "name": arr.name,
@@ -226,7 +227,7 @@ def cmd_info(arr, args):
         "element_count": arr.n,
         "rank": arr.rank,
         "torsion_elements": [i for i in range(arr.n) if tmask >> i & 1],
-        "lcm_period": arr.lcm_period(),
+        "lcm_period": qp.period,
         "minimal_period": invariants.minimal_period(qp),
     }
     return payload, (f"{arr.describe()}: {arr.n} elements, rank {arr.rank}, "

@@ -4,11 +4,11 @@ Each invariant is a sum over the classes of the subset histogram, weighted
 by the homomorphism-count multiplicity m(S).  The bivariate sum is the
 G-Tutte polynomial; its real and circle targets give the classical and
 arithmetic Tutte polynomials.  The characteristic polynomial is the signed
-class sum of (-1)^#S * m(S) * t^(rank(gamma)-rank(S)), taken over the
-arrangement's signed classes (the subset counts grouped once by rank and
-torsion factors); the tests check it against the Tutte specialization.  The
-constituent of the chromatic quasi-polynomial at k is that polynomial for
-the cyclic target Z/gcd(k, period), so each divisor is evaluated once.
+class sum of (-1)^#S * m(S) * t^(rank(gamma)-rank(S)) over the
+arrangement's signed classes (the subset counts grouped by rank and torsion
+factors); the tests check it against the Tutte specialization.  The
+constituent at k is that polynomial for the cyclic target Z/gcd(k, period),
+and the minimal period is read off the same classes.
 
 Constituents are produced symbolically, never by interpolating point
 counts; the brute-force counts live in the oracle module and stay an
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import sys
 from functools import cached_property
-from math import comb, floor, gcd, log10, prod
+from math import comb, floor, gcd, lcm, log10, prod
 
 from . import model
 from .model import Arrangement, GroupSpec
@@ -29,6 +29,8 @@ from .poly import BiPoly, UniPoly
 # the dense view holds one constituent per residue: at this period, `quasi`
 # takes about 0.4 s and prints 1.4 MB on a rank-2 input (2-core x86)
 MAX_PERIOD = 50_000
+# trial divisions plus expansion terms in `minimal_period`: 0.1 s (2-core x86)
+MAX_PERIOD_STEPS = 10**6
 # a dense polynomial holds one coefficient per degree, and a few bytes of
 # input name any free rank: at this degree `char` takes about 0.14 s and
 # 17 MB on an empty arrangement (2-core x86)
@@ -136,7 +138,7 @@ class QuasiPolynomial:
     by m(S) = prod gcd(d_i, k) over the quotient torsion factors d_i.  It
     depends on k only through gcd(k, period), so it is `g_characteristic`
     for Z/gcd(k, period), evaluated once per divisor on first use.
-    `constituents` is the dense view: constituents[k-1] for k = 1..period.
+    `constituents` is the dense view, k = 1..period; `minimal_period` skips it.
     """
 
     def __init__(self, arr: Arrangement):
@@ -157,6 +159,7 @@ class QuasiPolynomial:
         """One constituent per residue; a period above `MAX_PERIOD` is
         refused with `CapExceeded` before any constituent is built."""
         if self.period > MAX_PERIOD:
+            check_digits(self.arr, "lcm period", 2 + floor(log10(self.period)))
             raise model.CapExceeded(
                 f"{self.arr.describe()}: lcm period {self.period} exceeds the "
                 f"cap {MAX_PERIOD} (one constituent is held per residue)")
@@ -172,7 +175,7 @@ class QuasiPolynomial:
 
 def chromatic_quasi(arr: Arrangement) -> QuasiPolynomial:
     """The quasi-polynomial with its dense view built, so a period above
-    `MAX_PERIOD` is refused here."""
+    `MAX_PERIOD` is refused here; `minimal_period` needs no dense view."""
     qp = QuasiPolynomial(arr)
     qp.constituents  # built now, inside this call
     return qp
@@ -253,13 +256,29 @@ def leading_part(arr: Arrangement, spec: GroupSpec) -> int:
 
 
 def minimal_period(qp: QuasiPolynomial) -> int:
-    """Smallest divisor p of the period under which the constituents repeat:
-    the least p with constituent(d) == constituent(gcd(d, p)) for every
-    divisor d (by the Chinese remainder theorem, some j = d mod p has
-    gcd(j, period) = gcd(d, p)); p = period always passes.  The dense
-    view's cap applies."""
-    dense = qp.constituents
-    divisors = [d for d in range(1, qp.period + 1) if qp.period % d == 0]
-    for p in divisors:
-        if all(dense[d - 1] == dense[gcd(d, p) - 1] for d in divisors):
-            return p
+    """lcm{e : [e | k] has a nonzero coefficient in the gcd form}, once the
+    period passes `check_digits`; a class with torsion factors d_1 | ... | d_s
+    weights k by prod gcd(d_i, k) = sum_(e | d_s) a_e [e | k], a_e
+    multiplicative, a_(p^j) = prod gcd(d_i, p^j) - prod gcd(d_i, p^(j-1))."""
+    arr, steps, factored, coeff = qp.arr, 0, {}, {}
+    check_digits(arr, "lcm period", 2 + floor(log10(qp.period)))
+    for (rank, _, d), count in arr.signed_classes().items():
+        if (top := max(d, default=1)) not in factored:
+            m, p, factors = top, 2, factored.setdefault(top, {})
+            while m > 1 and steps <= MAX_PERIOD_STEPS:
+                while m % p == 0:
+                    m, factors[p] = m // p, factors.get(p, 0) + 1
+                # past the square root of m, m is prime
+                p, steps = (p + 1 if p * p < m else m), steps + 1
+        steps += prod(v + 1 for v in factored[top].values())
+        if steps > MAX_PERIOD_STEPS:
+            raise model.CapExceeded(f"{arr.describe()}: minimal period: {steps} "
+                                    f"steps exceed the cap {MAX_PERIOD_STEPS}")
+        terms = {1: count}
+        for p, v in factored[top].items():
+            g = [0] + [prod(gcd(x, p**j) for x in d) for j in range(v + 1)]
+            terms = {e * p**j: c * (g[j + 1] - g[j])
+                     for e, c in terms.items() for j in range(v + 1)}
+        for e, c in terms.items():
+            coeff[e, rank] = coeff.get((e, rank), 0) + c
+    return lcm(*(e for (e, _), c in coeff.items() if c))

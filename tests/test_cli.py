@@ -38,7 +38,13 @@ def run(capsys, *argv):
     return code, out, err
 
 
-def test_info(example_file, capsys):
+def test_info(example_file, capsys, monkeypatch):
+    # `info` reads the gcd form and never the dense view
+    def fail(qp):
+        raise AssertionError("dense view built")
+
+    monkeypatch.setattr(invariants.QuasiPolynomial, "constituents",
+                        property(fail))
     code, out, err = run(capsys, "info", example_file)
     assert code == 0
     payload = json.loads(out)
@@ -47,6 +53,8 @@ def test_info(example_file, capsys):
     assert payload["minimal_period"] == 4
     assert payload["torsion_elements"] == []
     assert "period 4" in err
+    code, _, err = run(capsys, "quasi", example_file)
+    assert code == 1 and "dense view built" in err
 
 
 def test_quasi(example_file, capsys):
@@ -371,7 +379,7 @@ def test_single_constituent_commands_skip_the_period(tmp_path):
     for argv in (["constituent", path, "2"], ["constituent", path, "3"],
                  ["constituent", path, "4"], ["beta", path, "--q", "3"],
                  ["reciprocity", path, "--k", "2", "--q", "3"],
-                 ["compare", path, "--a", "2", "--b", "4"]):
+                 ["compare", path, "--a", "2", "--b", "4"], ["info", path]):
         proc = subprocess.run([sys.executable, "-m", "gtutte.cli", *argv],
                               capture_output=True, text=True, env=env,
                               timeout=10)
@@ -381,6 +389,10 @@ def test_single_constituent_commands_skip_the_period(tmp_path):
             coeffs = json.loads(proc.stdout)["coefficients"]
             assert sum(c * k**i for i, c in enumerate(coeffs)) == \
                 brute_complement_count(arr, k)
+        if argv[0] == "info":
+            payload = json.loads(proc.stdout)
+            assert payload["minimal_period"] == payload["lcm_period"] == \
+                arr.lcm_period()
 
 
 def test_nonpositive_finite_factors_are_refused(example_file, capsys):
@@ -702,7 +714,8 @@ def test_dense_periods_are_refused_past_the_cap(tmp_path, capsys):
     assert code == 0 and json.loads(out)["period"] == cap
     code, out, _ = run(capsys, "info", at_cap)
     assert code == 0 and json.loads(out)["lcm_period"] == cap
-    # one above the cap, and a period of 160 digits
+    # one above the cap, and a period of 160 digits: `quasi` refuses, while
+    # `info` reads the minimal period off the gcd form
     rng = random.Random(0)
     huge = tmp_path / "huge_period.json"
     huge.write_text(json.dumps(
@@ -712,12 +725,50 @@ def test_dense_periods_are_refused_past_the_cap(tmp_path, capsys):
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(gtutte.__file__)))
     for path in (_period_file(tmp_path, cap + 1), str(huge)):
+        period = cli.load_arrangement(path).lcm_period()
+        assert period > cap
         for command in ("info", "quasi"):
             proc = subprocess.run(
                 [sys.executable, "-m", "gtutte.cli", command, path],
                 capture_output=True, text=True, env=env, timeout=2)
+            if command == "info":
+                assert proc.returncode == 0, proc.stderr
+                payload = json.loads(proc.stdout)
+                assert payload["lcm_period"] == payload["minimal_period"] == \
+                    period
+                continue
             assert proc.returncode == 2 and proc.stdout == "", command
             assert f"exceeds the cap {cap}" in proc.stderr, command
+
+
+def _free_doc(seed, rank, count, bound):
+    """`count` seeded vectors of Z^rank with entries in [-bound, bound]."""
+    rng = random.Random(seed)
+    return {"group": {"free_rank": rank, "torsion": []},
+            "vectors": [[rng.randint(-bound, bound) for _ in range(rank)]
+                        for _ in range(count)]}
+
+
+@pytest.mark.parametrize("doc, commands, cap", [
+    # a period of over 4,300 digits: past the int-to-string limit
+    (_free_doc(1, 4, 20, 50), ("info", "quasi"), "past the cap 4300"),
+    # a top factor with no prime below 10^6 takes 10^6 trial divisions
+    ({"group": {"free_rank": 2, "torsion": []},
+      "vectors": [[1000003 * 1000033, 0], [0, 1], [1, 1]]},
+     ("info",), f"exceed the cap {invariants.MAX_PERIOD_STEPS}")],
+    ids=["period past the digit limit", "factoring cap"])
+def test_periods_are_refused_at_a_cap_within_budget(doc, commands, cap,
+                                                    tmp_path, capsys):
+    path = tmp_path / "period.json"
+    path.write_text(json.dumps(doc))
+    instance = cli.load_arrangement(str(path)).describe()
+    for command in commands:
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, command, str(path))
+        elapsed = time.perf_counter() - t0
+        assert code == 2 and out == "", err
+        assert err.startswith(f"error: {instance}: ") and cap in err, err
+        assert elapsed < 3.0, f"{command}: {elapsed:.2f}s > 3.0s"
 
 
 @pytest.mark.parametrize("n, seed", [(13, 1), (16, 1), (20, 1), (24, 2)])

@@ -241,6 +241,17 @@ def test_leading_coefficient_is_surviving_torsion_hom_count():
             assert lead == survivors
 
 
+def _divisor_scan(qp):
+    """The least divisor p of the period with constituent(d) ==
+    constituent(gcd(d, p)) for every divisor d, read off the dense view (by
+    the Chinese remainder theorem, some j = d mod p has gcd(j, period) =
+    gcd(d, p)); p = period always passes."""
+    dense = qp.constituents
+    divisors = [d for d in range(1, qp.period + 1) if qp.period % d == 0]
+    return next(p for p in divisors
+                if all(dense[d - 1] == dense[gcd(d, p) - 1] for d in divisors))
+
+
 def test_minimal_period_collapses_duplicates(example):
     qp = chromatic_quasi(example)
     assert minimal_period(qp) == 4
@@ -249,17 +260,47 @@ def test_minimal_period_collapses_duplicates(example):
     # duplicated elements change nothing
     dup = Arrangement(example.gamma, list(example.elements) + [[0, 2]])
     assert minimal_period(chromatic_quasi(dup)) == 4
-    # the per-divisor test against the dense scan over every residue
+    # the gcd-form expansion against the dense scan over every residue and
+    # against the divisor scan
     from gtutte.oracle import battery_instances
     zero = Arrangement(FGAbelianGroup(1), [[0], [2], [6]])
-    for arr in battery_instances(0, 60) + [zero]:
+    # no class cancels, but the coefficients of [2 | k] do: 3 - 3 * 1
+    cancel = Arrangement(FGAbelianGroup(0, (2, 2)), [[1, 1], [1, 0], [0, 1]])
+    collapsed = 0
+    for arr in battery_instances(0, 300) + battery_instances(7, 300) + [
+            zero, cancel]:
         qp = chromatic_quasi(arr)
         dense = next(p for p in range(1, qp.period + 1) if qp.period % p == 0
                      and all(qp.constituents[k] == qp.constituents[k % p]
                              for k in range(qp.period)))
-        assert minimal_period(qp) == dense, arr
-    qp = chromatic_quasi(zero)
-    assert qp.period == 6 and minimal_period(qp) == 1
+        assert minimal_period(qp) == dense == _divisor_scan(qp), arr
+        collapsed += dense < qp.period
+    assert collapsed == 53
+    for arr, period in ((zero, 6), (cancel, 2)):
+        qp = chromatic_quasi(arr)
+        assert qp.period == period and minimal_period(qp) == 1
+
+
+def test_period_collapse_on_free_ambients():
+    # Higashitani, Tran and Yoshinaga: on a free ambient with no zero
+    # element the minimal period is the lcm period
+    from gtutte.oracle import battery_instances
+    rng = random.Random(0)
+    free = [arr for arr in battery_instances(0, 300) + battery_instances(7, 300)
+            if not arr.gamma.torsion and (0,) * arr.gamma.ngens not in arr.elements]
+    near_cap = Arrangement(FGAbelianGroup(3), [
+        [16, -4, 3], [-16, 14, 3], [-7, -7, -10], [-14, -13, -13],
+        [-12, -10, 4], [12, -6, -12]])
+    huge = Arrangement(FGAbelianGroup(3), [
+        [rng.randint(-1000, 1000) for _ in range(3)] for _ in range(6)])
+    assert len(free) > 100
+    assert (len(str(near_cap.lcm_period())), len(str(huge.lcm_period()))) == \
+        (38, 160)
+    for arr in free + [near_cap, huge]:
+        qp = QuasiPolynomial(arr)
+        start = time.perf_counter()
+        assert minimal_period(qp) == qp.period, arr
+        assert time.perf_counter() - start < 1, arr
 
 
 def test_quasi_polynomial_past_the_dense_cap(monkeypatch):
@@ -272,9 +313,13 @@ def test_quasi_polynomial_past_the_dense_cap(monkeypatch):
     evaluated = _divisors_evaluated(monkeypatch)
     assert all(qp.constituent(k) == expected[k] for k in ks)
     assert evaluated(qp) == [1, 2, 10**6, 5 * 10**11]
+    # the minimal period reads the gcd form, with no dense view
+    start = time.perf_counter()
+    assert minimal_period(QuasiPolynomial(arr)) == P
+    assert time.perf_counter() - start < 1
     # the dense view and everything built on it refuse at once
     for refused in (lambda: chromatic_quasi(arr), lambda: qp.constituents,
-                    qp.serialize, lambda: minimal_period(QuasiPolynomial(arr))):
+                    qp.serialize):
         start = time.perf_counter()
         with pytest.raises(CapExceeded, match=f"exceeds the cap {MAX_PERIOD}"):
             refused()
