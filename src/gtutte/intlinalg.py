@@ -238,22 +238,24 @@ def hnf_insert(rows: tuple, vec) -> tuple:
     replaces a pivot row only where vec's entry is not a multiple of the
     pivot.  On either path a nonzero remainder with no pivot in its leading
     column becomes a new row, and the entries above the pivots are then
-    reduced into [0, pivot) top-down.  Left of a pivot both rows are zero,
-    so each step touches only the columns from the pivot on.  The parent's
-    row tuples are never written, and the result may share those no step
-    wrote.  When vec already lies in the lattice, `rows` itself is
-    returned.
+    reduced into [0, pivot) top-down in the rows up to the last one written
+    (those below it are the canonical parent's, reduced already).  Left of a
+    pivot both rows are zero, so each step touches only the columns from
+    the pivot on.  The parent's row tuples are never written, and the
+    result may share those no step wrote.  When vec already lies in the
+    lattice, `rows` itself is returned.
     """
     return insert_step(rows, len(vec))(rows, vec)
 
 
 def _insert_loop(rows: tuple, vec) -> tuple:
-    """`hnf_insert` by a loop over the columns, for any width."""
+    """`hnf_insert` by a loop over the columns, for any width, reducing
+    only the rows above `touched`, the index after the last row written."""
     c = len(vec)
     v = list(vec)
     out = list(rows)
     n = len(out)
-    first = None  # index of the first changed row
+    first, touched = n, 0  # the first row written and the index after the last
     i = 0
     for j in range(c):
         a = v[j]
@@ -270,8 +272,7 @@ def _insert_loop(rows: tuple, vec) -> tuple:
                         s, t = row[k], v[k]
                         new[k] = x * s + y * t
                         v[k] = d * t - b * s
-                    if first is None:
-                        first = i
+                    first, touched = min(first, i), i + 1
                 else:
                     q = a // p
                     for k in range(j, c):
@@ -282,10 +283,9 @@ def _insert_loop(rows: tuple, vec) -> tuple:
                 for k in range(j, c):
                     v[k] = -v[k]
             out.insert(i, v)
-            if first is None:
-                first = i
+            first, touched = min(first, i), i + 1
             break
-    if first is None:
+    if not touched:
         return rows
     for k in range(first, len(out)):
         pivot_row = out[k]
@@ -293,7 +293,7 @@ def _insert_loop(rows: tuple, vec) -> tuple:
         while not pivot_row[j]:
             j += 1
         p = pivot_row[j]
-        for t in range(k):
+        for t in range(min(k, touched)):
             row = out[t]
             q = row[j] // p  # floor division leaves the entry in [0, p)
             if q:
@@ -342,19 +342,20 @@ def _monomial(rows) -> list:
     """The nonzero entries of a monomial matrix (one nonzero entry in each
     row and column) equivalent to `rows`, independent canonical HNF rows.
 
-    Column and row HNFs alternate, each a fold of the last one's transpose.
-    The first drops the zero columns, which leaves a square matrix of full
-    rank.  It ends: after each HNF the leading pivot is the gcd of its
-    column (or row), a positive integer that shrinks to a proper divisor
-    until it divides the rest of its row and column, which the next HNF
-    clears; then it stays, and the rest goes on as a smaller matrix.
+    Monomial rows, such as a diagonal of torsion pivots, are read as they
+    are.  Otherwise column and row HNFs alternate, each a fold of the last
+    one's transpose, until the rows are monomial.  The first drops the zero
+    columns, which leaves a square matrix of full rank.  It ends: after
+    each HNF the leading pivot is the gcd of its column (or row), a
+    positive integer that shrinks to a proper divisor until it divides the
+    rest of its row and column, which the next HNF clears; then it stays,
+    and the rest goes on as a smaller matrix.
     Entries cannot grow: at full rank every column of a row HNF holds a
     pivot, and the HNF reduces the entries above it modulo the pivot.
     """
-    while True:
+    while not all(row.count(0) == len(row) - 1 for row in rows):
         rows = reduce(hnf_insert, zip(*rows), ())
-        if all(row.count(0) == len(row) - 1 for row in rows):
-            return [max(row) for row in rows]
+    return [sum(row) for row in rows]  # each row's one entry, its pivot
 
 
 def hnf_invariant_factors(rows: tuple) -> tuple:

@@ -29,7 +29,7 @@ from .poly import BiPoly, UniPoly
 # the dense view holds one constituent per residue: at this period, `quasi`
 # takes about 0.4 s and prints 1.4 MB on a rank-2 input (2-core x86)
 MAX_PERIOD = 50_000
-# trial divisions plus expansion terms in `minimal_period`: 0.1 s (2-core x86)
+# Miller-Rabin rounds, trial divisions and expansion terms: 0.1 s (2-core x86)
 MAX_PERIOD_STEPS = 10**6
 # a dense polynomial holds one coefficient per degree, and a few bytes of
 # input name any free rank: at this degree `char` takes about 0.14 s and
@@ -255,6 +255,16 @@ def leading_part(arr: Arrangement, spec: GroupSpec) -> int:
     return lead * spec.f_order ** arr.gamma.free_rank
 
 
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the prime bases up to 37, exact below their least strong
+    pseudoprime (Sorenson and Webster, Math. Comp. 2017) and False from it on."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    return n in bases or 37 < n < 318_665_857_834_031_151_167_461 and all(
+        pow(a, (n - 1) >> s, n) == 1 or any(pow(a, (n - 1) >> s << i, n) == n - 1
+                                            for i in range(s)) for a in bases)
+
+
 def minimal_period(qp: QuasiPolynomial) -> int:
     """lcm{e : [e | k] has a nonzero coefficient in the gcd form}, once the
     period passes `check_digits`; a class with torsion factors d_1 | ... | d_s
@@ -264,8 +274,10 @@ def minimal_period(qp: QuasiPolynomial) -> int:
     check_digits(arr, "lcm period", 2 + floor(log10(qp.period)))
     for (rank, _, d), count in arr.signed_classes().items():
         if (top := max(d, default=1)) not in factored:
-            m, p, factors = top, 2, factored.setdefault(top, {})
+            m, p, factors, tested = top, 2, factored.setdefault(top, {}), 1
             while m > 1 and steps <= MAX_PERIOD_STEPS:
+                if m != tested:  # a new cofactor: 12 Miller-Rabin rounds first
+                    tested, steps, p = m, steps + 12, m if _is_prime(m) else p
                 while m % p == 0:
                     m, factors[p] = m // p, factors.get(p, 0) + 1
                 # past the square root of m, m is prime

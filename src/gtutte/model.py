@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 from typing import NamedTuple
 
-from .intlinalg import (FGAbelianGroup, IntMatrix, cokernel, hermite_normal_form,
-                        insert_step, invariant_chain, presentation_matrix)
+from .intlinalg import FGAbelianGroup, IntMatrix, cokernel, insert_step, invariant_chain
 
 MAX_ELEMENTS = 24  # the subset histogram may meet up to 2^n distinct lattices
 MAX_LATTICES = 100_000  # distinct lattices in one lattice table
@@ -124,7 +123,8 @@ class LatticeTable:
     """The distinct lattices <S> + ambient torsion relations of one ambient.
 
     Lattices are canonical HNF matrices, numbered in order of discovery;
-    id 0 holds the torsion relations alone.  `child` is
+    id 0 holds the torsion relations alone, the rows e_i at the torsion
+    columns, a canonical HNF as they stand and built as one.  `child` is
     {vector: {lattice id: child id}}, the lattice that the vector joins:
     a fold looks its vector's dict up once and then steps on lattice ids
     alone (`Arrangement.lattice_counts`, keyed by lattice id).
@@ -142,11 +142,11 @@ class LatticeTable:
     """
 
     def __init__(self, gamma: FGAbelianGroup, instance: str):
-        self.gamma = gamma
         self.instance = instance
-        start = hermite_normal_form(
-            presentation_matrix(IntMatrix.from_rows([], gamma.ngens), gamma))
-        self.free = FGAbelianGroup(gamma.ngens)
+        n, f, t = gamma.ngens, gamma.free_rank, gamma.torsion
+        start = IntMatrix._from_hnf(n, tuple(  # the torsion relations e_i
+            (0,) * (f + i) + (e,) + (0,) * (len(t) - 1 - i) for i, e in enumerate(t)))
+        self.free = FGAbelianGroup(n)
         self.lattices = [start]
         self._steps = [None]  # lattice id -> its fold step, once it has a child
         self._ids = {start.data: 0}

@@ -771,6 +771,20 @@ def test_periods_are_refused_at_a_cap_within_budget(doc, commands, cap,
         assert elapsed < 3.0, f"{command}: {elapsed:.2f}s > 3.0s"
 
 
+def test_a_prime_top_factor_answers_at_once(tmp_path, capsys):
+    # 10^12 + 39 is prime: Miller-Rabin proves it before any trial division
+    P = 10**12 + 39
+    path = tmp_path / "prime.json"
+    path.write_text(json.dumps({"group": {"free_rank": 2, "torsion": []},
+                                "vectors": [[P, 0], [0, 1], [1, 1]]}))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "info", str(path))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["minimal_period"] == payload["lcm_period"] == P
+
+
 @pytest.mark.parametrize("n, seed", [(13, 1), (16, 1), (20, 1), (24, 2)])
 def test_layer_commands_past_twelve_elements(n, seed, tmp_path, capsys):
     # the layer cap counts components over distinct lattices, and a rank-3

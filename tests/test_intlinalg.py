@@ -16,7 +16,8 @@ from gtutte.intlinalg import (DimensionMismatch, FGAbelianGroup, IntMatrix,
                               invariant_chain, kernel_mod, presentation_matrix,
                               saturation, xgcd)
 from gtutte.invariants import arithmetic_tutte
-from gtutte.model import Arrangement, GroupSpec, LatticeTable, hom_count
+from gtutte.model import (Arrangement, GroupSpec, LatticeTable, SubsetClass,
+                          hom_count)
 from gtutte.oracle import battery_instances
 from gtutte.poly import BiPoly
 
@@ -270,6 +271,32 @@ def _check_insert(rows, vec):
 @given(_insertions())
 def test_hnf_insert_matches_the_reference(case):
     _check_insert(*case)
+
+
+def test_wide_torsion_inserts_match_the_reference():
+    # width 41 takes the loop: 40 torsion rows under a free column, and
+    # vectors that add a new top row or meet a middle pivot with an xgcd,
+    # so the rows from the last one written on are the parent's as they were
+    rng = random.Random(47)
+    c = 41
+    diag = tuple((0,) * (1 + i) + (rng.choice((2, 4, 6)),) + (0,) * (39 - i)
+                 for i in range(40))
+    mixed = hermite_normal_form(IntMatrix.from_rows(
+        [[0] + [rng.randint(-5, 5) for _ in range(40)]] + list(diag), c)).data
+    for rows in (diag, mixed):
+        assert len(rows) == 40
+        tail = [rng.randint(-5, 5) for _ in range(c)]
+        vecs = [tuple([lead] + tail[1:]) for lead in (1, -2, 3)]
+        for j in (1, 2, 20, 39, 40):
+            p = rows[j - 1][j]  # row j - 1 holds the pivot of column j
+            assert p > 0
+            if p > 1:  # p + 1 is no multiple of p: an xgcd step
+                vecs.append(tuple([0] * j + [p + 1] + tail[j + 1:]))
+            vecs.append(tuple([0] * j + [p] + tail[j + 1:]))
+        vecs.append(tuple(sum(row[j] for row in rows) for j in range(c)))
+        assert len(vecs) > 10
+        for vec in vecs:
+            _check_insert(rows, vec)
 
 
 def _pivot_key(c: int, pivots) -> int:
@@ -977,6 +1004,24 @@ def test_square_cores_up_to_4_run_no_smith_elimination(monkeypatch):
         table.quotient(lat) for lat in full])
 
 
+def test_a_monomial_hnf_is_read_as_it_is(monkeypatch):
+    # 50 diagonal rows of 2s under a zero column reach `_monomial`, which
+    # reads their factors with no transpose and no insert
+    rows = tuple((0,) * (1 + i) + (2,) + (0,) * (49 - i) for i in range(50))
+    calls = []
+    real = intlinalg.hnf_insert
+
+    def counting(rows, vec):
+        calls.append(vec)
+        return real(rows, vec)
+
+    monkeypatch.setattr(intlinalg, "hnf_insert", counting)
+    found = []
+    assert _smith_calls(monkeypatch, lambda: found.append(
+        hnf_invariant_factors(rows))) == 1
+    assert found == [(2,) * 50] and calls == []
+
+
 def test_monomial_shapes_match_sympy_smith_forms(monkeypatch):
     # the shapes that reach `_monomial`: full-rank cores of size 5-12 with
     # no unit pivot, and 3x4 to 4x6 rows below full rank with three or more
@@ -1036,6 +1081,20 @@ def test_long_diagonals_of_twos_within_budget():
     assert time.perf_counter() - start < 2.0
     # the quotients have torsion (Z/2)^400, (Z/2)^400, (Z/2)^401, (Z/2)^400
     assert tutte == BiPoly({(1, 0): 2**400, (0, 1): 2**400, (0, 0): 2**400})
+    # the same two elements over Z + (Z/2)^2000: the table's start lattice
+    # is built as it stands, and each insert reduces only the rows it wrote
+    arr = Arrangement(FGAbelianGroup(1, (2,) * 2000),
+                      [[1] + [1] * 2000, [2] + [0] * 2000])
+    start = time.perf_counter()
+    tutte = arithmetic_tutte(arr)
+    assert time.perf_counter() - start < 1.5
+    assert tutte == BiPoly({(1, 0): 2**2000, (0, 1): 2**2000, (0, 0): 2**2000})
+    # no element at all over Z + (Z/2)^4000: lattice 0 is read as it is
+    arr = Arrangement(FGAbelianGroup(1, (2,) * 4000), [])
+    start = time.perf_counter()
+    counts = arr.class_counts()
+    assert time.perf_counter() - start < 2.0
+    assert counts == {SubsetClass(0, 0, (2,) * 4000): 1}
 
 
 @pytest.mark.parametrize("call, error, message", [

@@ -9,7 +9,7 @@ from gtutte import (Arrangement, FGAbelianGroup, GroupSpec, QuasiPolynomial,
                     chromatic_quasi, g_characteristic, g_tutte, leading_part,
                     minimal_period, reciprocity_eval, toric_characteristic)
 from gtutte.intlinalg import IntMatrix, hom_enumerate
-from gtutte.invariants import MAX_PERIOD, HypothesisError
+from gtutte.invariants import MAX_PERIOD, HypothesisError, _is_prime
 from gtutte.model import CapExceeded
 from gtutte.poly import UniPoly
 
@@ -301,6 +301,21 @@ def test_period_collapse_on_free_ambients():
         start = time.perf_counter()
         assert minimal_period(qp) == qp.period, arr
         assert time.perf_counter() - start < 1, arr
+
+
+def test_primality_test_matches_sympy():
+    # seeded integers below 10^20, the strong pseudoprimes to the bases up
+    # to 7 and up to 23, and the least one to the bases up to 37, at which
+    # the test stops answering
+    from sympy import isprime
+    rng = random.Random(47)
+    ns = list(range(-2, 2000)) + [rng.randrange(10**k) for k in range(3, 21)
+                                  for _ in range(300)]
+    ns += [3_215_031_751, 3_825_123_056_546_413_051]
+    assert sum(map(isprime, ns)) > 500
+    for n in ns:
+        assert _is_prime(n) == isprime(n), n
+    assert not _is_prime(318_665_857_834_031_151_167_461)
 
 
 def test_quasi_polynomial_past_the_dense_cap(monkeypatch):
